@@ -33,10 +33,6 @@ from .gateways import (
     LlmClient,
     LlmReply,
     ScriptedLlm,
-    http_api_executor,
-    http_llm_client,
-    mock_api_server,
-    scripted_llm,
 )
 from .metrics import (
     BenchmarkReport,
@@ -126,12 +122,9 @@ __all__ = [
     "document_to_json",
     "error_distribution",
     "extract_request_block",
-    "http_api_executor",
-    "http_llm_client",
     "infer_value_type",
     "load_document",
     "lookup_api",
-    "mock_api_server",
     "normalize_name",
     "overhead",
     "parse_request",
@@ -144,7 +137,6 @@ __all__ = [
     "run_benchmark",
     "run_dynamic_loop",
     "run_task",
-    "scripted_llm",
     "serialize_request",
     "spearman",
 ]

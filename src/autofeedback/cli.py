@@ -27,14 +27,13 @@ from .orchestrator import (
     BenchTask,
     PipelineConfig,
     echo_executor,
-    parse_llm_output,
     render_doc_prompt,
     run_benchmark,
     run_task,
     write_session_log,
     write_summary,
 )
-from .request_codec import parse_request, serialize_request
+from .request_codec import parse_llm_output, parse_request, serialize_request
 from .retrieval import RemoteEmbeddingSimilarity, default_similarity
 from .static_scanner import ErrorType, classify_against_truth
 

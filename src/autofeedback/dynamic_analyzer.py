@@ -11,16 +11,10 @@ from typing import Callable, Sequence
 
 from .errors import ExecutorUnavailableError, TransportError
 from .gateways import ApiExecutor, ApiResponse, ChatMessage, LlmClient
-from .request_codec import (
-    ApiRequest,
-    extract_request_block,
-    parse_request,
-    serialize_request,
-)
+from .request_codec import ApiRequest, parse_llm_output, serialize_request
 from .retrieval import ChunkIndex, RetrievedMessage, SimilarityModel, retrieve_error_message
 
 __all__ = [
-    "ApiResponse",
     "FeedbackRecord",
     "DynamicOutcome",
     "RequirementJudge",
@@ -158,33 +152,30 @@ _REASK_MESSAGE = (
 
 def _ask_for_correction(
     llm: LlmClient, prompt: str, system_preamble: str | None
-) -> tuple[ApiRequest | None, str, str]:
+) -> tuple[ApiRequest | None, str]:
     """One LLM exchange with a single re-ask on unparseable output.
 
-    Returns (request or None, thought, raw reply text).
+    Returns (request or None, thought).
     """
     messages: list[ChatMessage] = []
     if system_preamble is not None:
         messages.append(ChatMessage("system", system_preamble))
     messages.append(ChatMessage("user", prompt))
     reply = llm.complete(messages)
-    block = extract_request_block(reply.text)
-    outcome = parse_request(block) if block is not None else None
-    if outcome is not None and outcome.ok:
-        return outcome.request, _split_thought(reply.text), reply.text
+    outcome = parse_llm_output(reply.text)
+    if outcome.ok:
+        return outcome.request, _split_thought(reply.text)
     messages.append(ChatMessage("assistant", reply.text))
     messages.append(ChatMessage("user", _REASK_MESSAGE))
     retry = llm.complete(messages)
-    block = extract_request_block(retry.text)
-    outcome = parse_request(block) if block is not None else None
-    if outcome is not None and outcome.ok:
-        return outcome.request, _split_thought(retry.text), retry.text
-    return None, _split_thought(reply.text), reply.text
+    outcome = parse_llm_output(retry.text)
+    if outcome.ok:
+        return outcome.request, _split_thought(retry.text)
+    return None, _split_thought(reply.text)
 
 
 def run_dynamic_loop(
     request: ApiRequest,
-    doc,
     index: ChunkIndex,
     executor: ApiExecutor,
     llm: LlmClient,
@@ -225,7 +216,7 @@ def run_dynamic_loop(
         query = f"{serialize_request(request)}\n{response.body}"
         message = retrieve_error_message(request.name, query, index, model)
         prompt = assemble_react_prompt(records, request, (response, message))
-        new_request, thought, _ = _ask_for_correction(llm, prompt, system_preamble)
+        new_request, thought = _ask_for_correction(llm, prompt, system_preamble)
         if new_request is not None and static_check is not None:
             if not static_check(new_request):
                 new_request = None

@@ -24,15 +24,11 @@ __all__ = [
     "LlmReply",
     "LlmClient",
     "ScriptedLlm",
-    "scripted_llm",
     "HttpLlmClient",
-    "http_llm_client",
     "ApiResponse",
     "ApiExecutor",
     "MockApiServer",
-    "mock_api_server",
     "HttpApiExecutor",
-    "http_api_executor",
     "whitespace_tokens",
 ]
 
@@ -94,32 +90,39 @@ class ScriptedLlm(LlmClient):
         return LlmReply(reply, prompt_tokens, whitespace_tokens(reply))
 
 
-def scripted_llm(script: Sequence[str]) -> ScriptedLlm:
-    return ScriptedLlm(script)
-
-
-def _post_with_retries(
-    url: str,
-    payload: dict,
-    headers: dict[str, str],
-    timeout: float,
-    retry_base_delay: float,
+def _send_with_retries(
+    send: Callable[[], requests.Response], url: str, retry_base_delay: float
 ) -> requests.Response:
+    """Call *send* up to ``RETRY_ATTEMPTS`` times; the sleep between
+    attempts starts at *retry_base_delay* and doubles. A failure is a
+    ``RequestException`` or a ``TransportError`` raised by *send*."""
     last_error: Exception | None = None
     for attempt in range(RETRY_ATTEMPTS):
+        if attempt:
+            time.sleep(retry_base_delay * 2 ** (attempt - 1))
         try:
-            response = requests.post(url, json=payload, headers=headers, timeout=timeout)
-            if response.status_code >= 500:
-                last_error = TransportError(
-                    f"server error {response.status_code} from {url}"
-                )
-            else:
-                return response
-        except requests.RequestException as exc:
+            return send()
+        except (requests.RequestException, TransportError) as exc:
             last_error = exc
-        if attempt < RETRY_ATTEMPTS - 1:
-            time.sleep(retry_base_delay * (2**attempt))
     raise TransportError(f"{url} unreachable after {RETRY_ATTEMPTS} attempts") from last_error
+
+
+def post_json(
+    url: str, payload: dict, api_key: str, timeout: float, retry_base_delay: float
+) -> requests.Response:
+    """POST *payload* as JSON with an optional Bearer key; a 5xx answer
+    counts as a failed attempt."""
+    headers = {"Content-Type": "application/json"}
+    if api_key:
+        headers["Authorization"] = f"Bearer {api_key}"
+
+    def send() -> requests.Response:
+        response = requests.post(url, json=payload, headers=headers, timeout=timeout)
+        if response.status_code >= 500:
+            raise TransportError(f"server error {response.status_code} from {url}")
+        return response
+
+    return _send_with_retries(send, url, retry_base_delay)
 
 
 class HttpLlmClient(LlmClient):
@@ -145,15 +148,12 @@ class HttpLlmClient(LlmClient):
         self._retry_base_delay = retry_base_delay
 
     def complete(self, messages: Sequence[ChatMessage]) -> LlmReply:
-        headers = {"Content-Type": "application/json"}
-        if self._api_key:
-            headers["Authorization"] = f"Bearer {self._api_key}"
         payload = {
             "model": self._model_name,
             "messages": [{"role": m.role, "content": m.content} for m in messages],
         }
-        response = _post_with_retries(
-            self._url, payload, headers, self._timeout, self._retry_base_delay
+        response = post_json(
+            self._url, payload, self._api_key, self._timeout, self._retry_base_delay
         )
         try:
             body = response.json()
@@ -168,12 +168,6 @@ class HttpLlmClient(LlmClient):
         return LlmReply(str(text), int(prompt_tokens), int(completion_tokens))
 
 
-def http_llm_client(
-    base_url: str, model_name: str, api_key: str = "", **kwargs
-) -> HttpLlmClient:
-    return HttpLlmClient(base_url, model_name, api_key, **kwargs)
-
-
 @dataclass(frozen=True)
 class ApiResponse:
     """Raw result of executing a request; the body is kept byte-exact
@@ -181,10 +175,6 @@ class ApiResponse:
 
     status: int
     body: str
-
-    @property
-    def not_found(self) -> bool:
-        return self.status == 404
 
 
 class ApiExecutor(ABC):
@@ -215,10 +205,6 @@ class MockApiServer(ApiExecutor):
         if handler is None:
             return ApiResponse(404, "unknown api")
         return handler(dict(req.args))
-
-
-def mock_api_server(routes: Mapping[str, Handler]) -> MockApiServer:
-    return MockApiServer(routes)
 
 
 def _wire_value(value: Value) -> str:
@@ -272,34 +258,22 @@ class HttpApiExecutor(ApiExecutor):
             if placeholder in path:
                 path = path.replace(placeholder, _wire_value(args.pop(key)))
         url = self._base_url + path
-        last_error: Exception | None = None
-        for attempt in range(RETRY_ATTEMPTS):
-            try:
-                if method.upper() == "GET":
-                    response = requests.get(
-                        url,
-                        params={k: _wire_value(v) for k, v in args.items()},
-                        timeout=self._timeout,
-                    )
-                else:
-                    response = requests.request(
-                        method.upper(),
-                        url,
-                        data=json.dumps({k: _json_safe(v) for k, v in args.items()}),
-                        headers={"Content-Type": "application/json"},
-                        timeout=self._timeout,
-                    )
-                return ApiResponse(response.status_code, response.text)
-            except requests.RequestException as exc:
-                last_error = exc
-                if attempt < RETRY_ATTEMPTS - 1:
-                    time.sleep(self._retry_base_delay * (2**attempt))
-        raise TransportError(
-            f"{url} unreachable after {RETRY_ATTEMPTS} attempts"
-        ) from last_error
 
+        def send() -> requests.Response:
+            if method.upper() == "GET":
+                return requests.get(
+                    url,
+                    params={k: _wire_value(v) for k, v in args.items()},
+                    timeout=self._timeout,
+                )
+            return requests.request(
+                method.upper(),
+                url,
+                data=json.dumps({k: _json_safe(v) for k, v in args.items()}),
+                headers={"Content-Type": "application/json"},
+                timeout=self._timeout,
+            )
 
-def http_api_executor(
-    base_url: str, route_map: Mapping[str, tuple[str, str]], **kwargs
-) -> HttpApiExecutor:
-    return HttpApiExecutor(base_url, route_map, **kwargs)
+        # A 5xx answer is an API response like any other: returned, not retried.
+        response = _send_with_retries(send, url, self._retry_base_delay)
+        return ApiResponse(response.status_code, response.text)

@@ -38,9 +38,8 @@ from .metrics import (
 )
 from .request_codec import (
     ApiRequest,
-    ParseFailure,
     ParseOutcome,
-    extract_request_block,
+    parse_llm_output,
     parse_request,
     serialize_request,
 )
@@ -54,7 +53,6 @@ __all__ = [
     "TaskResult",
     "run_task",
     "render_doc_prompt",
-    "parse_llm_output",
     "echo_executor",
     "BenchTask",
     "run_benchmark",
@@ -95,6 +93,7 @@ class StaticEvent:
 
     iteration: int
     llm_output_raw: str
+    outcome: ParseOutcome
     finding: DetectionFinding
     feedback_text: str | None = None
 
@@ -170,18 +169,6 @@ def render_doc_prompt(doc: ApiDocument) -> str:
     return "\n\n".join(blocks)
 
 
-def parse_llm_output(text: str) -> ParseOutcome:
-    """Extract and parse the request block; failures keep the whole raw
-    output so the session log can show what the model actually said."""
-    block = extract_request_block(text)
-    if block is None:
-        return ParseOutcome.unparseable(ParseFailure.NO_BLOCK, text)
-    outcome = parse_request(block)
-    if outcome.ok:
-        return outcome
-    return ParseOutcome.unparseable(outcome.failure, text)
-
-
 def run_task(
     instruction: str,
     doc: ApiDocument,
@@ -240,7 +227,7 @@ def run_task(
             messages.append(ChatMessage("assistant", reply.text))
             outcome = parse_llm_output(reply.text)
             finding = _detect(outcome)
-            event = StaticEvent(attempt, reply.text, finding)
+            event = StaticEvent(attempt, reply.text, outcome, finding)
             log.static_events.append(event)
             if finding.error_type is ErrorType.NONE:
                 request = outcome.request
@@ -255,7 +242,6 @@ def run_task(
         index = build_chunk_index(doc, model, config.chunk_threshold)
         outcome_dyn: DynamicOutcome = run_dynamic_loop(
             request,
-            doc,
             index,
             executor,
             counting,
@@ -265,8 +251,8 @@ def run_task(
             system_preamble=system.content,
             static_check=lambda req: _detect(ParseOutcome.parsed(req)).error_type
             is ErrorType.NONE,
+            record_sink=log.dynamic_records,
         )
-        log.dynamic_records.extend(outcome_dyn.records)
         final_request = (
             outcome_dyn.records[-1].new_action if outcome_dyn.records else request
         )
@@ -449,10 +435,9 @@ def session_log_lines(
     lines: list[str] = []
     for event in log.static_events:
         finding = event.finding
-        outcome_request = parse_llm_output(event.llm_output_raw)
         action = (
-            serialize_request(outcome_request.request)
-            if outcome_request.ok
+            serialize_request(event.outcome.request)
+            if event.outcome.ok
             else event.llm_output_raw
         )
         lines.append(

@@ -21,10 +21,12 @@ __all__ = [
     "ApiRequest",
     "ParseFailure",
     "ParseOutcome",
+    "MAX_NESTING",
     "OPEN_MARKER",
     "CLOSE_MARKER",
     "extract_request_block",
     "parse_request",
+    "parse_llm_output",
     "serialize_request",
     "serialize_value",
     "infer_value_type",
@@ -34,8 +36,12 @@ __all__ = [
 
 logger = logging.getLogger(__name__)
 
-# Literal value of one argument; containers nest to arbitrary depth.
+# Literal value of one argument; containers nest up to MAX_NESTING deep.
 Value = Union[str, int, float, bool, list, tuple, dict]
+
+# Deeper input is a syntax error; the recursive parser stays far from
+# Python's recursion limit.
+MAX_NESTING = 100
 
 OPEN_MARKER = "<<API>>"
 CLOSE_MARKER = "<</API>>"
@@ -166,6 +172,7 @@ class _Parser:
     def __init__(self, text: str):
         self.text = text
         self.pos = 0
+        self.depth = 0
 
     def _ws(self):
         while self.pos < len(self.text) and self.text[self.pos].isspace():
@@ -235,7 +242,7 @@ class _Parser:
         out: dict = {}
         self._ws()
         while self._peek() != "}":
-            if self._peek() not in "'\"":
+            if self._peek() not in ("'", '"'):
                 raise _SyntaxError(f"dict key must be a string at position {self.pos}")
             key = self._string()
             self._ws()
@@ -251,20 +258,29 @@ class _Parser:
         self.pos += 1
         return out
 
+    def _container(self, opener: str) -> Value:
+        self.depth += 1
+        if self.depth > MAX_NESTING:
+            raise _SyntaxError(f"nesting deeper than {MAX_NESTING} at position {self.pos}")
+        self.pos += 1
+        if opener == "[":
+            value = self._sequence("]")
+        elif opener == "(":
+            value = tuple(self._sequence(")"))
+        else:
+            value = self._dict()
+        self.depth -= 1
+        return value
+
     def _value(self) -> Value:
         self._ws()
         c = self._peek()
+        if not c:
+            raise _SyntaxError("unexpected end of input")
         if c in "'\"":
             return self._string()
-        if c == "[":
-            self.pos += 1
-            return self._sequence("]")
-        if c == "(":
-            self.pos += 1
-            return tuple(self._sequence(")"))
-        if c == "{":
-            self.pos += 1
-            return self._dict()
+        if c in "[({":
+            return self._container(c)
         if c.isdigit() or c in "-.":
             return self._number()
         m = _IDENT.match(self.text, self.pos)
@@ -316,6 +332,18 @@ def parse_request(block: str) -> ParseOutcome:
         return ParseOutcome.unparseable(ParseFailure.DUPLICATE_KEY, block)
     except _SyntaxError:
         return ParseOutcome.unparseable(ParseFailure.BAD_SYNTAX, block)
+
+
+def parse_llm_output(text: str) -> ParseOutcome:
+    """Extract and parse the request block; failures keep the whole raw
+    output so the session log can show what the model actually said."""
+    block = extract_request_block(text)
+    if block is None:
+        return ParseOutcome.unparseable(ParseFailure.NO_BLOCK, text)
+    outcome = parse_request(block)
+    if outcome.ok:
+        return outcome
+    return ParseOutcome.unparseable(outcome.failure, text)
 
 
 _STRING_ESCAPES = {"\\": "\\\\", '"': '\\"', "\n": "\\n", "\t": "\\t", "\r": "\\r"}

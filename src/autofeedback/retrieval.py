@@ -10,16 +10,15 @@ from __future__ import annotations
 
 import math
 import re
-import time
 from abc import ABC, abstractmethod
 from dataclasses import dataclass
 from typing import Iterable
 
 import numpy as np
-import requests
 
 from .doc_model import ApiDocument, ApiSpec
-from .errors import EmptyDocumentError, ProtocolError, TransportError
+from .errors import EmptyDocumentError, ProtocolError
+from .gateways import post_json
 
 __all__ = [
     "SimilarityModel",
@@ -142,27 +141,10 @@ class RemoteEmbeddingSimilarity(SimilarityModel):
         cached = self._cache.get(text)
         if cached is not None:
             return cached
-        headers = {"Content-Type": "application/json"}
-        if self._api_key:
-            headers["Authorization"] = f"Bearer {self._api_key}"
         payload = {"input": [text], "model": self._model_name}
-        last_error: Exception | None = None
-        response = None
-        for attempt in range(3):
-            try:
-                response = requests.post(
-                    self._url, json=payload, headers=headers, timeout=self._timeout
-                )
-                if response.status_code < 500:
-                    break
-                last_error = TransportError(f"server error {response.status_code}")
-            except requests.RequestException as exc:
-                last_error = exc
-            response = None
-            if attempt < 2:
-                time.sleep(self._retry_base_delay * (2**attempt))
-        if response is None:
-            raise TransportError(f"{self._url} unreachable") from last_error
+        response = post_json(
+            self._url, payload, self._api_key, self._timeout, self._retry_base_delay
+        )
         try:
             vector = np.asarray(
                 response.json()["data"][0]["embedding"], dtype=float

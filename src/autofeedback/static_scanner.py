@@ -9,6 +9,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass, field
 from enum import Enum
+from typing import Sequence
 
 from .doc_model import ApiDocument, ApiSpec, lookup_api, normalize_name
 from .errors import NoErrorFindingError, UnknownTruthApiError
@@ -73,20 +74,25 @@ class DetectionFinding:
 
 
 def _match_name(
-    name: str, doc: ApiDocument, model: SimilarityModel, threshold: float
+    name: str,
+    doc: ApiDocument,
+    candidates: Sequence[str],
+    model: SimilarityModel,
+    threshold: float,
 ) -> tuple[ErrorType, str | None]:
-    """Name sub-cascade: selection, then literal, then semantic match."""
+    """Name sub-cascade: selection (any documented name), then literal and
+    semantic match against *candidates*."""
     if any(a.name == name for a in doc.apis):
         return ErrorType.E2_1, None
     normalized = normalize_name(name)
-    for api in doc.apis:
-        if normalize_name(api.name) == normalized:
-            return ErrorType.E2_2, api.name
+    for candidate in candidates:
+        if normalize_name(candidate) == normalized:
+            return ErrorType.E2_2, candidate
     best_name, best_score = None, threshold
-    for api in doc.apis:
-        score = model.score(name, api.name)
+    for candidate in candidates:
+        score = model.score(name, candidate)
         if score > best_score:
-            best_name, best_score = api.name, score
+            best_name, best_score = candidate, score
     if best_name is not None:
         return ErrorType.E2_3, best_name
     return ErrorType.E2_OTHER, None
@@ -177,7 +183,9 @@ def detect(
     assert req is not None
 
     if req.name not in relevant:
-        error_type, suggested = _match_name(req.name, doc, model, threshold)
+        error_type, suggested = _match_name(
+            req.name, doc, doc.api_names, model, threshold
+        )
         return DetectionFinding(
             error_type,
             offending_name=req.name,
@@ -245,13 +253,8 @@ def classify_against_truth(
     assert req is not None
 
     if req.name != truth.name:
-        if any(api.name == req.name for api in doc.apis):
-            return ErrorType.E2_1
-        if normalize_name(req.name) == normalize_name(truth.name):
-            return ErrorType.E2_2
-        if model.score(req.name, truth.name) > threshold:
-            return ErrorType.E2_3
-        return ErrorType.E2_OTHER
+        error_type, _ = _match_name(req.name, doc, (truth.name,), model, threshold)
+        return error_type
 
     offender = _first_unknown_key(req, truth_spec)
     if offender is not None:

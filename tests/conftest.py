@@ -61,7 +61,9 @@ def stub_server():
         {"behaviors": [], "requests_seen": [], "default_behavior": None},
     )
     server = ThreadingHTTPServer(("127.0.0.1", 0), handler)
-    thread = threading.Thread(target=server.serve_forever, daemon=True)
+    thread = threading.Thread(
+        target=server.serve_forever, kwargs={"poll_interval": 0.01}, daemon=True
+    )
     thread.start()
     yield f"http://127.0.0.1:{server.server_port}", handler
     server.shutdown()

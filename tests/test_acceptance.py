@@ -16,17 +16,17 @@ from autofeedback import (
     ErrorType,
     ExactMatchJudge,
     PipelineConfig,
+    ScriptedLlm,
     build_chunk_index,
     detect,
-    mock_api_server,
     parse_request,
     retrieve_error_message,
     run_dynamic_loop,
     run_task,
-    scripted_llm,
     serialize_request,
     spearman,
 )
+from autofeedback.gateways import MockApiServer
 from autofeedback.metrics import overhead, population_variance
 from autofeedback.retrieval import api_documentation_text, split_sentences
 from autofeedback.static_scanner import REGENERATE_SENTENCE
@@ -128,13 +128,13 @@ def test_criterion_06_spearman():
 
 def test_criterion_07_static_convergence(doc, model):
     truth = 'userLogin(username="kate", days=3)'
-    llm = scripted_llm(
+    llm = ScriptedLlm(
         [
             f'<<API>>user_login(username="kate", days=3)<</API>>',
             f"<<API>>{truth}<</API>>",
         ]
     )
-    executor = mock_api_server(
+    executor = MockApiServer(
         {"userLogin": lambda args: ApiResponse(200, '{"session": "ok"}')}
     )
     judge = ExactMatchJudge(ground_truth=parse_request(truth).request)
@@ -158,11 +158,11 @@ def test_criterion_08_dynamic_convergence(doc, model, chunk_index):
         'route_planning(origin="116.4,39.9", dest="121.5,31.2")'
     ).request
     correct = 'route_planning(origin="39.9,116.4", dest="31.2,121.5")'
-    executor = mock_api_server({"route_planning": route_planning_handler})
-    llm = scripted_llm([f"Thought: swap the coordinate order.\n<<API>>{correct}<</API>>"])
+    executor = MockApiServer({"route_planning": route_planning_handler})
+    llm = ScriptedLlm([f"Thought: swap the coordinate order.\n<<API>>{correct}<</API>>"])
     judge = ExactMatchJudge(ground_truth=parse_request(correct).request)
     outcome = run_dynamic_loop(
-        reversed_req, doc, chunk_index, executor, llm, judge, model, n_max=2
+        reversed_req, chunk_index, executor, llm, judge, model, n_max=2
     )
     assert outcome.satisfied
     assert len(outcome.records) == 1
@@ -174,7 +174,7 @@ def test_criterion_08_dynamic_convergence(doc, model, chunk_index):
 
 
 def test_criterion_09_budget_law(doc, model):
-    executor = mock_api_server(
+    executor = MockApiServer(
         {"userLogin": lambda args: ApiResponse(200, "ok")}
     )
     judge = ExactMatchJudge(
@@ -182,7 +182,7 @@ def test_criterion_09_budget_law(doc, model):
     )
     instruction = "Log me into the system and start my session."
 
-    adversarial = scripted_llm(["never a parseable request"])
+    adversarial = ScriptedLlm(["never a parseable request"])
     result = run_task(
         instruction, doc, adversarial, executor, judge, model,
         PipelineConfig(max_static=3, max_dynamic=2),
@@ -190,8 +190,8 @@ def test_criterion_09_budget_law(doc, model):
     assert not result.satisfied
     assert result.total_llm_calls <= 1 + 3 + 2 * 2
 
-    wrong_value = scripted_llm(['<<API>>userLogin(username="bob", days=9)<</API>>'])
-    executor2 = mock_api_server({"userLogin": lambda args: ApiResponse(200, "ok")})
+    wrong_value = ScriptedLlm(['<<API>>userLogin(username="bob", days=9)<</API>>'])
+    executor2 = MockApiServer({"userLogin": lambda args: ApiResponse(200, "ok")})
     result2 = run_task(
         instruction, doc, wrong_value, executor2, judge, model,
         PipelineConfig(max_static=3, max_dynamic=2),
@@ -200,8 +200,8 @@ def test_criterion_09_budget_law(doc, model):
     assert result2.total_llm_calls <= 1 + 3 + 2 * 2
     assert len(executor2.executed) <= 1 + 2
 
-    single = scripted_llm(['<<API>>userLogin(username="kate", days=3)<</API>>'])
-    executor3 = mock_api_server({"userLogin": lambda args: ApiResponse(200, "ok")})
+    single = ScriptedLlm(['<<API>>userLogin(username="kate", days=3)<</API>>'])
+    executor3 = MockApiServer({"userLogin": lambda args: ApiResponse(200, "ok")})
     result3 = run_task(
         instruction, doc, single, executor3, judge, model,
         PipelineConfig(max_static=0, max_dynamic=0),

@@ -5,14 +5,14 @@ from autofeedback import (
     ApiResponse,
     ExactMatchJudge,
     LlmJudge,
+    ScriptedLlm,
     assemble_react_prompt,
-    mock_api_server,
     parse_request,
     run_dynamic_loop,
-    scripted_llm,
     serialize_request,
 )
 from autofeedback.dynamic_analyzer import FeedbackRecord
+from autofeedback.gateways import MockApiServer
 from autofeedback.retrieval import RetrievedMessage
 
 from test_gateways import route_planning_handler
@@ -29,7 +29,7 @@ def req(text: str) -> ApiRequest:
 
 @pytest.fixture
 def executor():
-    return mock_api_server({"route_planning": route_planning_handler})
+    return MockApiServer({"route_planning": route_planning_handler})
 
 
 @pytest.fixture
@@ -38,9 +38,9 @@ def judge():
 
 
 def test_accepted_first_try_enters_no_loop(doc, model, chunk_index, executor, judge):
-    llm = scripted_llm(["should never be called"])
+    llm = ScriptedLlm(["should never be called"])
     outcome = run_dynamic_loop(
-        req(CORRECT), doc, chunk_index, executor, llm, judge, model, n_max=2
+        req(CORRECT), chunk_index, executor, llm, judge, model, n_max=2
     )
     assert outcome.satisfied
     assert outcome.records == ()
@@ -49,14 +49,14 @@ def test_accepted_first_try_enters_no_loop(doc, model, chunk_index, executor, ju
 
 
 def test_route_planning_correction_converges(doc, model, chunk_index, executor, judge):
-    llm = scripted_llm(
+    llm = ScriptedLlm(
         [
             "Thought: The coordinates were given longitude-first; swapping the"
             f" order.\n<<API>>{CORRECT}<</API>>"
         ]
     )
     outcome = run_dynamic_loop(
-        req(REVERSED), doc, chunk_index, executor, llm, judge, model, n_max=2
+        req(REVERSED), chunk_index, executor, llm, judge, model, n_max=2
     )
     assert outcome.satisfied
     assert len(outcome.records) == 1
@@ -73,9 +73,9 @@ def test_route_planning_correction_converges(doc, model, chunk_index, executor, 
 
 
 def test_budget_exhaustion_is_unsatisfied(doc, model, chunk_index, executor, judge):
-    llm = scripted_llm([f"Thought: retrying as-is.\n<<API>>{REVERSED}<</API>>"])
+    llm = ScriptedLlm([f"Thought: retrying as-is.\n<<API>>{REVERSED}<</API>>"])
     outcome = run_dynamic_loop(
-        req(REVERSED), doc, chunk_index, executor, llm, judge, model, n_max=2
+        req(REVERSED), chunk_index, executor, llm, judge, model, n_max=2
     )
     assert not outcome.satisfied
     assert len(outcome.records) == 2
@@ -83,14 +83,14 @@ def test_budget_exhaustion_is_unsatisfied(doc, model, chunk_index, executor, jud
 
 
 def test_records_chain_action_to_new_action(doc, model, chunk_index, executor, judge):
-    llm = scripted_llm(
+    llm = ScriptedLlm(
         [
             f"Thought: first try.\n<<API>>route_planning(origin=\"100.0,1.0\", dest=\"31.2,121.5\")<</API>>",
             f"Thought: second try.\n<<API>>{CORRECT}<</API>>",
         ]
     )
     outcome = run_dynamic_loop(
-        req(REVERSED), doc, chunk_index, executor, llm, judge, model, n_max=3
+        req(REVERSED), chunk_index, executor, llm, judge, model, n_max=3
     )
     assert outcome.satisfied
     assert len(outcome.records) == 2
@@ -100,9 +100,9 @@ def test_records_chain_action_to_new_action(doc, model, chunk_index, executor, j
 
 
 def test_n_max_zero_means_one_execution_no_llm(doc, model, chunk_index, executor, judge):
-    llm = scripted_llm(["unused"])
+    llm = ScriptedLlm(["unused"])
     outcome = run_dynamic_loop(
-        req(REVERSED), doc, chunk_index, executor, llm, judge, model, n_max=0
+        req(REVERSED), chunk_index, executor, llm, judge, model, n_max=0
     )
     assert not outcome.satisfied
     assert outcome.records == ()
@@ -111,14 +111,14 @@ def test_n_max_zero_means_one_execution_no_llm(doc, model, chunk_index, executor
 
 
 def test_unparseable_correction_reasked_once(doc, model, chunk_index, executor, judge):
-    llm = scripted_llm(
+    llm = ScriptedLlm(
         [
             "I think the coordinates are wrong but here is no request.",
             f"Thought: sorry.\n<<API>>{CORRECT}<</API>>",
         ]
     )
     outcome = run_dynamic_loop(
-        req(REVERSED), doc, chunk_index, executor, llm, judge, model, n_max=2
+        req(REVERSED), chunk_index, executor, llm, judge, model, n_max=2
     )
     assert outcome.satisfied
     assert len(outcome.records) == 1
@@ -130,9 +130,9 @@ def test_unparseable_correction_reasked_once(doc, model, chunk_index, executor, 
 def test_twice_unparseable_burns_iteration_keeps_request(
     doc, model, chunk_index, executor, judge
 ):
-    llm = scripted_llm(["no request here", "still no request"])
+    llm = ScriptedLlm(["no request here", "still no request"])
     outcome = run_dynamic_loop(
-        req(REVERSED), doc, chunk_index, executor, llm, judge, model, n_max=1
+        req(REVERSED), chunk_index, executor, llm, judge, model, n_max=1
     )
     assert not outcome.satisfied
     assert len(outcome.records) == 1
@@ -142,10 +142,10 @@ def test_twice_unparseable_burns_iteration_keeps_request(
 
 
 def test_llm_calls_bounded_by_twice_budget(doc, model, chunk_index, executor, judge):
-    llm = scripted_llm(["never a request"])
+    llm = ScriptedLlm(["never a request"])
     n_max = 3
     outcome = run_dynamic_loop(
-        req(REVERSED), doc, chunk_index, executor, llm, judge, model, n_max=n_max
+        req(REVERSED), chunk_index, executor, llm, judge, model, n_max=n_max
     )
     assert not outcome.satisfied
     assert llm.calls <= 2 * n_max
@@ -153,10 +153,9 @@ def test_llm_calls_bounded_by_twice_budget(doc, model, chunk_index, executor, ju
 
 
 def test_static_check_rejection_burns_iteration(doc, model, chunk_index, executor, judge):
-    llm = scripted_llm([f"Thought: using a fake api.\n<<API>>fake_api(x=1)<</API>>"])
+    llm = ScriptedLlm([f"Thought: using a fake api.\n<<API>>fake_api(x=1)<</API>>"])
     outcome = run_dynamic_loop(
         req(REVERSED),
-        doc,
         chunk_index,
         executor,
         llm,
@@ -185,8 +184,8 @@ def test_exact_match_judge_status_only():
 
 
 def test_llm_judge_parses_yes_no():
-    yes = LlmJudge(scripted_llm(["Yes, it does."]), "plan a route")
-    no = LlmJudge(scripted_llm(["no"]), "plan a route")
+    yes = LlmJudge(ScriptedLlm(["Yes, it does."]), "plan a route")
+    no = LlmJudge(ScriptedLlm(["no"]), "plan a route")
     assert yes.accepts(req(CORRECT), ApiResponse(200, "body"))
     assert not no.accepts(req(CORRECT), ApiResponse(200, "body"))
 

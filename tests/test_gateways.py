@@ -1,29 +1,29 @@
 import json
+import socket
 
 import pytest
+import requests
 
-from autofeedback import (
-    ApiRequest,
-    ApiResponse,
-    ChatMessage,
-    http_api_executor,
-    http_llm_client,
-    mock_api_server,
-    scripted_llm,
-)
+from autofeedback import ApiRequest, ApiResponse, ChatMessage, ScriptedLlm
 from autofeedback.errors import ProtocolError, TransportError
+from autofeedback.gateways import (
+    RETRY_ATTEMPTS,
+    HttpApiExecutor,
+    HttpLlmClient,
+    MockApiServer,
+)
 
 
 # -- scripted LLM -------------------------------------------------------------
 
 def test_scripted_replay_and_repeat_last():
-    llm = scripted_llm(["a", "b"])
+    llm = ScriptedLlm(["a", "b"])
     replies = [llm.complete([ChatMessage("user", "hi")]).text for _ in range(3)]
     assert replies == ["a", "b", "b"]
 
 
 def test_scripted_records_prompts():
-    llm = scripted_llm(["ok"])
+    llm = ScriptedLlm(["ok"])
     llm.complete([ChatMessage("system", "s"), ChatMessage("user", "u")])
     llm.complete([ChatMessage("user", "again")])
     assert len(llm.received_prompts) == 2
@@ -32,8 +32,8 @@ def test_scripted_records_prompts():
 
 def test_scripted_two_sessions_identical():
     script = ["one", "two"]
-    first = scripted_llm(script)
-    second = scripted_llm(script)
+    first = ScriptedLlm(script)
+    second = ScriptedLlm(script)
     msgs = [ChatMessage("user", "x")]
     assert [first.complete(msgs).text for _ in range(4)] == [
         second.complete(msgs).text for _ in range(4)
@@ -41,7 +41,7 @@ def test_scripted_two_sessions_identical():
 
 
 def test_scripted_token_counts_are_whitespace_counts():
-    llm = scripted_llm(["three word reply"])
+    llm = ScriptedLlm(["three word reply"])
     reply = llm.complete([ChatMessage("user", "one two"), ChatMessage("user", "three")])
     assert reply.prompt_tokens == 3
     assert reply.completion_tokens == 3
@@ -49,7 +49,7 @@ def test_scripted_token_counts_are_whitespace_counts():
 
 def test_scripted_rejects_empty_script():
     with pytest.raises(ValueError):
-        scripted_llm([])
+        ScriptedLlm([])
 
 
 # -- HTTP LLM client (stub_server fixture comes from conftest) -------------------
@@ -64,7 +64,7 @@ def _completion_body(text, usage=True):
 def test_http_llm_round_trip(stub_server):
     base_url, handler = stub_server
     handler.behaviors.append((200, _completion_body("hello there")))
-    client = http_llm_client(base_url, "test-model", "secret", retry_base_delay=0.0)
+    client = HttpLlmClient(base_url, "test-model", "secret", retry_base_delay=0.0)
     reply = client.complete([ChatMessage("user", "hi")])
     assert reply.text == "hello there"
     assert (reply.prompt_tokens, reply.completion_tokens) == (11, 7)
@@ -78,7 +78,7 @@ def test_http_llm_round_trip(stub_server):
 def test_http_llm_usage_fallback_to_whitespace(stub_server):
     base_url, handler = stub_server
     handler.behaviors.append((200, _completion_body("two words", usage=False)))
-    client = http_llm_client(base_url, "m", retry_base_delay=0.0)
+    client = HttpLlmClient(base_url, "m", retry_base_delay=0.0)
     reply = client.complete([ChatMessage("user", "one two three")])
     assert reply.prompt_tokens == 3
     assert reply.completion_tokens == 2
@@ -87,7 +87,7 @@ def test_http_llm_usage_fallback_to_whitespace(stub_server):
 def test_http_llm_retries_then_transport_error(stub_server):
     base_url, handler = stub_server
     handler.behaviors.extend([(500, "{}"), (500, "{}"), (500, "{}")])
-    client = http_llm_client(base_url, "m", retry_base_delay=0.0)
+    client = HttpLlmClient(base_url, "m", retry_base_delay=0.0)
     with pytest.raises(TransportError):
         client.complete([ChatMessage("user", "hi")])
     assert len(handler.requests_seen) == 3
@@ -96,14 +96,14 @@ def test_http_llm_retries_then_transport_error(stub_server):
 def test_http_llm_recovers_after_transient_failure(stub_server):
     base_url, handler = stub_server
     handler.behaviors.extend([(500, "{}"), (200, _completion_body("ok"))])
-    client = http_llm_client(base_url, "m", retry_base_delay=0.0)
+    client = HttpLlmClient(base_url, "m", retry_base_delay=0.0)
     assert client.complete([ChatMessage("user", "hi")]).text == "ok"
 
 
 def test_http_llm_malformed_body_is_protocol_error(stub_server):
     base_url, handler = stub_server
     handler.behaviors.append((200, json.dumps({"unexpected": True})))
-    client = http_llm_client(base_url, "m", retry_base_delay=0.0)
+    client = HttpLlmClient(base_url, "m", retry_base_delay=0.0)
     with pytest.raises(ProtocolError):
         client.complete([ChatMessage("user", "hi")])
 
@@ -122,7 +122,7 @@ def route_planning_handler(args):
 
 
 def test_mock_server_semantic_error_branch():
-    server = mock_api_server({"route_planning": route_planning_handler})
+    server = MockApiServer({"route_planning": route_planning_handler})
     bad = ApiRequest(
         "route_planning", (("origin", "116.4,39.9"), ("dest", "121.5,31.2"))
     )
@@ -132,7 +132,7 @@ def test_mock_server_semantic_error_branch():
 
 
 def test_mock_server_happy_path():
-    server = mock_api_server({"route_planning": route_planning_handler})
+    server = MockApiServer({"route_planning": route_planning_handler})
     good = ApiRequest(
         "route_planning", (("origin", "39.9,116.4"), ("dest", "31.2,121.5"))
     )
@@ -140,7 +140,7 @@ def test_mock_server_happy_path():
 
 
 def test_mock_server_unknown_api_is_not_found():
-    server = mock_api_server({})
+    server = MockApiServer({})
     response = server.execute(ApiRequest("ghost", ()))
     assert response.status == 404
     assert response.body == "unknown api"
@@ -151,7 +151,7 @@ def test_mock_server_unknown_api_is_not_found():
 def test_http_executor_get_query_params(stub_server):
     base_url, handler = stub_server
     handler.behaviors.append((200, '{"ok": true}'))
-    executor = http_api_executor(
+    executor = HttpApiExecutor(
         base_url, {"search": ("GET", "/search")}, retry_base_delay=0.0
     )
     response = executor.execute(ApiRequest("search", (("q", "x"), ("n", 2))))
@@ -164,7 +164,7 @@ def test_http_executor_get_query_params(stub_server):
 def test_http_executor_post_json_body(stub_server):
     base_url, handler = stub_server
     handler.behaviors.append((201, "made"))
-    executor = http_api_executor(
+    executor = HttpApiExecutor(
         base_url, {"make": ("POST", "/make/{kind}")}, retry_base_delay=0.0
     )
     response = executor.execute(
@@ -179,7 +179,7 @@ def test_http_executor_post_json_body(stub_server):
 def test_http_executor_preserves_error_body(stub_server):
     base_url, handler = stub_server
     handler.behaviors.append((404, "gone"))
-    executor = http_api_executor(
+    executor = HttpApiExecutor(
         base_url, {"g": ("GET", "/g")}, retry_base_delay=0.0
     )
     response = executor.execute(ApiRequest("g", ()))
@@ -188,5 +188,38 @@ def test_http_executor_preserves_error_body(stub_server):
 
 def test_http_executor_unknown_api_via_route_map(stub_server):
     base_url, _handler = stub_server
-    executor = http_api_executor(base_url, {}, retry_base_delay=0.0)
-    assert executor.execute(ApiRequest("nope", ())).not_found
+    executor = HttpApiExecutor(base_url, {}, retry_base_delay=0.0)
+    assert executor.execute(ApiRequest("nope", ())).status == 404
+
+
+# -- retry contract ----------------------------------------------------------------
+
+def _closed_port() -> int:
+    with socket.socket() as sock:
+        sock.bind(("127.0.0.1", 0))
+        return sock.getsockname()[1]
+
+
+def test_http_executor_returns_5xx_body_without_retry(stub_server):
+    base_url, handler = stub_server
+    handler.behaviors.extend([(503, "busy"), (200, "late")])
+    executor = HttpApiExecutor(base_url, {"g": ("GET", "/g")}, retry_base_delay=0.0)
+    response = executor.execute(ApiRequest("g", ()))
+    assert (response.status, response.body) == (503, "busy")
+    assert len(handler.requests_seen) == 1
+
+
+def test_http_executor_unreachable_after_retry_attempts(monkeypatch):
+    sent = []
+    original_send = requests.Session.send
+
+    def counting_send(self, request, **kwargs):
+        sent.append(request.url)
+        return original_send(self, request, **kwargs)
+
+    monkeypatch.setattr(requests.Session, "send", counting_send)
+    base_url = f"http://127.0.0.1:{_closed_port()}"
+    executor = HttpApiExecutor(base_url, {"g": ("GET", "/g")}, retry_base_delay=0)
+    with pytest.raises(TransportError):
+        executor.execute(ApiRequest("g", ()))
+    assert len(sent) == RETRY_ATTEMPTS

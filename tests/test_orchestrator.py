@@ -8,15 +8,15 @@ from autofeedback import (
     ErrorType,
     ExactMatchJudge,
     PipelineConfig,
-    mock_api_server,
+    ScriptedLlm,
     parse_request,
     render_doc_prompt,
     run_benchmark,
     run_task,
-    scripted_llm,
     serialize_request,
 )
-from autofeedback.errors import EmptyDatasetError
+from autofeedback.errors import EmptyDatasetError, TransportError
+from autofeedback.gateways import MockApiServer
 from autofeedback.orchestrator import (
     executed_sequence,
     session_log_lines,
@@ -40,7 +40,7 @@ def req(text):
 
 @pytest.fixture
 def executor():
-    return mock_api_server(
+    return MockApiServer(
         {
             "userLogin": lambda args: ApiResponse(200, '{"session": "ok"}'),
             "route_planning": route_planning_handler,
@@ -53,7 +53,7 @@ def wrap(text):
 
 
 def test_happy_path_single_call(doc, model, executor):
-    llm = scripted_llm([wrap(LOGIN_TRUTH)])
+    llm = ScriptedLlm([wrap(LOGIN_TRUTH)])
     judge = ExactMatchJudge(ground_truth=req(LOGIN_TRUTH))
     result = run_task(LOGIN_INSTRUCTION, doc, llm, executor, judge, model)
     assert result.satisfied
@@ -65,7 +65,7 @@ def test_happy_path_single_call(doc, model, executor):
 
 
 def test_static_convergence_user_login(doc, model, executor):
-    llm = scripted_llm(
+    llm = ScriptedLlm(
         [wrap('user_login(username="kate", days=3)'), wrap(LOGIN_TRUTH)]
     )
     judge = ExactMatchJudge(ground_truth=req(LOGIN_TRUTH))
@@ -85,7 +85,7 @@ def test_static_convergence_user_login(doc, model, executor):
 
 
 def test_static_exhaustion_never_executes(doc, model, executor):
-    llm = scripted_llm(["there is no api call here"])
+    llm = ScriptedLlm(["there is no api call here"])
     judge = ExactMatchJudge()
     result = run_task(
         LOGIN_INSTRUCTION, doc, llm, executor, judge, model,
@@ -101,7 +101,7 @@ def test_static_exhaustion_never_executes(doc, model, executor):
 
 
 def test_static_then_dynamic_combined(doc, model, executor):
-    llm = scripted_llm(
+    llm = ScriptedLlm(
         [
             wrap('routePlanning(origin="116.4,39.9", dest="121.5,31.2")'),
             wrap(ROUTE_REVERSED),
@@ -124,9 +124,36 @@ def test_static_then_dynamic_combined(doc, model, executor):
     assert len(executor.executed) == 2
 
 
+def test_executor_outage_keeps_dynamic_records(doc, model, tmp_path):
+    executions = []
+
+    def flaky(args):
+        executions.append(args)
+        if len(executions) > 1:
+            raise TransportError("down")
+        return route_planning_handler(args)
+
+    llm = ScriptedLlm(
+        [wrap(ROUTE_REVERSED), f"Thought: swap the coordinates.\n{wrap(ROUTE_CORRECT)}"]
+    )
+    judge = ExactMatchJudge(ground_truth=req(ROUTE_CORRECT))
+    executor = MockApiServer({"route_planning": flaky})
+    result = run_task(ROUTE_INSTRUCTION, doc, llm, executor, judge, model)
+    assert result.error == "down"
+    assert result.total_llm_calls == 2
+    [record] = result.log.dynamic_records
+    assert serialize_request(record.new_action) == ROUTE_CORRECT
+    path = tmp_path / "outage.jsonl"
+    write_session_log(result.log, path)
+    lines = [json.loads(line) for line in path.read_text(encoding="utf-8").splitlines()]
+    assert [line["phase"] for line in lines] == ["static", "dynamic"]
+    assert lines[1]["action"] == ROUTE_REVERSED
+    assert lines[1]["new_action"] == ROUTE_CORRECT
+
+
 def test_budget_law_with_adversarial_llm(doc, model, executor):
     config = PipelineConfig(max_static=3, max_dynamic=2)
-    llm = scripted_llm(["nothing useful at all"])
+    llm = ScriptedLlm(["nothing useful at all"])
     judge = ExactMatchJudge(ground_truth=req(LOGIN_TRUTH))
     result = run_task(LOGIN_INSTRUCTION, doc, llm, executor, judge, model, config)
     assert not result.satisfied
@@ -136,7 +163,7 @@ def test_budget_law_with_adversarial_llm(doc, model, executor):
 
 def test_budget_law_valid_but_wrong_request(doc, model, executor):
     config = PipelineConfig(max_static=3, max_dynamic=2)
-    llm = scripted_llm([wrap('userLogin(username="bob", days=9)')])
+    llm = ScriptedLlm([wrap('userLogin(username="bob", days=9)')])
     judge = ExactMatchJudge(ground_truth=req(LOGIN_TRUTH))
     result = run_task(LOGIN_INSTRUCTION, doc, llm, executor, judge, model, config)
     assert not result.satisfied
@@ -147,7 +174,7 @@ def test_budget_law_valid_but_wrong_request(doc, model, executor):
 
 def test_zero_budgets_single_shot(doc, model, executor):
     config = PipelineConfig(max_static=0, max_dynamic=0)
-    llm = scripted_llm([wrap(LOGIN_TRUTH)])
+    llm = ScriptedLlm([wrap(LOGIN_TRUTH)])
     judge = ExactMatchJudge(ground_truth=req(LOGIN_TRUTH))
     result = run_task(LOGIN_INSTRUCTION, doc, llm, executor, judge, model, config)
     assert result.satisfied
@@ -157,7 +184,7 @@ def test_zero_budgets_single_shot(doc, model, executor):
 
 def test_zero_budgets_single_shot_unsatisfied(doc, model, executor):
     config = PipelineConfig(max_static=0, max_dynamic=0)
-    llm = scripted_llm(["no api"])
+    llm = ScriptedLlm(["no api"])
     judge = ExactMatchJudge()
     result = run_task(LOGIN_INSTRUCTION, doc, llm, executor, judge, model, config)
     assert not result.satisfied
@@ -166,7 +193,7 @@ def test_zero_budgets_single_shot_unsatisfied(doc, model, executor):
 
 
 def test_token_totals_accumulate(doc, model, executor):
-    llm = scripted_llm(["one two three", wrap(LOGIN_TRUTH)])
+    llm = ScriptedLlm(["one two three", wrap(LOGIN_TRUTH)])
     judge = ExactMatchJudge(ground_truth=req(LOGIN_TRUTH))
     result = run_task(LOGIN_INSTRUCTION, doc, llm, executor, judge, model)
     prompt_total, completion_total = result.log.token_totals
@@ -279,7 +306,7 @@ def test_benchmark_task_error_is_contained(doc):
     ]
     report, results = run_benchmark(
         tasks,
-        llm_factory=lambda t: BoomLlm() if t.task_id == "boom" else scripted_llm(list(t.script)),
+        llm_factory=lambda t: BoomLlm() if t.task_id == "boom" else ScriptedLlm(list(t.script)),
     )
     assert report.accuracy_pct == 50.0
     assert results[0].error is not None and not results[0].satisfied
@@ -289,7 +316,7 @@ def test_benchmark_task_error_is_contained(doc):
 # -- session log serialization ----------------------------------------------------
 
 def test_session_log_lines_schema(doc, model, executor):
-    llm = scripted_llm(
+    llm = ScriptedLlm(
         [wrap(ROUTE_REVERSED), f"Thought: swap.\n{wrap(ROUTE_CORRECT)}"]
     )
     judge = ExactMatchJudge(ground_truth=req(ROUTE_CORRECT))
@@ -310,7 +337,7 @@ def test_session_log_lines_schema(doc, model, executor):
 
 
 def test_executed_sequence_reconstruction(doc, model, executor):
-    llm = scripted_llm(
+    llm = ScriptedLlm(
         [wrap(ROUTE_REVERSED), f"Thought: swap.\n{wrap(ROUTE_CORRECT)}"]
     )
     judge = ExactMatchJudge(ground_truth=req(ROUTE_CORRECT))
@@ -322,7 +349,7 @@ def test_executed_sequence_reconstruction(doc, model, executor):
 
 
 def test_write_session_log_file(doc, model, executor, tmp_path):
-    llm = scripted_llm([wrap(LOGIN_TRUTH)])
+    llm = ScriptedLlm([wrap(LOGIN_TRUTH)])
     judge = ExactMatchJudge(ground_truth=req(LOGIN_TRUTH))
     result = run_task(LOGIN_INSTRUCTION, doc, llm, executor, judge, model)
     path = tmp_path / "task.jsonl"

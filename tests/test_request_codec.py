@@ -14,7 +14,7 @@ from autofeedback import (
     parse_request,
     serialize_request,
 )
-from autofeedback.request_codec import type_matches, values_equal
+from autofeedback.request_codec import MAX_NESTING, type_matches, values_equal
 
 
 def random_value(rng: random.Random, depth: int):
@@ -106,6 +106,10 @@ def test_duplicate_key_rejected():
         "getUser(id=5) extra",   # trailing content
         "",                      # empty
         "getUser(id==5)",
+        "f(x=",                  # truncated before a value
+        "f(x=[",
+        "f(x={",
+        "f(x={'a': [",
     ],
 )
 def test_bad_syntax_rejected(text):
@@ -180,6 +184,34 @@ def test_extract_takes_first_of_many_blocks():
 @given(st.text(max_size=200))
 def test_parse_is_total(text):
     outcome = parse_request(text)
+    assert outcome.ok or outcome.failure is not None
+
+
+def test_deep_nesting_is_bad_syntax():
+    text = "f(x=" + "[" * 5000 + "]" * 5000 + ")"
+    assert parse_request(text).failure is ParseFailure.BAD_SYNTAX
+
+
+def test_nesting_limit_is_exact():
+    at_limit = "f(x=" + "[" * MAX_NESTING + "]" * MAX_NESTING + ")"
+    past_limit = "f(x=" + "[" * (MAX_NESTING + 1) + "]" * (MAX_NESTING + 1) + ")"
+    assert parse_request(at_limit).ok
+    assert parse_request(past_limit).failure is ParseFailure.BAD_SYNTAX
+
+
+@given(st.text(alphabet="f(x=[]{}(),:'\"1.- ", max_size=60))
+def test_parse_is_total_on_request_shaped_text(tail):
+    outcome = parse_request("f(x=" + tail)
+    assert outcome.ok or outcome.failure is not None
+
+
+@given(
+    st.integers(min_value=0, max_value=3000),
+    st.sampled_from("[({"),
+    st.text(max_size=20),
+)
+def test_parse_is_total_at_any_depth(depth, opener, tail):
+    outcome = parse_request("f(x=" + opener * depth + tail)
     assert outcome.ok or outcome.failure is not None
 
 

@@ -264,3 +264,11 @@ def test_retrieve_matches_bruteforce_argmax(doc, model, chunk_index):
         sims = [float(np.dot(query_vec, c.vector)) for c in chunks]
         best = chunks[sims.index(max(sims))]
         assert got is not None and got.text == best.text
+
+
+def test_remote_embedder_recovers_after_one_server_error(stub_server):
+    base_url, handler = stub_server
+    handler.behaviors.extend([(500, "{}"), (200, _embedding_body([0.0, 2.0]))])
+    model = RemoteEmbeddingSimilarity(base_url, "m", retry_base_delay=0.0)
+    assert model.embed("a") == pytest.approx([0.0, 1.0])
+    assert len(handler.requests_seen) == 2
