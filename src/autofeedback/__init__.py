@@ -48,6 +48,7 @@ from .orchestrator import (
     PipelineConfig,
     SessionLog,
     TaskResult,
+    prepare_document,
     render_doc_prompt,
     run_benchmark,
     run_task,
@@ -63,6 +64,7 @@ from .request_codec import (
 )
 from .retrieval import (
     ChunkIndex,
+    PreparedDoc,
     RelevantSet,
     RetrievedMessage,
     SimilarityModel,
@@ -103,6 +105,7 @@ __all__ = [
     "ParseFailure",
     "ParseOutcome",
     "PipelineConfig",
+    "PreparedDoc",
     "RelevantSet",
     "RequirementJudge",
     "RetrievedMessage",
@@ -129,6 +132,7 @@ __all__ = [
     "overhead",
     "parse_request",
     "population_variance",
+    "prepare_document",
     "process_correctness",
     "render_doc_prompt",
     "render_feedback",

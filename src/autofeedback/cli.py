@@ -27,6 +27,7 @@ from .orchestrator import (
     BenchTask,
     PipelineConfig,
     echo_executor,
+    prepare_document,
     render_doc_prompt,
     run_benchmark,
     run_task,
@@ -283,8 +284,9 @@ def _cmd_run(args: argparse.Namespace) -> int:
 
     task = BenchTask(args.task_id, args.instruction, doc)
     executor = _executor_for(values, task)
+    prepared = prepare_document(doc, model, config.chunk_threshold)
     result = run_task(
-        args.instruction, doc, llm, executor, judge, model, config, task_id=args.task_id
+        args.instruction, prepared, llm, executor, judge, config, task_id=args.task_id
     )
 
     log_dir = Path(values["log_dir"])
@@ -316,15 +318,18 @@ def _cmd_bench(args: argparse.Namespace) -> int:
         client = _http_llm(values)
         llm_factory = lambda task: client  # noqa: E731 - shared stateless client
 
-    report, _results = run_benchmark(
-        tasks,
-        config,
-        llm_factory=llm_factory,
-        executor_factory=lambda task: _executor_for(values, task),
-        model_factory=_similarity_factory(values),
-        log_dir=values["log_dir"],
-        jobs=int(values["jobs"]),
-    )
+    try:
+        report, _results = run_benchmark(
+            tasks,
+            config,
+            llm_factory=llm_factory,
+            executor_factory=lambda task: _executor_for(values, task),
+            model_factory=_similarity_factory(values),
+            log_dir=values["log_dir"],
+            jobs=int(values["jobs"]),
+        )
+    except ValueError as exc:  # a task id that cannot name its log file
+        raise ConfigError(f"dataset {values['dataset']}: {exc}") from exc
     print(report.to_table())
     print(f"report: {Path(values['log_dir']) / 'report.json'}")
     return EXIT_OK

@@ -151,15 +151,13 @@ _REASK_MESSAGE = (
 
 
 def _ask_for_correction(
-    llm: LlmClient, prompt: str, system_preamble: str | None
+    llm: LlmClient, prompt: str, system: ChatMessage | None
 ) -> tuple[ApiRequest | None, str]:
     """One LLM exchange with a single re-ask on unparseable output.
 
     Returns (request or None, thought).
     """
-    messages: list[ChatMessage] = []
-    if system_preamble is not None:
-        messages.append(ChatMessage("system", system_preamble))
+    messages: list[ChatMessage] = [system] if system is not None else []
     messages.append(ChatMessage("user", prompt))
     reply = llm.complete(messages)
     outcome = parse_llm_output(reply.text)
@@ -183,7 +181,7 @@ def run_dynamic_loop(
     model: SimilarityModel,
     n_max: int,
     *,
-    system_preamble: str | None = None,
+    system: ChatMessage | None = None,
     static_check: Callable[[ApiRequest], bool] | None = None,
     record_sink: list[FeedbackRecord] | None = None,
 ) -> DynamicOutcome:
@@ -198,7 +196,7 @@ def run_dynamic_loop(
 
     *record_sink*, when given, receives each record as it completes, so a
     transport failure mid-loop still leaves the earlier records with the
-    caller.
+    caller. *system*, when given, opens every correction exchange.
     """
     if n_max < 0:
         raise ValueError("n_max must be >= 0")
@@ -216,7 +214,7 @@ def run_dynamic_loop(
         query = f"{serialize_request(request)}\n{response.body}"
         message = retrieve_error_message(request.name, query, index, model)
         prompt = assemble_react_prompt(records, request, (response, message))
-        new_request, thought = _ask_for_correction(llm, prompt, system_preamble)
+        new_request, thought = _ask_for_correction(llm, prompt, system)
         if new_request is not None and static_check is not None:
             if not static_check(new_request):
                 new_request = None

@@ -11,9 +11,12 @@ import json
 import time
 from abc import ABC, abstractmethod
 from dataclasses import dataclass
+from functools import cached_property
 from typing import Callable, Literal, Mapping, Sequence
+from urllib.parse import quote
 
 import requests
+from urllib3.exceptions import ConnectTimeoutError
 
 from .errors import ProtocolError, TransportError
 from .request_codec import ApiRequest, Value, serialize_value
@@ -41,6 +44,12 @@ RETRY_ATTEMPTS = 3
 class ChatMessage:
     role: Role
     content: str
+
+    @cached_property
+    def tokens(self) -> int:
+        """Whitespace token count of the content, counted on first use and
+        kept, since a conversation resends its messages on every call."""
+        return whitespace_tokens(self.content)
 
 
 @dataclass(frozen=True)
@@ -86,16 +95,31 @@ class ScriptedLlm(LlmClient):
         index = min(len(self.received_prompts), len(self._script) - 1)
         self.received_prompts.append(tuple(messages))
         reply = self._script[index]
-        prompt_tokens = sum(whitespace_tokens(m.content) for m in messages)
+        prompt_tokens = sum(m.tokens for m in messages)
         return LlmReply(reply, prompt_tokens, whitespace_tokens(reply))
 
 
+def _never_sent(exc: Exception) -> bool:
+    """Whether the request failed while connecting, before any of it left."""
+    if isinstance(exc, requests.ConnectTimeout):
+        return True
+    reason = getattr(exc.args[0], "reason", None) if exc.args else None
+    # urllib3's NewConnectionError (refused, unresolvable) subclasses this.
+    return isinstance(reason, ConnectTimeoutError)
+
+
 def _send_with_retries(
-    send: Callable[[], requests.Response], url: str, retry_base_delay: float
+    send: Callable[[], requests.Response],
+    url: str,
+    retry_base_delay: float,
+    *,
+    idempotent: bool = True,
 ) -> requests.Response:
     """Call *send* up to ``RETRY_ATTEMPTS`` times; the sleep between
     attempts starts at *retry_base_delay* and doubles. A failure is a
-    ``RequestException`` or a ``TransportError`` raised by *send*."""
+    ``RequestException`` or a ``TransportError`` raised by *send*. A request
+    that is not *idempotent* is retried only when it was never sent, so a
+    server that may have acted on it never sees it twice."""
     last_error: Exception | None = None
     for attempt in range(RETRY_ATTEMPTS):
         if attempt:
@@ -103,6 +127,10 @@ def _send_with_retries(
         try:
             return send()
         except (requests.RequestException, TransportError) as exc:
+            if not (idempotent or _never_sent(exc)):
+                raise TransportError(
+                    f"{url} failed after the request was sent; not retried: {exc}"
+                ) from exc
             last_error = exc
     raise TransportError(f"{url} unreachable after {RETRY_ATTEMPTS} attempts") from last_error
 
@@ -161,9 +189,9 @@ class HttpLlmClient(LlmClient):
         except (ValueError, KeyError, IndexError, TypeError) as exc:
             raise ProtocolError(f"malformed completion response: {exc}") from exc
         usage = body.get("usage") or {}
-        prompt_tokens = usage.get(
-            "prompt_tokens", sum(whitespace_tokens(m.content) for m in messages)
-        )
+        prompt_tokens = usage.get("prompt_tokens")
+        if prompt_tokens is None:
+            prompt_tokens = sum(m.tokens for m in messages)
         completion_tokens = usage.get("completion_tokens", whitespace_tokens(text))
         return LlmReply(str(text), int(prompt_tokens), int(completion_tokens))
 
@@ -230,8 +258,9 @@ class HttpApiExecutor(ApiExecutor):
 
     ``route_map`` maps each API name to ``(method, path_template)``; path
     templates may reference arguments as ``{name}``, which are substituted
-    and removed from the payload. GET sends remaining arguments as query
-    parameters, other methods as a JSON body.
+    percent-encoded and removed from the payload. GET sends remaining
+    arguments as query parameters, other methods as a JSON body. Only GET
+    is retried after the request may have reached the server.
     """
 
     def __init__(
@@ -256,11 +285,14 @@ class HttpApiExecutor(ApiExecutor):
         for key in list(args):
             placeholder = "{" + key + "}"
             if placeholder in path:
-                path = path.replace(placeholder, _wire_value(args.pop(key)))
+                path = path.replace(
+                    placeholder, quote(_wire_value(args.pop(key)), safe="")
+                )
         url = self._base_url + path
+        is_get = method.upper() == "GET"
 
         def send() -> requests.Response:
-            if method.upper() == "GET":
+            if is_get:
                 return requests.get(
                     url,
                     params={k: _wire_value(v) for k, v in args.items()},
@@ -275,5 +307,7 @@ class HttpApiExecutor(ApiExecutor):
             )
 
         # A 5xx answer is an API response like any other: returned, not retried.
-        response = _send_with_retries(send, url, self._retry_base_delay)
+        response = _send_with_retries(
+            send, url, self._retry_base_delay, idempotent=is_get
+        )
         return ApiResponse(response.status_code, response.text)

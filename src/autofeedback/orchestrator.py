@@ -19,7 +19,7 @@ from .dynamic_analyzer import (
     RequirementJudge,
     run_dynamic_loop,
 )
-from .errors import AutoFeedbackError, EmptyDatasetError
+from .errors import AutoFeedbackError, EmptyDatasetError, ExecutorUnavailableError
 from .gateways import (
     ApiExecutor,
     ApiResponse,
@@ -43,7 +43,14 @@ from .request_codec import (
     parse_request,
     serialize_request,
 )
-from .retrieval import SimilarityModel, build_chunk_index, default_similarity
+from .retrieval import (
+    PreparedDoc,
+    RelevantSet,
+    SimilarityModel,
+    build_chunk_index,
+    default_similarity,
+    retrieve_relevant_apis,
+)
 from .static_scanner import DetectionFinding, ErrorType, detect, render_feedback
 
 __all__ = [
@@ -51,6 +58,7 @@ __all__ = [
     "StaticEvent",
     "SessionLog",
     "TaskResult",
+    "prepare_document",
     "run_task",
     "render_doc_prompt",
     "echo_executor",
@@ -109,6 +117,7 @@ class SessionLog:
     final_response: ApiResponse | None = None
     satisfied: bool = False
     token_totals: tuple[int, int] = (0, 0)
+    executor_failed: bool = False  # the last execution raised, unanswered
 
 
 @dataclass
@@ -169,13 +178,30 @@ def render_doc_prompt(doc: ApiDocument) -> str:
     return "\n\n".join(blocks)
 
 
+def prepare_document(
+    doc: ApiDocument,
+    model: SimilarityModel,
+    chunk_threshold: float = PipelineConfig.chunk_threshold,
+) -> PreparedDoc:
+    """Build the per-document state every task on *doc* shares: the chunk
+    index, the relevance ranker over API descriptions, and the system
+    message with the rendered documentation."""
+    return PreparedDoc(
+        doc,
+        model,
+        chunk_threshold,
+        build_chunk_index(doc, model, chunk_threshold),
+        model.ranker([api.description for api in doc.apis]),
+        ChatMessage("system", SYSTEM_PREAMBLE + "\n\n" + render_doc_prompt(doc)),
+    )
+
+
 def run_task(
     instruction: str,
-    doc: ApiDocument,
+    prepared: PreparedDoc,
     llm: LlmClient,
     executor: ApiExecutor,
     judge: RequirementJudge,
-    model: SimilarityModel,
     config: PipelineConfig = PipelineConfig(),
     *,
     task_id: str = "task",
@@ -185,18 +211,31 @@ def run_task(
     The static loop re-scans after every regeneration and never contacts
     the executor; a request that exhausts the static budget with an error
     is not executed. Feedback is appended to the conversation, so each
-    regeneration sees the history of its own mistakes.
+    regeneration sees the history of its own mistakes. *prepared* must be
+    built with the config's ``chunk_threshold``.
     """
+    if prepared.chunk_threshold != config.chunk_threshold:
+        raise ValueError(
+            f"document prepared with chunk_threshold={prepared.chunk_threshold},"
+            f" config has {config.chunk_threshold}"
+        )
+    doc, model = prepared.doc, prepared.model
     counting = _CountingLlm(llm)
     log = SessionLog(task_id=task_id)
 
+    relevant: RelevantSet | None = None
+
     def _detect(outcome: ParseOutcome) -> DetectionFinding:
+        # Ranked on first use, once per task: an empty document still fails
+        # after the first reply.
+        nonlocal relevant
+        if relevant is None:
+            relevant = retrieve_relevant_apis(instruction, prepared, config.k)
         return detect(
             outcome,
-            instruction,
+            relevant,
             doc,
             model,
-            config.k,
             config.threshold,
             int_widens_to_float=config.int_widens_to_float,
             tuple_as_list=config.tuple_as_list,
@@ -214,9 +253,8 @@ def run_task(
         log.token_totals = (counting.prompt_tokens, counting.completion_tokens)
         return TaskResult(satisfied, request, response, log, counting.calls, error)
 
-    system = ChatMessage("system", SYSTEM_PREAMBLE + "\n\n" + render_doc_prompt(doc))
     messages: list[ChatMessage] = [
-        system,
+        prepared.system,
         ChatMessage("user", f"{instruction}\n\n{_GENERATE_INSTRUCTION}"),
     ]
 
@@ -239,16 +277,15 @@ def run_task(
             messages.append(ChatMessage("user", feedback.text))
         assert request is not None
 
-        index = build_chunk_index(doc, model, config.chunk_threshold)
         outcome_dyn: DynamicOutcome = run_dynamic_loop(
             request,
-            index,
+            prepared.index,
             executor,
             counting,
             judge,
             model,
             config.max_dynamic,
-            system_preamble=system.content,
+            system=prepared.system,
             static_check=lambda req: _detect(ParseOutcome.parsed(req)).error_type
             is ErrorType.NONE,
             record_sink=log.dynamic_records,
@@ -257,16 +294,22 @@ def run_task(
             outcome_dyn.records[-1].new_action if outcome_dyn.records else request
         )
         return _finish(outcome_dyn.satisfied, final_request, outcome_dyn.final_response)
+    except ExecutorUnavailableError as exc:
+        log.executor_failed = True
+        return _finish(False, request, None, error=str(exc))
     except AutoFeedbackError as exc:
         return _finish(False, request, None, error=str(exc))
 
 
 def executed_sequence(log: SessionLog) -> list[str]:
-    """Canonical serializations of every request actually executed."""
+    """Canonical serializations of every request actually executed, that
+    is, answered by the executor."""
     if log.dynamic_records:
-        first = log.dynamic_records[0].action
-        rest = [r.new_action for r in log.dynamic_records]
-        return [serialize_request(r) for r in [first, *rest]]
+        executed = [r.action for r in log.dynamic_records]
+        # An executor failure after a record can only be on its new action.
+        if not log.executor_failed:
+            executed.append(log.dynamic_records[-1].new_action)
+        return [serialize_request(r) for r in executed]
     if log.final_request is not None and log.final_response is not None:
         return [serialize_request(log.final_request)]
     return []
@@ -347,35 +390,44 @@ def run_benchmark(
 ) -> tuple[BenchmarkReport, list[TaskResult]]:
     """Run every task and aggregate a report.
 
-    A task that raises is recorded as unsatisfied with the error noted,
-    never aborting the batch. Logs are written through a single writer in
-    task order, so reruns with deterministic gateways are byte-identical
-    apart from timestamps.
+    Each distinct document is prepared once, before any task runs. A task
+    that raises, or whose document failed to prepare, is recorded as
+    unsatisfied with the error noted, never aborting the batch. With
+    *log_dir* set, task ids name the log files, so a duplicate id or one
+    that is not a plain file name raises ``ValueError`` before any task
+    runs. Logs are written through a single writer in task order, so reruns
+    with deterministic gateways are byte-identical apart from timestamps.
     """
     if not tasks:
         raise EmptyDatasetError("no tasks to run")
+    if log_dir is not None:
+        _check_log_names(tasks)
     llm_factory = llm_factory or _default_llm
     executor_factory = executor_factory or (lambda task: echo_executor(task.doc))
     judge_factory = judge_factory or _default_judge
     model_factory = model_factory or default_similarity
 
-    models: dict[int, SimilarityModel] = {}
-
-    def _model_for(doc: ApiDocument) -> SimilarityModel:
-        key = id(doc)
-        if key not in models:
-            models[key] = model_factory(doc)
-        return models[key]
+    prepared: dict[int, PreparedDoc | Exception] = {}
+    for task in tasks:
+        if id(task.doc) not in prepared:
+            try:
+                prepared[id(task.doc)] = prepare_document(
+                    task.doc, model_factory(task.doc), config.chunk_threshold
+                )
+            except Exception as exc:  # noqa: BLE001 - reported by its tasks
+                prepared[id(task.doc)] = exc
 
     def _run_one(task: BenchTask) -> TaskResult:
         try:
+            doc_state = prepared[id(task.doc)]
+            if isinstance(doc_state, Exception):
+                raise doc_state
             return run_task(
                 task.instruction,
-                task.doc,
+                doc_state,
                 llm_factory(task),
                 executor_factory(task),
                 judge_factory(task),
-                _model_for(task.doc),
                 config,
                 task_id=task.task_id,
             )
@@ -421,6 +473,18 @@ def run_benchmark(
         write_summary(results, log_path / "summary.json")
         (log_path / "report.json").write_text(report.to_json() + "\n", encoding="utf-8")
     return report, results
+
+
+def _check_log_names(tasks: Sequence[BenchTask]) -> None:
+    """Task ids must be distinct plain file names: each names its log."""
+    seen: set[str] = set()
+    for task in tasks:
+        task_id = task.task_id
+        if task_id in ("", ".", "..") or any(c in task_id for c in "/\\\0"):
+            raise ValueError(f"task id {task_id!r} is not a plain file name")
+        if task_id in seen:
+            raise ValueError(f"duplicate task id {task_id!r}")
+        seen.add(task_id)
 
 
 def _utc_now() -> str:

@@ -12,13 +12,13 @@ import math
 import re
 from abc import ABC, abstractmethod
 from dataclasses import dataclass
-from typing import Iterable
+from typing import Callable, Iterable, Sequence
 
 import numpy as np
 
 from .doc_model import ApiDocument, ApiSpec
 from .errors import EmptyDocumentError, ProtocolError
-from .gateways import post_json
+from .gateways import ChatMessage, post_json
 
 __all__ = [
     "SimilarityModel",
@@ -26,6 +26,7 @@ __all__ = [
     "RemoteEmbeddingSimilarity",
     "default_similarity",
     "RelevantSet",
+    "PreparedDoc",
     "retrieve_relevant_apis",
     "Chunk",
     "ChunkIndex",
@@ -55,6 +56,13 @@ class SimilarityModel(ABC):
         """Cosine of the two embeddings, clamped to [0, 1]."""
         sim = float(np.dot(self.embed(text_a), self.embed(text_b)))
         return min(1.0, max(0.0, sim))
+
+    def ranker(self, texts: Sequence[str]) -> Callable[[str], list[float]]:
+        """Scorer of one query against every text of *texts*: it returns
+        ``[self.score(query, t) for t in texts]``. Models that can
+        precompute per-text state override this."""
+        texts = tuple(texts)
+        return lambda query: [self.score(query, text) for text in texts]
 
 
 class TfidfSimilarity(SimilarityModel):
@@ -105,11 +113,50 @@ class TfidfSimilarity(SimilarityModel):
             # Equal token multisets (including reorderings) score exactly 1.
             return 1.0 if wa else 0.0
         dot = sum(w * wb.get(t, 0.0) for t, w in wa.items())
-        norm_a = math.sqrt(sum(w * w for w in wa.values()))
-        norm_b = math.sqrt(sum(w * w for w in wb.values()))
-        if norm_a == 0.0 or norm_b == 0.0:
-            return 0.0
-        return min(1.0, max(0.0, dot / (norm_a * norm_b)))
+        return _cosine(dot, _norm(wa), _norm(wb))
+
+    def ranker(self, texts: Sequence[str]) -> Callable[[str], list[float]]:
+        """Inverted-index scorer, equal to ``score`` bit for bit.
+
+        Each text's weights and norm are computed once, and each token lists
+        the texts holding it with their weights, so a query visits only the
+        texts that share a token with it. Dot products accumulate in the
+        query's token order, as ``score`` sums them.
+        """
+        weights = [self._weights(text) for text in texts]
+        norms = [_norm(w) for w in weights]
+        postings: dict[str, list[tuple[int, float]]] = {}
+        for i, wb in enumerate(weights):
+            for token, w in wb.items():
+                postings.setdefault(token, []).append((i, w))
+
+        def rank(query: str) -> list[float]:
+            wa = self._weights(query)
+            dots: dict[int, float] = {}
+            for token, w in wa.items():
+                for i, wb_t in postings.get(token, ()):
+                    dots[i] = dots.get(i, 0.0) + w * wb_t
+            scores = [0.0] * len(weights)
+            norm_a = _norm(wa)
+            for i, dot in dots.items():
+                if weights[i] == wa:
+                    scores[i] = 1.0
+                else:
+                    scores[i] = _cosine(dot, norm_a, norms[i])
+            return scores
+
+        return rank
+
+
+def _norm(weights: dict[str, float]) -> float:
+    return math.sqrt(sum(w * w for w in weights.values()))
+
+
+def _cosine(dot: float, norm_a: float, norm_b: float) -> float:
+    """The clamped cosine shared by ``score`` and its ranker."""
+    if norm_a == 0.0 or norm_b == 0.0:
+        return 0.0
+    return min(1.0, max(0.0, dot / (norm_a * norm_b)))
 
 
 class RemoteEmbeddingSimilarity(SimilarityModel):
@@ -208,17 +255,19 @@ class RelevantSet:
 
 
 def retrieve_relevant_apis(
-    instruction: str, doc: ApiDocument, model: SimilarityModel, k: int
+    instruction: str, prepared: PreparedDoc, k: int
 ) -> RelevantSet:
-    """Rank APIs by score(instruction, description); keep the top min(k, |doc|).
+    """Rank the APIs of the prepared doc by score(instruction, description);
+    keep the top min(k, |doc|).
 
     Ties keep document order.
     """
-    if not doc.apis:
+    apis = prepared.doc.apis
+    if not apis:
         raise EmptyDocumentError("cannot retrieve from an empty document")
     if k < 1:
         raise ValueError("k must be >= 1")
-    scored = [(api.name, model.score(instruction, api.description)) for api in doc.apis]
+    scored = zip((api.name for api in apis), prepared.rank(instruction))
     ranked = sorted(scored, key=lambda pair: -pair[1])
     return RelevantSet(tuple(ranked[: min(k, len(ranked))]))
 
@@ -282,6 +331,22 @@ def build_chunk_index(
             chunks.append(Chunk(api.name, tuple(group), text, model.embed(text)))
         index[api.name] = tuple(chunks)
     return ChunkIndex(index)
+
+
+@dataclass(frozen=True, eq=False)
+class PreparedDoc:
+    """Everything derived from one document and its similarity model, built
+    once by ``orchestrator.prepare_document`` and shared by every task on
+    the document: the chunk index for error retrieval, the relevance ranker
+    over the API descriptions (``rank(query)`` gives one score per API, in
+    doc order), and the system message holding the rendered doc."""
+
+    doc: ApiDocument
+    model: SimilarityModel
+    chunk_threshold: float
+    index: ChunkIndex
+    rank: Callable[[str], list[float]]
+    system: ChatMessage
 
 
 @dataclass(frozen=True)

@@ -20,7 +20,7 @@ from .request_codec import (
     type_matches,
     values_equal,
 )
-from .retrieval import RelevantSet, SimilarityModel, retrieve_relevant_apis
+from .retrieval import RelevantSet, SimilarityModel
 
 __all__ = [
     "ErrorType",
@@ -159,10 +159,9 @@ def _first_type_mismatch(
 
 def detect(
     outcome: ParseOutcome,
-    instruction: str,
+    relevant: RelevantSet,
     doc: ApiDocument,
     model: SimilarityModel,
-    k: int = 1,
     threshold: float = 0.5,
     *,
     int_widens_to_float: bool = True,
@@ -170,13 +169,12 @@ def detect(
 ) -> DetectionFinding:
     """Scan a parsed request and return the first error found, if any.
 
-    The retrieved relevant set decides whether the API name matches the
-    instruction; the name and parameter cascades then pin down the cause.
+    The APIs retrieved as relevant to the instruction (see
+    ``retrieval.retrieve_relevant_apis``) decide whether the API name
+    matches it; the name and parameter cascades then pin down the cause.
     A finding of ``NONE`` means the request name is relevant, every key is
     documented and every value type is compatible.
     """
-    relevant = retrieve_relevant_apis(instruction, doc, model, k)
-
     if not outcome.ok:
         return DetectionFinding(ErrorType.E1, relevant_apis=relevant)
     req = outcome.request

@@ -5,16 +5,22 @@ from pathlib import Path
 
 import pytest
 
-from autofeedback import build_chunk_index, default_similarity, load_document
+from autofeedback import (
+    build_chunk_index,
+    default_similarity,
+    load_document,
+    prepare_document,
+)
 
 DATA_DIR = Path(__file__).parent / "data"
 FIXTURE_DOC = DATA_DIR / "fixture_doc.json"
+DROP = "drop"  # stub behavior: close the connection without answering
 
 
 class StubHandler(BaseHTTPRequestHandler):
     """Queue-driven HTTP stub: each request pops the next (status, body)
     behavior; an optional callable behavior computes the body from the
-    request body text."""
+    request body text, and ``DROP`` hangs up without an answer."""
 
     behaviors: list = []
     requests_seen: list = []
@@ -38,6 +44,9 @@ class StubHandler(BaseHTTPRequestHandler):
             behavior = cls.default_behavior
         else:
             behavior = (200, "{}")
+        if behavior == DROP:
+            self.close_connection = True
+            return
         if callable(behavior):
             status, payload = behavior(self.path, request_body)
         else:
@@ -88,3 +97,8 @@ def model(doc):
 @pytest.fixture(scope="session")
 def chunk_index(doc, model):
     return build_chunk_index(doc, model, 0.3)
+
+
+@pytest.fixture(scope="session")
+def prepared(doc, model):
+    return prepare_document(doc, model, 0.3)

@@ -21,6 +21,7 @@ from autofeedback import (
     detect,
     parse_request,
     retrieve_error_message,
+    retrieve_relevant_apis,
     run_dynamic_loop,
     run_task,
     serialize_request,
@@ -53,7 +54,7 @@ def _passed(criterion: str):
     print(f"ACCEPTANCE {criterion}: PASS")
 
 
-def test_criterion_01_error_classification_corpus(doc, model, raw_doc):
+def test_criterion_01_error_classification_corpus(doc, model, prepared, raw_doc):
     cases = build_corpus_cases(doc, per_class=30)
     assert len(cases) == 240
     corpus = oracle_corpus_from_raw(raw_doc)
@@ -66,7 +67,9 @@ def test_criterion_01_error_classification_corpus(doc, model, raw_doc):
             source = case.expected_suggestion
             assert oracle_tfidf_score(case.expected_offending, source, corpus) > 0.5
         finding = detect(
-            parse_request(case.text), case.instruction, doc, model, k=1, threshold=0.5
+            parse_request(case.text),
+            retrieve_relevant_apis(case.instruction, prepared, 1),
+            doc, model, threshold=0.5,
         )
         assert finding.error_type is case.label, (
             case.text, case.label, finding.error_type,
@@ -79,12 +82,14 @@ def test_criterion_01_error_classification_corpus(doc, model, raw_doc):
     _passed(f"1 classification-240 ({elapsed:.2f}s)")
 
 
-def test_criterion_02_finding_arity_property(doc, model):
+def test_criterion_02_finding_arity_property(doc, model, prepared):
     cases = build_arity_cases(doc, n=1000)
     assert len(cases) == 1000
     for case in cases:
         finding = detect(
-            parse_request(case.text), case.instruction, doc, model, k=1, threshold=0.5
+            parse_request(case.text),
+            retrieve_relevant_apis(case.instruction, prepared, 1),
+            doc, model, threshold=0.5,
         )
         assert arity_ok(finding), (case.text, finding)
         if case.label is ErrorType.NONE:
@@ -92,12 +97,14 @@ def test_criterion_02_finding_arity_property(doc, model):
     _passed("2 arity-1000")
 
 
-def test_criterion_03_ordering_property(doc, model):
+def test_criterion_03_ordering_property(doc, model, prepared):
     cases = build_multifault_cases(doc, n=500)
     assert len(cases) == 500
     for case in cases:
         finding = detect(
-            parse_request(case.text), case.instruction, doc, model, k=1, threshold=0.5
+            parse_request(case.text),
+            retrieve_relevant_apis(case.instruction, prepared, 1),
+            doc, model, threshold=0.5,
         )
         assert finding.error_type is case.label, (
             case.text, case.label, finding.error_type,
@@ -126,7 +133,7 @@ def test_criterion_06_spearman():
     _passed("6 spearman")
 
 
-def test_criterion_07_static_convergence(doc, model):
+def test_criterion_07_static_convergence(prepared):
     truth = 'userLogin(username="kate", days=3)'
     llm = ScriptedLlm(
         [
@@ -140,7 +147,7 @@ def test_criterion_07_static_convergence(doc, model):
     judge = ExactMatchJudge(ground_truth=parse_request(truth).request)
     result = run_task(
         "Log me into the system and start my session.",
-        doc, llm, executor, judge, model,
+        prepared, llm, executor, judge,
     )
     assert result.satisfied
     assert result.total_llm_calls == 2
@@ -173,7 +180,7 @@ def test_criterion_08_dynamic_convergence(doc, model, chunk_index):
     _passed("8 dynamic-convergence")
 
 
-def test_criterion_09_budget_law(doc, model):
+def test_criterion_09_budget_law(prepared):
     executor = MockApiServer(
         {"userLogin": lambda args: ApiResponse(200, "ok")}
     )
@@ -184,7 +191,7 @@ def test_criterion_09_budget_law(doc, model):
 
     adversarial = ScriptedLlm(["never a parseable request"])
     result = run_task(
-        instruction, doc, adversarial, executor, judge, model,
+        instruction, prepared, adversarial, executor, judge,
         PipelineConfig(max_static=3, max_dynamic=2),
     )
     assert not result.satisfied
@@ -193,7 +200,7 @@ def test_criterion_09_budget_law(doc, model):
     wrong_value = ScriptedLlm(['<<API>>userLogin(username="bob", days=9)<</API>>'])
     executor2 = MockApiServer({"userLogin": lambda args: ApiResponse(200, "ok")})
     result2 = run_task(
-        instruction, doc, wrong_value, executor2, judge, model,
+        instruction, prepared, wrong_value, executor2, judge,
         PipelineConfig(max_static=3, max_dynamic=2),
     )
     assert not result2.satisfied
@@ -203,7 +210,7 @@ def test_criterion_09_budget_law(doc, model):
     single = ScriptedLlm(['<<API>>userLogin(username="kate", days=3)<</API>>'])
     executor3 = MockApiServer({"userLogin": lambda args: ApiResponse(200, "ok")})
     result3 = run_task(
-        instruction, doc, single, executor3, judge, model,
+        instruction, prepared, single, executor3, judge,
         PipelineConfig(max_static=0, max_dynamic=0),
     )
     assert result3.total_llm_calls == 1

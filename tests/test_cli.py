@@ -109,6 +109,17 @@ def test_bench_reports_accuracy(tmp_path, capsys):
     assert report["n_tasks"] == 10
 
 
+def test_bench_duplicate_task_id_exits_2(tmp_path, capsys):
+    dataset = tmp_path / "tasks.jsonl"
+    lines = dataset_lines(n_ok=2, n_bad=0)
+    lines[1]["id"] = lines[0]["id"]
+    write_dataset(dataset, lines)
+    log_dir = tmp_path / "logs"
+    assert run_cli("bench", "--dataset", str(dataset), "--log-dir", str(log_dir)) == 2
+    assert "duplicate task id 'ok-0'" in capsys.readouterr().err
+    assert not log_dir.exists()
+
+
 def test_bench_malformed_line_names_line_number(tmp_path, capsys):
     dataset = tmp_path / "tasks.jsonl"
     lines = [json.dumps(l) for l in dataset_lines(2, 0)]

@@ -3,6 +3,8 @@ import socket
 
 import pytest
 import requests
+from hypothesis import given
+from hypothesis import strategies as st
 
 from autofeedback import ApiRequest, ApiResponse, ChatMessage, ScriptedLlm
 from autofeedback.errors import ProtocolError, TransportError
@@ -11,7 +13,10 @@ from autofeedback.gateways import (
     HttpApiExecutor,
     HttpLlmClient,
     MockApiServer,
+    whitespace_tokens,
 )
+
+from conftest import DROP
 
 
 # -- scripted LLM -------------------------------------------------------------
@@ -45,6 +50,13 @@ def test_scripted_token_counts_are_whitespace_counts():
     reply = llm.complete([ChatMessage("user", "one two"), ChatMessage("user", "three")])
     assert reply.prompt_tokens == 3
     assert reply.completion_tokens == 3
+
+
+@given(st.text(alphabet=" \t\nab\u00a0\u2003.", max_size=40))
+def test_message_token_count_is_whitespace_tokens(content):
+    message = ChatMessage("user", content)
+    assert message.tokens == whitespace_tokens(content)
+    assert message.tokens == whitespace_tokens(content)  # kept value
 
 
 def test_scripted_rejects_empty_script():
@@ -192,6 +204,13 @@ def test_http_executor_unknown_api_via_route_map(stub_server):
     assert executor.execute(ApiRequest("nope", ())).status == 404
 
 
+def test_http_executor_percent_encodes_path_values(stub_server):
+    base_url, handler = stub_server
+    executor = HttpApiExecutor(base_url, {"x": ("GET", "/x/{v}")}, retry_base_delay=0.0)
+    assert executor.execute(ApiRequest("x", (("v", "a/b?c#d"),))).status == 200
+    assert handler.requests_seen == [("GET", "/x/a%2Fb%3Fc%23d", "")]
+
+
 # -- retry contract ----------------------------------------------------------------
 
 def _closed_port() -> int:
@@ -222,4 +241,30 @@ def test_http_executor_unreachable_after_retry_attempts(monkeypatch):
     executor = HttpApiExecutor(base_url, {"g": ("GET", "/g")}, retry_base_delay=0)
     with pytest.raises(TransportError):
         executor.execute(ApiRequest("g", ()))
+    assert len(sent) == RETRY_ATTEMPTS
+
+
+def test_http_executor_post_sent_once_when_answer_is_lost(stub_server):
+    # The server may have acted on the request, so it is not sent again.
+    base_url, handler = stub_server
+    handler.default_behavior = DROP
+    executor = HttpApiExecutor(base_url, {"book": ("POST", "/book")}, retry_base_delay=0)
+    with pytest.raises(TransportError):
+        executor.execute(ApiRequest("book", (("seats", 2),)))
+    assert handler.requests_seen == [("POST", "/book", '{"seats": 2}')]
+
+
+def test_http_executor_post_retried_when_never_sent(monkeypatch):
+    sent = []
+    original_send = requests.Session.send
+
+    def counting_send(self, request, **kwargs):
+        sent.append(request.url)
+        return original_send(self, request, **kwargs)
+
+    monkeypatch.setattr(requests.Session, "send", counting_send)
+    base_url = f"http://127.0.0.1:{_closed_port()}"
+    executor = HttpApiExecutor(base_url, {"book": ("POST", "/book")}, retry_base_delay=0)
+    with pytest.raises(TransportError):
+        executor.execute(ApiRequest("book", ()))
     assert len(sent) == RETRY_ATTEMPTS

@@ -1,4 +1,5 @@
 import json
+from collections import Counter
 
 import pytest
 
@@ -9,20 +10,24 @@ from autofeedback import (
     ExactMatchJudge,
     PipelineConfig,
     ScriptedLlm,
+    load_document,
     parse_request,
+    prepare_document,
     render_doc_prompt,
     run_benchmark,
     run_task,
     serialize_request,
 )
 from autofeedback.errors import EmptyDatasetError, TransportError
-from autofeedback.gateways import MockApiServer
+from autofeedback import orchestrator
+from autofeedback.gateways import LlmClient, MockApiServer
 from autofeedback.orchestrator import (
     executed_sequence,
     session_log_lines,
     write_session_log,
 )
 
+from conftest import FIXTURE_DOC
 from test_gateways import route_planning_handler
 
 LOGIN_TRUTH = 'userLogin(username="kate", days=3)'
@@ -52,10 +57,10 @@ def wrap(text):
     return f"<<API>>{text}<</API>>"
 
 
-def test_happy_path_single_call(doc, model, executor):
+def test_happy_path_single_call(prepared, executor):
     llm = ScriptedLlm([wrap(LOGIN_TRUTH)])
     judge = ExactMatchJudge(ground_truth=req(LOGIN_TRUTH))
-    result = run_task(LOGIN_INSTRUCTION, doc, llm, executor, judge, model)
+    result = run_task(LOGIN_INSTRUCTION, prepared, llm, executor, judge)
     assert result.satisfied
     assert result.total_llm_calls == 1
     assert len(result.log.static_events) == 1
@@ -64,12 +69,12 @@ def test_happy_path_single_call(doc, model, executor):
     assert len(executor.executed) == 1
 
 
-def test_static_convergence_user_login(doc, model, executor):
+def test_static_convergence_user_login(prepared, executor):
     llm = ScriptedLlm(
         [wrap('user_login(username="kate", days=3)'), wrap(LOGIN_TRUTH)]
     )
     judge = ExactMatchJudge(ground_truth=req(LOGIN_TRUTH))
-    result = run_task(LOGIN_INSTRUCTION, doc, llm, executor, judge, model)
+    result = run_task(LOGIN_INSTRUCTION, prepared, llm, executor, judge)
     assert result.satisfied
     assert result.total_llm_calls == 2
     assert len(executor.executed) == 1
@@ -84,11 +89,11 @@ def test_static_convergence_user_login(doc, model, executor):
     assert second_prompt[-1].content == feedback
 
 
-def test_static_exhaustion_never_executes(doc, model, executor):
+def test_static_exhaustion_never_executes(prepared, executor):
     llm = ScriptedLlm(["there is no api call here"])
     judge = ExactMatchJudge()
     result = run_task(
-        LOGIN_INSTRUCTION, doc, llm, executor, judge, model,
+        LOGIN_INSTRUCTION, prepared, llm, executor, judge,
         PipelineConfig(max_static=3),
     )
     assert not result.satisfied
@@ -100,7 +105,7 @@ def test_static_exhaustion_never_executes(doc, model, executor):
     )
 
 
-def test_static_then_dynamic_combined(doc, model, executor):
+def test_static_then_dynamic_combined(prepared, executor):
     llm = ScriptedLlm(
         [
             wrap('routePlanning(origin="116.4,39.9", dest="121.5,31.2")'),
@@ -109,7 +114,7 @@ def test_static_then_dynamic_combined(doc, model, executor):
         ]
     )
     judge = ExactMatchJudge(ground_truth=req(ROUTE_CORRECT))
-    result = run_task(ROUTE_INSTRUCTION, doc, llm, executor, judge, model)
+    result = run_task(ROUTE_INSTRUCTION, prepared, llm, executor, judge)
     assert result.satisfied
     assert result.total_llm_calls == 3
     assert [e.finding.error_type for e in result.log.static_events] == [
@@ -124,7 +129,7 @@ def test_static_then_dynamic_combined(doc, model, executor):
     assert len(executor.executed) == 2
 
 
-def test_executor_outage_keeps_dynamic_records(doc, model, tmp_path):
+def test_executor_outage_keeps_dynamic_records(prepared, tmp_path):
     executions = []
 
     def flaky(args):
@@ -138,7 +143,7 @@ def test_executor_outage_keeps_dynamic_records(doc, model, tmp_path):
     )
     judge = ExactMatchJudge(ground_truth=req(ROUTE_CORRECT))
     executor = MockApiServer({"route_planning": flaky})
-    result = run_task(ROUTE_INSTRUCTION, doc, llm, executor, judge, model)
+    result = run_task(ROUTE_INSTRUCTION, prepared, llm, executor, judge)
     assert result.error == "down"
     assert result.total_llm_calls == 2
     [record] = result.log.dynamic_records
@@ -149,53 +154,82 @@ def test_executor_outage_keeps_dynamic_records(doc, model, tmp_path):
     assert [line["phase"] for line in lines] == ["static", "dynamic"]
     assert lines[1]["action"] == ROUTE_REVERSED
     assert lines[1]["new_action"] == ROUTE_CORRECT
+    # The corrected request was sent but never answered.
+    assert executed_sequence(result.log) == [ROUTE_REVERSED]
 
 
-def test_budget_law_with_adversarial_llm(doc, model, executor):
+def test_llm_outage_after_a_correction_keeps_it_executed(prepared):
+    class FailingThirdCall(LlmClient):
+        def __init__(self):
+            self.replies = [wrap(ROUTE_REVERSED), f"Thought: retry.\n{wrap(ROUTE_REVERSED)}"]
+
+        def complete(self, messages):
+            if not self.replies:
+                raise TransportError("llm down")
+            return ScriptedLlm([self.replies.pop(0)]).complete(messages)
+
+    executor = MockApiServer({"route_planning": route_planning_handler})
+    judge = ExactMatchJudge(ground_truth=req(ROUTE_CORRECT))
+    result = run_task(ROUTE_INSTRUCTION, prepared, FailingThirdCall(), executor, judge)
+    assert result.error == "llm down"
+    assert len(executor.executed) == 2
+    assert executed_sequence(result.log) == [ROUTE_REVERSED, ROUTE_REVERSED]
+
+
+def test_run_task_rejects_doc_prepared_for_other_chunk_threshold(doc, model):
+    prepared = prepare_document(doc, model, 0.4)
+    with pytest.raises(ValueError, match="chunk_threshold"):
+        run_task(
+            LOGIN_INSTRUCTION, prepared, ScriptedLlm([wrap(LOGIN_TRUTH)]),
+            MockApiServer({}), ExactMatchJudge(), PipelineConfig(chunk_threshold=0.3),
+        )
+
+
+def test_budget_law_with_adversarial_llm(prepared, executor):
     config = PipelineConfig(max_static=3, max_dynamic=2)
     llm = ScriptedLlm(["nothing useful at all"])
     judge = ExactMatchJudge(ground_truth=req(LOGIN_TRUTH))
-    result = run_task(LOGIN_INSTRUCTION, doc, llm, executor, judge, model, config)
+    result = run_task(LOGIN_INSTRUCTION, prepared, llm, executor, judge, config)
     assert not result.satisfied
     assert result.total_llm_calls <= 1 + config.max_static + 2 * config.max_dynamic
     assert len(executor.executed) <= 1 + config.max_dynamic
 
 
-def test_budget_law_valid_but_wrong_request(doc, model, executor):
+def test_budget_law_valid_but_wrong_request(prepared, executor):
     config = PipelineConfig(max_static=3, max_dynamic=2)
     llm = ScriptedLlm([wrap('userLogin(username="bob", days=9)')])
     judge = ExactMatchJudge(ground_truth=req(LOGIN_TRUTH))
-    result = run_task(LOGIN_INSTRUCTION, doc, llm, executor, judge, model, config)
+    result = run_task(LOGIN_INSTRUCTION, prepared, llm, executor, judge, config)
     assert not result.satisfied
     assert result.total_llm_calls <= 1 + config.max_static + 2 * config.max_dynamic
     assert len(executor.executed) == 1 + config.max_dynamic
     assert len(result.log.dynamic_records) == 2
 
 
-def test_zero_budgets_single_shot(doc, model, executor):
+def test_zero_budgets_single_shot(prepared, executor):
     config = PipelineConfig(max_static=0, max_dynamic=0)
     llm = ScriptedLlm([wrap(LOGIN_TRUTH)])
     judge = ExactMatchJudge(ground_truth=req(LOGIN_TRUTH))
-    result = run_task(LOGIN_INSTRUCTION, doc, llm, executor, judge, model, config)
+    result = run_task(LOGIN_INSTRUCTION, prepared, llm, executor, judge, config)
     assert result.satisfied
     assert result.total_llm_calls == 1
     assert len(executor.executed) == 1
 
 
-def test_zero_budgets_single_shot_unsatisfied(doc, model, executor):
+def test_zero_budgets_single_shot_unsatisfied(prepared, executor):
     config = PipelineConfig(max_static=0, max_dynamic=0)
     llm = ScriptedLlm(["no api"])
     judge = ExactMatchJudge()
-    result = run_task(LOGIN_INSTRUCTION, doc, llm, executor, judge, model, config)
+    result = run_task(LOGIN_INSTRUCTION, prepared, llm, executor, judge, config)
     assert not result.satisfied
     assert result.total_llm_calls == 1
     assert len(executor.executed) <= 1
 
 
-def test_token_totals_accumulate(doc, model, executor):
+def test_token_totals_accumulate(prepared, executor):
     llm = ScriptedLlm(["one two three", wrap(LOGIN_TRUTH)])
     judge = ExactMatchJudge(ground_truth=req(LOGIN_TRUTH))
-    result = run_task(LOGIN_INSTRUCTION, doc, llm, executor, judge, model)
+    result = run_task(LOGIN_INSTRUCTION, prepared, llm, executor, judge)
     prompt_total, completion_total = result.log.token_totals
     assert prompt_total > 0
     assert completion_total == 3 + len(wrap(LOGIN_TRUTH).split())
@@ -313,14 +347,51 @@ def test_benchmark_task_error_is_contained(doc):
     assert results[1].satisfied
 
 
+def test_benchmark_prepares_each_document_once(doc, monkeypatch):
+    calls = Counter()
+    for name in ("build_chunk_index", "render_doc_prompt"):
+        def counting(*args, _name=name, _original=getattr(orchestrator, name)):
+            calls[_name] += 1
+            return _original(*args)
+
+        monkeypatch.setattr(orchestrator, name, counting)
+    other = load_document(FIXTURE_DOC)
+    tasks = make_tasks(doc) + [
+        BenchTask(f"other-{i}", LOGIN_INSTRUCTION, other, ground_truth=LOGIN_TRUTH)
+        for i in range(3)
+    ]
+    report, _ = run_benchmark(tasks)
+    assert report.accuracy_pct == pytest.approx(100 * 10 / 13)
+    assert calls == {"build_chunk_index": 2, "render_doc_prompt": 2}
+
+
+@pytest.mark.parametrize("bad_id", ["", ".", "..", "a/b", "a\\b", "../up"])
+def test_benchmark_rejects_unsafe_task_id_before_writing(doc, tmp_path, bad_id):
+    tasks = make_tasks(doc)
+    tasks[4] = BenchTask(bad_id, LOGIN_INSTRUCTION, doc, ground_truth=LOGIN_TRUTH)
+    with pytest.raises(ValueError, match="plain file name"):
+        run_benchmark(tasks, log_dir=tmp_path / "logs")
+    assert not (tmp_path / "logs").exists()
+
+
+def test_benchmark_rejects_duplicate_task_id_before_writing(doc, tmp_path):
+    tasks = make_tasks(doc)
+    tasks[4] = tasks[0]
+    with pytest.raises(ValueError, match="duplicate task id 'ok-0'"):
+        run_benchmark(tasks, log_dir=tmp_path / "logs")
+    assert not (tmp_path / "logs").exists()
+    report, _ = run_benchmark(tasks)  # without logs, ids name nothing
+    assert report.n_tasks == 10
+
+
 # -- session log serialization ----------------------------------------------------
 
-def test_session_log_lines_schema(doc, model, executor):
+def test_session_log_lines_schema(prepared, executor):
     llm = ScriptedLlm(
         [wrap(ROUTE_REVERSED), f"Thought: swap.\n{wrap(ROUTE_CORRECT)}"]
     )
     judge = ExactMatchJudge(ground_truth=req(ROUTE_CORRECT))
-    result = run_task(ROUTE_INSTRUCTION, doc, llm, executor, judge, model,
+    result = run_task(ROUTE_INSTRUCTION, prepared, llm, executor, judge,
                       task_id="route-1")
     lines = [json.loads(line) for line in session_log_lines(result.log)]
     assert {line["phase"] for line in lines} == {"static", "dynamic"}
@@ -336,22 +407,22 @@ def test_session_log_lines_schema(doc, model, executor):
     assert dynamic[0]["new_action"] == ROUTE_CORRECT
 
 
-def test_executed_sequence_reconstruction(doc, model, executor):
+def test_executed_sequence_reconstruction(prepared, executor):
     llm = ScriptedLlm(
         [wrap(ROUTE_REVERSED), f"Thought: swap.\n{wrap(ROUTE_CORRECT)}"]
     )
     judge = ExactMatchJudge(ground_truth=req(ROUTE_CORRECT))
-    result = run_task(ROUTE_INSTRUCTION, doc, llm, executor, judge, model)
+    result = run_task(ROUTE_INSTRUCTION, prepared, llm, executor, judge)
     assert executed_sequence(result.log) == [ROUTE_REVERSED, ROUTE_CORRECT]
     assert [serialize_request(r) for r in executor.executed] == [
         ROUTE_REVERSED, ROUTE_CORRECT,
     ]
 
 
-def test_write_session_log_file(doc, model, executor, tmp_path):
+def test_write_session_log_file(prepared, executor, tmp_path):
     llm = ScriptedLlm([wrap(LOGIN_TRUTH)])
     judge = ExactMatchJudge(ground_truth=req(LOGIN_TRUTH))
-    result = run_task(LOGIN_INSTRUCTION, doc, llm, executor, judge, model)
+    result = run_task(LOGIN_INSTRUCTION, prepared, llm, executor, judge)
     path = tmp_path / "task.jsonl"
     write_session_log(result.log, path)
     lines = path.read_text().splitlines()

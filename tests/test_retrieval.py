@@ -3,11 +3,14 @@ import random
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from autofeedback import (
     build_chunk_index,
     default_similarity,
     load_document,
+    prepare_document,
     retrieve_error_message,
     retrieve_relevant_apis,
 )
@@ -82,7 +85,7 @@ def test_embed_fixed_length_and_normalized(model):
 
 def test_retrieve_top1_self_description(doc, model):
     api = doc.apis[3]
-    result = retrieve_relevant_apis(api.description, doc, model, 1)
+    result = retrieve_relevant_apis(api.description, prepare_document(doc, model), 1)
     assert result.names == (api.name,)
     assert result.entries[0][1] == 1.0
 
@@ -102,7 +105,9 @@ def test_retrieve_k_capped_by_doc_size(model):
             }
         )
     )
-    result = retrieve_relevant_apis("thing", small, default_similarity(small), 5)
+    result = retrieve_relevant_apis(
+        "thing", prepare_document(small, default_similarity(small)), 5
+    )
     assert len(result) == 3
     scores = [s for _, s in result.entries]
     assert scores == sorted(scores, reverse=True)
@@ -122,14 +127,62 @@ def test_retrieve_tie_breaks_by_doc_order():
         )
     )
     model = default_similarity(twins)
-    result = retrieve_relevant_apis("identical words here", twins, model, 1)
+    result = retrieve_relevant_apis(
+        "identical words here", prepare_document(twins, model), 1
+    )
     assert result.names == ("later_twin",)
+
+
+_WORDS = ("route", "plan", "driving", "Weather", "city", "alarm", "stock", "a", "2")
+_UNSEEN = ("zzq", "xylo", "qq7")
+
+
+@st.composite
+def _doc_and_queries(draw):
+    words = st.lists(st.sampled_from(_WORDS), max_size=6).map(" ".join)
+    descriptions = draw(st.lists(words, min_size=1, max_size=8))
+    doc = load_document(
+        json.dumps(
+            {
+                "apis": [
+                    {"name": f"api{i}", "description": d, "parameters": [],
+                     "exceptions": []}
+                    for i, d in enumerate(descriptions)
+                ]
+            }
+        )
+    )
+    query = st.one_of(
+        st.lists(st.sampled_from(_WORDS + _UNSEEN), max_size=8).map(" ".join),
+        st.sampled_from(descriptions),
+        st.sampled_from(descriptions).flatmap(
+            lambda d: st.permutations(d.split()).map(" ".join)
+        ),
+        st.sampled_from(["", "?!", "zzq xylo"]),
+    )
+    return doc, draw(st.lists(query, min_size=1, max_size=6))
+
+
+@settings(max_examples=150, deadline=None)
+@given(_doc_and_queries(), st.booleans())
+def test_prepared_ranking_equals_scoring_every_api(case, fitted):
+    # The inverted-index ranker must give score()'s floats exactly, and the
+    # same order, ties in doc order.
+    doc, queries = case
+    model = default_similarity(doc if fitted else None)
+    prepared = prepare_document(doc, model)
+    for query in queries:
+        scored = [(a.name, model.score(query, a.description)) for a in doc.apis]
+        expected = sorted(scored, key=lambda pair: -pair[1])
+        for k in (1, len(doc.apis)):
+            got = retrieve_relevant_apis(query, prepared, k)
+            assert got.entries == tuple(expected[:k])
 
 
 def test_retrieve_empty_document_raises(model):
     empty = load_document(json.dumps({"apis": []}))
     with pytest.raises(EmptyDocumentError):
-        retrieve_relevant_apis("anything", empty, model, 1)
+        retrieve_relevant_apis("anything", prepare_document(empty, model), 1)
 
 
 def test_single_sentence_api_single_chunk():

@@ -9,7 +9,9 @@ from autofeedback import (
     classify_against_truth,
     detect,
     parse_request,
+    prepare_document,
     render_feedback,
+    retrieve_relevant_apis,
 )
 from autofeedback.errors import NoErrorFindingError, UnknownTruthApiError
 from autofeedback.retrieval import SimilarityModel
@@ -27,6 +29,10 @@ def outcome_of(text: str) -> ParseOutcome:
     return parse_request(text)
 
 
+def relevant(instruction: str, doc, model):
+    return retrieve_relevant_apis(instruction, prepare_document(doc, model), 1)
+
+
 def valid_request(text: str) -> ApiRequest:
     outcome = parse_request(text)
     assert outcome.ok
@@ -37,7 +43,9 @@ def valid_request(text: str) -> ApiRequest:
 
 def test_unparseable_is_e1(doc, model):
     outcome = ParseOutcome.unparseable(ParseFailure.NO_BLOCK, "no api here")
-    finding = detect(outcome, "Log a user into the system.", doc, model)
+    finding = detect(
+        outcome, relevant("Log a user into the system.", doc, model), doc, model
+    )
     assert finding.error_type is ErrorType.E1
     assert finding.offending_name is None and finding.suggested_name is None
 
@@ -45,7 +53,7 @@ def test_unparseable_is_e1(doc, model):
 def test_wrong_selection_is_e2_1(doc, model):
     instruction = "Log a user into the system and start a session."
     outcome = outcome_of('userLogout(username="kate")')
-    finding = detect(outcome, instruction, doc, model)
+    finding = detect(outcome, relevant(instruction, doc, model), doc, model)
     assert finding.error_type is ErrorType.E2_1
     assert finding.offending_name == "userLogout"
     assert finding.relevant_apis.names == ("userLogin",)
@@ -54,7 +62,7 @@ def test_wrong_selection_is_e2_1(doc, model):
 def test_naming_style_is_e2_2(doc, model):
     instruction = "Log a user into the system and start a session."
     outcome = outcome_of('user_login(username="kate", days=3)')
-    finding = detect(outcome, instruction, doc, model)
+    finding = detect(outcome, relevant(instruction, doc, model), doc, model)
     assert finding.error_type is ErrorType.E2_2
     assert finding.offending_name == "user_login"
     assert finding.suggested_name == "userLogin"
@@ -65,7 +73,7 @@ def test_semantic_name_is_e2_3_tfidf(doc, model, raw_doc):
     # the corruption generator guarantees its score beats the threshold.
     instruction = "List remaining medicines in the cabinet and their stock."
     outcome = outcome_of('medicines_list(name="aspirin")')
-    finding = detect(outcome, instruction, doc, model)
+    finding = detect(outcome, relevant(instruction, doc, model), doc, model)
     assert finding.error_type is ErrorType.E2_3
     assert finding.offending_name == "medicines_list"
     assert finding.suggested_name == "list_medicines"
@@ -101,7 +109,7 @@ def test_hallucinated_name_is_e2_3_with_embedding_model(doc):
         instruction, target.description, "find_aspirin_number", "list_medicines"
     )
     outcome = outcome_of("find_aspirin_number()")
-    finding = detect(outcome, instruction, doc, model)
+    finding = detect(outcome, relevant(instruction, doc, model), doc, model)
     assert finding.error_type is ErrorType.E2_3
     assert finding.offending_name == "find_aspirin_number"
     assert finding.suggested_name == "list_medicines"
@@ -110,7 +118,7 @@ def test_hallucinated_name_is_e2_3_with_embedding_model(doc):
 def test_unknown_unrelated_name_is_e2_other(doc, model):
     instruction = "Log a user into the system and start a session."
     outcome = outcome_of("zzqqy(x=1)")
-    finding = detect(outcome, instruction, doc, model)
+    finding = detect(outcome, relevant(instruction, doc, model), doc, model)
     assert finding.error_type is ErrorType.E2_OTHER
     assert finding.offending_name == "zzqqy"
     assert finding.suggested_name is None
@@ -119,7 +127,7 @@ def test_unknown_unrelated_name_is_e2_other(doc, model):
 def test_foreign_parameter_is_e3_1(doc, model):
     instruction = "Log a user into the system and start a session."
     outcome = outcome_of('userLogin(recipient="kate", days=3)')
-    finding = detect(outcome, instruction, doc, model)
+    finding = detect(outcome, relevant(instruction, doc, model), doc, model)
     assert finding.error_type is ErrorType.E3_1
     assert finding.offending_name == "recipient"
 
@@ -128,7 +136,7 @@ def test_param_naming_style_is_e3_2(doc, model):
     # user_name normalizes to username, which another API documents.
     instruction = "Log a user into the system and start a session."
     outcome = outcome_of('userLogin(user_name="kate", days=3)')
-    finding = detect(outcome, instruction, doc, model)
+    finding = detect(outcome, relevant(instruction, doc, model), doc, model)
     assert finding.error_type is ErrorType.E3_2
     assert finding.offending_name == "user_name"
     assert finding.suggested_name == "username"
@@ -138,7 +146,7 @@ def test_param_case_variant_is_e3_3(doc, model):
     # Days matches no other API's parameters, but token-matches days.
     instruction = "Log a user into the system and start a session."
     outcome = outcome_of('userLogin(username="kate", Days=3)')
-    finding = detect(outcome, instruction, doc, model)
+    finding = detect(outcome, relevant(instruction, doc, model), doc, model)
     assert finding.error_type is ErrorType.E3_3
     assert finding.offending_name == "Days"
     assert finding.suggested_name == "days"
@@ -147,7 +155,7 @@ def test_param_case_variant_is_e3_3(doc, model):
 def test_param_token_reorder_is_e3_3(doc, model):
     instruction = "Convert an amount of money from one currency to another."
     outcome = outcome_of('currency_convert(amount=3.5, currency_from="EUR", to_currency="JPY")')
-    finding = detect(outcome, instruction, doc, model)
+    finding = detect(outcome, relevant(instruction, doc, model), doc, model)
     assert finding.error_type is ErrorType.E3_3
     assert finding.offending_name == "currency_from"
     assert finding.suggested_name == "from_currency"
@@ -156,7 +164,7 @@ def test_param_token_reorder_is_e3_3(doc, model):
 def test_missing_required_is_e3_other(doc, model):
     instruction = "Log a user into the system and start a session."
     outcome = outcome_of('userLogin(username="kate")')
-    finding = detect(outcome, instruction, doc, model)
+    finding = detect(outcome, relevant(instruction, doc, model), doc, model)
     assert finding.error_type is ErrorType.E3_OTHER
     assert finding.offending_name == "days"
 
@@ -164,7 +172,7 @@ def test_missing_required_is_e3_other(doc, model):
 def test_type_mismatch_is_e4_1(doc, model):
     instruction = "Log a user into the system and start a session."
     outcome = outcome_of('userLogin(username="kate", days="three")')
-    finding = detect(outcome, instruction, doc, model)
+    finding = detect(outcome, relevant(instruction, doc, model), doc, model)
     assert finding.error_type is ErrorType.E4_1
     assert finding.offending_name == '"three"'
     assert finding.param_description == "Number of days the login session stays valid."
@@ -173,9 +181,10 @@ def test_type_mismatch_is_e4_1(doc, model):
 def test_int_widens_to_float(doc, model):
     instruction = "Convert an amount of money from one currency to another."
     outcome = outcome_of('currency_convert(amount=3, from_currency="EUR", to_currency="JPY")')
-    assert detect(outcome, instruction, doc, model).error_type is ErrorType.NONE
+    assert detect(outcome, relevant(instruction, doc, model), doc, model).error_type is ErrorType.NONE
     strict = detect(
-        outcome, instruction, doc, model, int_widens_to_float=False
+        outcome, relevant(instruction, doc, model), doc, model,
+        int_widens_to_float=False,
     )
     assert strict.error_type is ErrorType.E4_1
 
@@ -183,7 +192,7 @@ def test_int_widens_to_float(doc, model):
 def test_clean_request_is_none(doc, model):
     instruction = "Log a user into the system and start a session."
     outcome = outcome_of('userLogin(username="kate", days=3)')
-    finding = detect(outcome, instruction, doc, model)
+    finding = detect(outcome, relevant(instruction, doc, model), doc, model)
     assert finding.error_type is ErrorType.NONE
     assert finding.offending_name is None
 
@@ -192,13 +201,13 @@ def test_name_fault_masks_later_faults(doc, model):
     # Wrong name AND wrong value: the name stage fires first.
     instruction = "Log a user into the system and start a session."
     outcome = outcome_of('user_login(username="kate", days="three")')
-    finding = detect(outcome, instruction, doc, model)
+    finding = detect(outcome, relevant(instruction, doc, model), doc, model)
     assert finding.error_type is ErrorType.E2_2
 
 
 def test_corpus_sample_detects_exactly(doc, model):
     for case in build_corpus_cases(doc, per_class=3, seed=11):
-        finding = detect(outcome_of(case.text), case.instruction, doc, model)
+        finding = detect(outcome_of(case.text), relevant(case.instruction, doc, model), doc, model)
         assert finding.error_type is case.label, (case.text, finding.error_type)
         if case.expected_suggestion is not None:
             assert finding.suggested_name == case.expected_suggestion
@@ -284,13 +293,13 @@ def test_classify_identity_soundness_over_corpus(doc, model):
 # -- render_feedback ----------------------------------------------------------
 
 def _finding(doc, model, text, instruction):
-    return detect(outcome_of(text), instruction, doc, model)
+    return detect(outcome_of(text), relevant(instruction, doc, model), doc, model)
 
 
 def test_e1_feedback_has_no_exclude_part(doc, model):
     finding = detect(
         ParseOutcome.unparseable(ParseFailure.NO_BLOCK, "nope"),
-        "Log a user into the system.",
+        relevant("Log a user into the system.", doc, model),
         doc,
         model,
     )
@@ -337,7 +346,7 @@ def test_e4_1_feedback_quotes_value_and_description(doc, model):
 
 def test_feedback_always_quotes_offending_content(doc, model):
     for case in build_corpus_cases(doc, per_class=2, seed=23):
-        finding = detect(outcome_of(case.text), case.instruction, doc, model)
+        finding = detect(outcome_of(case.text), relevant(case.instruction, doc, model), doc, model)
         feedback = render_feedback(finding, doc)
         if finding.offending_name is not None:
             assert finding.offending_name in feedback.text
