@@ -23,14 +23,15 @@ from .errors import AutoFeedbackError, SchemaError, TransportError
 from .gateways import ChatMessage, HttpApiExecutor, HttpLlmClient, ScriptedLlm
 from .metrics import error_distribution, error_distribution_percentages
 from .orchestrator import (
-    SYSTEM_PREAMBLE,
     BenchTask,
     PipelineConfig,
+    _check_log_name,
     echo_executor,
+    opening_messages,
     prepare_document,
-    render_doc_prompt,
     run_benchmark,
     run_task,
+    system_message,
     write_session_log,
     write_summary,
 )
@@ -61,11 +62,12 @@ _FLAG_DEFAULTS = {
     "executor_base_url": None,
     "embedder_base_url": None,
     "embedder_model": "default",
-    "max_static": 3,
-    "max_dynamic": 2,
-    "k": 1,
-    "threshold": 0.5,
-    "chunk_threshold": 0.3,
+    # Pipeline settings left unset take PipelineConfig's defaults.
+    "max_static": None,
+    "max_dynamic": None,
+    "k": None,
+    "threshold": None,
+    "chunk_threshold": None,
     "jobs": 1,
     "log_dir": "logs",
 }
@@ -145,14 +147,20 @@ def _merge_config(args: argparse.Namespace) -> dict:
     return values
 
 
+_PIPELINE_KEYS = {  # PipelineConfig fields and the type of each
+    "k": int, "threshold": float, "chunk_threshold": float,
+    "max_static": int, "max_dynamic": int,
+}
+
+
 def _pipeline_config(values: dict) -> PipelineConfig:
     try:
         return PipelineConfig(
-            k=int(values["k"]),
-            threshold=float(values["threshold"]),
-            max_static=int(values["max_static"]),
-            max_dynamic=int(values["max_dynamic"]),
-            chunk_threshold=float(values["chunk_threshold"]),
+            **{
+                key: convert(values[key])
+                for key, convert in _PIPELINE_KEYS.items()
+                if values[key] is not None
+            }
         )
     except (TypeError, ValueError) as exc:
         raise ConfigError(f"invalid pipeline settings: {exc}") from exc
@@ -256,6 +264,10 @@ def _load_dataset(values: dict, base_doc: ApiDocument | None) -> list[BenchTask]
 
 
 def _cmd_run(args: argparse.Namespace) -> int:
+    try:
+        _check_log_name(args.task_id)
+    except ValueError as exc:
+        raise ConfigError(str(exc)) from exc
     values = _merge_config(args)
     config = _pipeline_config(values)
     doc = _load_doc(values)
@@ -339,9 +351,11 @@ def _cmd_classify(args: argparse.Namespace) -> int:
     values = _merge_config(args)
     base_doc = _load_doc(values) if values.get("doc") else None
     tasks = _load_dataset(values, base_doc)
-    threshold = float(values["threshold"])
+    threshold = _pipeline_config(values).threshold
     similarity_factory = _similarity_factory(values)
 
+    llm: HttpLlmClient | None = None
+    systems: dict[int, ChatMessage] = {}
     models: dict[int, object] = {}
     labels: list[ErrorType] = []
     for task in tasks:
@@ -352,25 +366,22 @@ def _cmd_classify(args: argparse.Namespace) -> int:
             raise ConfigError(
                 f"dataset sample {task.task_id!r}: ground truth does not parse"
             )
+        key = id(task.doc)
         if task.script:
             generated_text = task.script[0]
         elif values["llm"] == "http":
-            llm = _http_llm(values)
-            reply = llm.complete(
-                [
-                    ChatMessage(
-                        "system", SYSTEM_PREAMBLE + "\n\n" + render_doc_prompt(task.doc)
-                    ),
-                    ChatMessage("user", task.instruction),
-                ]
-            )
-            generated_text = reply.text
+            # The same opening turn as the pipeline's first generation.
+            llm = llm or _http_llm(values)
+            if key not in systems:
+                systems[key] = system_message(task.doc)
+            generated_text = llm.complete(
+                opening_messages(systems[key], task.instruction)
+            ).text
         else:
             raise ConfigError(
                 f"dataset sample {task.task_id!r} has no recorded output (script)"
                 " and the LLM is scripted"
             )
-        key = id(task.doc)
         if key not in models:
             models[key] = similarity_factory(task.doc)
         labels.append(

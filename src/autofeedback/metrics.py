@@ -58,29 +58,16 @@ def overhead(mean_tokens: float, accuracy_pct: float) -> float:
 def process_correctness(
     executed: Sequence[Sequence[str]],
     truth: Sequence[Sequence[str] | None],
-    mode: str = "exact",
-    judge=None,
 ) -> float:
-    """Percentage of tasks whose executed request sequence was optimal.
-
-    In exact mode a task counts when its canonically serialized sequence
-    equals the ground-truth sequence; judge mode delegates each pair to
-    ``judge(executed, truth) -> bool``.
-    """
+    """Percentage of tasks whose executed request sequence was optimal: its
+    canonically serialized sequence equals the ground-truth sequence."""
     if len(executed) != len(truth):
         raise LengthMismatchError("executed and truth differ in length")
     if not executed:
         raise EmptyInputError("no results to aggregate")
-    if mode == "exact":
-        if any(t is None for t in truth):
-            raise MissingGroundTruthError("exact mode needs a truth sequence per task")
-        hits = sum(1 for e, t in zip(executed, truth) if list(e) == list(t))
-    elif mode == "judge":
-        if judge is None:
-            raise ValueError("judge mode needs a judge callable")
-        hits = sum(1 for e, t in zip(executed, truth) if judge(e, t))
-    else:
-        raise ValueError(f"unknown mode {mode!r}")
+    if any(t is None for t in truth):
+        raise MissingGroundTruthError("every task needs a truth sequence")
+    hits = sum(1 for e, t in zip(executed, truth) if list(e) == list(t))
     return 100.0 * hits / len(executed)
 
 

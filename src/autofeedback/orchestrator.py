@@ -61,6 +61,8 @@ __all__ = [
     "prepare_document",
     "run_task",
     "render_doc_prompt",
+    "system_message",
+    "opening_messages",
     "echo_executor",
     "BenchTask",
     "run_benchmark",
@@ -81,8 +83,6 @@ class PipelineConfig:
     max_static: int = 3
     max_dynamic: int = 2
     chunk_threshold: float = 0.3
-    int_widens_to_float: bool = True
-    tuple_as_list: bool = False
 
     def __post_init__(self):
         if not 0.0 < self.threshold < 1.0:
@@ -108,14 +108,12 @@ class StaticEvent:
 
 @dataclass
 class SessionLog:
-    """Everything one task session produced, append-only while running."""
+    """The trace of one task session, append-only while running; its
+    verdict is on the :class:`TaskResult`."""
 
     task_id: str
     static_events: list[StaticEvent] = field(default_factory=list)
     dynamic_records: list[FeedbackRecord] = field(default_factory=list)
-    final_request: ApiRequest | None = None
-    final_response: ApiResponse | None = None
-    satisfied: bool = False
     token_totals: tuple[int, int] = (0, 0)
     executor_failed: bool = False  # the last execution raised, unanswered
 
@@ -178,6 +176,17 @@ def render_doc_prompt(doc: ApiDocument) -> str:
     return "\n\n".join(blocks)
 
 
+def system_message(doc: ApiDocument) -> ChatMessage:
+    """The system turn: the preamble followed by the rendered documentation."""
+    return ChatMessage("system", SYSTEM_PREAMBLE + "\n\n" + render_doc_prompt(doc))
+
+
+def opening_messages(system: ChatMessage, instruction: str) -> list[ChatMessage]:
+    """The conversation the first generation sees: the system turn and the
+    user's instruction with the request to generate."""
+    return [system, ChatMessage("user", f"{instruction}\n\n{_GENERATE_INSTRUCTION}")]
+
+
 def prepare_document(
     doc: ApiDocument,
     model: SimilarityModel,
@@ -192,7 +201,7 @@ def prepare_document(
         chunk_threshold,
         build_chunk_index(doc, model, chunk_threshold),
         model.ranker([api.description for api in doc.apis]),
-        ChatMessage("system", SYSTEM_PREAMBLE + "\n\n" + render_doc_prompt(doc)),
+        system_message(doc),
     )
 
 
@@ -231,15 +240,7 @@ def run_task(
         nonlocal relevant
         if relevant is None:
             relevant = retrieve_relevant_apis(instruction, prepared, config.k)
-        return detect(
-            outcome,
-            relevant,
-            doc,
-            model,
-            config.threshold,
-            int_widens_to_float=config.int_widens_to_float,
-            tuple_as_list=config.tuple_as_list,
-        )
+        return detect(outcome, relevant, doc, model, config.threshold)
 
     def _finish(
         satisfied: bool,
@@ -247,16 +248,10 @@ def run_task(
         response: ApiResponse | None,
         error: str | None = None,
     ) -> TaskResult:
-        log.final_request = request
-        log.final_response = response
-        log.satisfied = satisfied
         log.token_totals = (counting.prompt_tokens, counting.completion_tokens)
         return TaskResult(satisfied, request, response, log, counting.calls, error)
 
-    messages: list[ChatMessage] = [
-        prepared.system,
-        ChatMessage("user", f"{instruction}\n\n{_GENERATE_INSTRUCTION}"),
-    ]
+    messages = opening_messages(prepared.system, instruction)
 
     request: ApiRequest | None = None
     try:
@@ -272,7 +267,7 @@ def run_task(
                 break
             if attempt == config.max_static:
                 return _finish(False, outcome.request, None)
-            feedback = render_feedback(finding, doc)
+            feedback = render_feedback(finding)
             event.feedback_text = feedback.text
             messages.append(ChatMessage("user", feedback.text))
         assert request is not None
@@ -301,17 +296,18 @@ def run_task(
         return _finish(False, request, None, error=str(exc))
 
 
-def executed_sequence(log: SessionLog) -> list[str]:
+def executed_sequence(result: TaskResult) -> list[str]:
     """Canonical serializations of every request actually executed, that
     is, answered by the executor."""
+    log = result.log
     if log.dynamic_records:
         executed = [r.action for r in log.dynamic_records]
         # An executor failure after a record can only be on its new action.
         if not log.executor_failed:
             executed.append(log.dynamic_records[-1].new_action)
         return [serialize_request(r) for r in executed]
-    if log.final_request is not None and log.final_response is not None:
-        return [serialize_request(log.final_request)]
+    if result.request is not None and result.response is not None:
+        return [serialize_request(result.request)]
     return []
 
 
@@ -382,7 +378,6 @@ def run_benchmark(
     *,
     llm_factory: Callable[[BenchTask], LlmClient] | None = None,
     executor_factory: Callable[[BenchTask], ApiExecutor] | None = None,
-    judge_factory: Callable[[BenchTask], RequirementJudge] | None = None,
     model_factory: Callable[[ApiDocument], SimilarityModel] | None = None,
     log_dir: str | Path | None = None,
     jobs: int = 1,
@@ -404,7 +399,6 @@ def run_benchmark(
         _check_log_names(tasks)
     llm_factory = llm_factory or _default_llm
     executor_factory = executor_factory or (lambda task: echo_executor(task.doc))
-    judge_factory = judge_factory or _default_judge
     model_factory = model_factory or default_similarity
 
     prepared: dict[int, PreparedDoc | Exception] = {}
@@ -427,7 +421,7 @@ def run_benchmark(
                 doc_state,
                 llm_factory(task),
                 executor_factory(task),
-                judge_factory(task),
+                _default_judge(task),
                 config,
                 task_id=task.task_id,
             )
@@ -450,7 +444,7 @@ def run_benchmark(
     truths = [_canonical_truth(t) for t in tasks]
     if all(t is not None for t in truths):
         process_pct = process_correctness(
-            [executed_sequence(r.log) for r in results], truths
+            [executed_sequence(r) for r in results], truths
         )
     else:
         process_pct = None
@@ -475,13 +469,18 @@ def run_benchmark(
     return report, results
 
 
+def _check_log_name(task_id: str) -> None:
+    """A task id names its log file, so it must be a plain file name."""
+    if task_id in ("", ".", "..") or any(c in task_id for c in "/\\\0"):
+        raise ValueError(f"task id {task_id!r} is not a plain file name")
+
+
 def _check_log_names(tasks: Sequence[BenchTask]) -> None:
     """Task ids must be distinct plain file names: each names its log."""
     seen: set[str] = set()
     for task in tasks:
         task_id = task.task_id
-        if task_id in ("", ".", "..") or any(c in task_id for c in "/\\\0"):
-            raise ValueError(f"task id {task_id!r} is not a plain file name")
+        _check_log_name(task_id)
         if task_id in seen:
             raise ValueError(f"duplicate task id {task_id!r}")
         seen.add(task_id)

@@ -400,46 +400,33 @@ def infer_value_type(value: Value) -> ValueType:
     raise TypeError(f"unsupported value type: {type(value).__name__}")
 
 
-def type_matches(
-    value: Value,
-    expected: ValueType,
-    *,
-    int_widens_to_float: bool = True,
-    tuple_as_list: bool = False,
-) -> bool:
+def type_matches(value: Value, expected: ValueType) -> bool:
     """Check a literal against a documented parameter type.
 
-    An integer satisfies a float parameter when *int_widens_to_float* is on;
-    *tuple_as_list* collapses the list/tuple distinction both ways.
+    An integer satisfies a float parameter; a tuple never satisfies a list
+    parameter, nor a list a tuple one.
     """
     actual = infer_value_type(value)
-    if actual == expected:
-        return True
-    if int_widens_to_float and actual == ValueType.INT and expected == ValueType.FLOAT:
-        return True
-    if tuple_as_list and {actual, expected} == {ValueType.LIST, ValueType.TUPLE}:
-        return True
-    return False
+    return actual == expected or (
+        actual == ValueType.INT and expected == ValueType.FLOAT
+    )
 
 
-def values_equal(a: Value, b: Value, *, int_widens_to_float: bool = True) -> bool:
-    """Type-aware equality: bools never equal ints, 3 == 3.0 only when widening."""
+def values_equal(a: Value, b: Value) -> bool:
+    """Type-aware equality: bools never equal ints, and an int equals a
+    float when both convert to the same float (so 3 == 3.0)."""
     if isinstance(a, bool) or isinstance(b, bool):
         return isinstance(a, bool) and isinstance(b, bool) and a == b
     if isinstance(a, (int, float)) and isinstance(b, (int, float)):
         if type(a) is type(b):
             return a == b
-        return int_widens_to_float and float(a) == float(b)
+        return float(a) == float(b)
     if type(a) is not type(b):
         return False
     if isinstance(a, (list, tuple)):
-        return len(a) == len(b) and all(
-            values_equal(x, y, int_widens_to_float=int_widens_to_float)
-            for x, y in zip(a, b)
-        )
+        return len(a) == len(b) and all(values_equal(x, y) for x, y in zip(a, b))
     if isinstance(a, dict):
         return a.keys() == b.keys() and all(
-            values_equal(v, b[k], int_widens_to_float=int_widens_to_float)
-            for k, v in a.items()
+            values_equal(v, b[k]) for k, v in a.items()
         )
     return a == b

@@ -73,6 +73,14 @@ class TfidfSimilarity(SimilarityModel):
     the corpus vocabulary (out-of-vocabulary tokens drop out); ``score``
     works on the token union of the two texts, so identical non-trivial
     texts always score 1.0 even when their words are out of vocabulary.
+
+    Both notions are needed. Error retrieval compares ``embed`` vectors,
+    like the chunk vectors it ranks, so that a remote embedder, which
+    offers nothing but ``embed``, can take its place. Relevant-API ranking
+    and the name cascades use ``score``, whose token union keeps a
+    hallucinated, out-of-vocabulary name matchable against a documented one
+    (E2.3, E3.3); projected onto the vocabulary, its unseen tokens would
+    drop out.
     """
 
     def __init__(self, corpus: Iterable[str] = ()):

@@ -7,7 +7,7 @@ Within a family the sub-checks run selection -> literal -> semantic -> other.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass, field, replace
 from enum import Enum
 from typing import Sequence
 
@@ -123,38 +123,45 @@ def _match_param(
     return ErrorType.E3_OTHER, None
 
 
-def _first_unknown_key(req: ApiRequest, spec: ApiSpec) -> str | None:
-    known = set(spec.param_names)
-    for key in req.arg_names:
-        if key not in known:
-            return key
-    return None
-
-
-def _first_missing_required(req: ApiRequest, spec: ApiSpec) -> str | None:
+def _cascade(
+    req: ApiRequest,
+    named: ApiSpec | None,
+    name_candidates: Sequence[str],
+    doc: ApiDocument,
+    model: SimilarityModel,
+    threshold: float,
+) -> DetectionFinding:
+    """The stages after parsing, in order: API name, unknown key, missing
+    required parameter, value type. *named* is the spec the request's name
+    is accepted as, or ``None`` when the name itself is wrong; the name
+    cascade then matches against *name_candidates*."""
+    if named is None:
+        error_type, suggested = _match_name(
+            req.name, doc, name_candidates, model, threshold
+        )
+        return DetectionFinding(
+            error_type, offending_name=req.name, suggested_name=suggested
+        )
+    known = set(named.param_names)
+    offender = next((key for key in req.arg_names if key not in known), None)
+    if offender is not None:
+        error_type, suggested = _match_param(offender, named, doc, model, threshold)
+        return DetectionFinding(
+            error_type, offending_name=offender, suggested_name=suggested
+        )
     present = set(req.arg_names)
-    for p in spec.params:
+    for p in named.params:
         if p.required and p.name not in present:
-            return p.name
-    return None
-
-
-def _first_type_mismatch(
-    req: ApiRequest, spec: ApiSpec, *, int_widens_to_float: bool, tuple_as_list: bool
-) -> tuple[str, str] | None:
-    """Return (rendered value, parameter description) of the first bad arg."""
+            return DetectionFinding(ErrorType.E3_OTHER, offending_name=p.name)
     for key, value in req.args:
-        param = spec.param(key)
-        if param is None:
-            continue
-        if not type_matches(
-            value,
-            param.value_type,
-            int_widens_to_float=int_widens_to_float,
-            tuple_as_list=tuple_as_list,
-        ):
-            return serialize_value(value), param.description
-    return None
+        param = named.param(key)
+        if param is not None and not type_matches(value, param.value_type):
+            return DetectionFinding(
+                ErrorType.E4_1,
+                offending_name=serialize_value(value),
+                param_description=param.description,
+            )
+    return DetectionFinding(ErrorType.NONE)
 
 
 def detect(
@@ -163,9 +170,6 @@ def detect(
     doc: ApiDocument,
     model: SimilarityModel,
     threshold: float = 0.5,
-    *,
-    int_widens_to_float: bool = True,
-    tuple_as_list: bool = False,
 ) -> DetectionFinding:
     """Scan a parsed request and return the first error found, if any.
 
@@ -179,49 +183,10 @@ def detect(
         return DetectionFinding(ErrorType.E1, relevant_apis=relevant)
     req = outcome.request
     assert req is not None
-
-    if req.name not in relevant:
-        error_type, suggested = _match_name(
-            req.name, doc, doc.api_names, model, threshold
-        )
-        return DetectionFinding(
-            error_type,
-            offending_name=req.name,
-            suggested_name=suggested,
-            relevant_apis=relevant,
-        )
-
-    named = lookup_api(doc, req.name)
-    assert named is not None  # relevant-set names come from the document
-
-    offender = _first_unknown_key(req, named)
-    if offender is not None:
-        error_type, suggested = _match_param(offender, named, doc, model, threshold)
-        return DetectionFinding(
-            error_type,
-            offending_name=offender,
-            suggested_name=suggested,
-            relevant_apis=relevant,
-        )
-    missing = _first_missing_required(req, named)
-    if missing is not None:
-        return DetectionFinding(
-            ErrorType.E3_OTHER, offending_name=missing, relevant_apis=relevant
-        )
-
-    mismatch = _first_type_mismatch(
-        req, named, int_widens_to_float=int_widens_to_float, tuple_as_list=tuple_as_list
-    )
-    if mismatch is not None:
-        value_text, description = mismatch
-        return DetectionFinding(
-            ErrorType.E4_1,
-            offending_name=value_text,
-            param_description=description,
-            relevant_apis=relevant,
-        )
-
-    return DetectionFinding(ErrorType.NONE, relevant_apis=relevant)
+    # Relevant-set names come from the document, so the lookup finds them.
+    named = lookup_api(doc, req.name) if req.name in relevant else None
+    finding = _cascade(req, named, doc.api_names, doc, model, threshold)
+    return replace(finding, relevant_apis=relevant)
 
 
 def classify_against_truth(
@@ -230,9 +195,6 @@ def classify_against_truth(
     doc: ApiDocument,
     model: SimilarityModel,
     threshold: float = 0.5,
-    *,
-    int_widens_to_float: bool = True,
-    tuple_as_list: bool = False,
 ) -> ErrorType:
     """Label a generated request against its ground truth.
 
@@ -249,37 +211,17 @@ def classify_against_truth(
         return ErrorType.E1
     req = generated.request
     assert req is not None
-
-    if req.name != truth.name:
-        error_type, _ = _match_name(req.name, doc, (truth.name,), model, threshold)
+    named = truth_spec if req.name == truth.name else None
+    error_type = _cascade(req, named, (truth.name,), doc, model, threshold).error_type
+    if error_type is not ErrorType.NONE:
         return error_type
-
-    offender = _first_unknown_key(req, truth_spec)
-    if offender is not None:
-        error_type, _ = _match_param(offender, truth_spec, doc, model, threshold)
-        return error_type
-    if _first_missing_required(req, truth_spec) is not None:
-        return ErrorType.E3_OTHER
-
-    if (
-        _first_type_mismatch(
-            req,
-            truth_spec,
-            int_widens_to_float=int_widens_to_float,
-            tuple_as_list=tuple_as_list,
-        )
-        is not None
-    ):
-        return ErrorType.E4_1
 
     gen_args = dict(req.args)
     truth_args = dict(truth.args)
     if gen_args.keys() != truth_args.keys():
         return ErrorType.E4_OTHER
     for key, value in truth_args.items():
-        if not values_equal(
-            gen_args[key], value, int_widens_to_float=int_widens_to_float
-        ):
+        if not values_equal(gen_args[key], value):
             return ErrorType.E4_OTHER
     return ErrorType.NONE
 
@@ -396,7 +338,7 @@ def _suggest_sentence(finding: DetectionFinding) -> str:
     )
 
 
-def render_feedback(finding: DetectionFinding, doc: ApiDocument) -> StaticFeedback:
+def render_feedback(finding: DetectionFinding) -> StaticFeedback:
     """Render the five-part corrective prompt for a non-empty finding.
 
     Declare and Regenerate are always present; Exclude is omitted for the

@@ -76,6 +76,7 @@ def stub_server():
     thread.start()
     yield f"http://127.0.0.1:{server.server_port}", handler
     server.shutdown()
+    server.server_close()
     thread.join(timeout=2)
 
 

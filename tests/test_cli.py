@@ -1,9 +1,12 @@
 import json
+from collections import Counter
 from pathlib import Path
 
 import pytest
 
+from autofeedback import ExactMatchJudge, ScriptedLlm, cli, run_task
 from autofeedback.cli import main
+from autofeedback.orchestrator import echo_executor
 
 from conftest import FIXTURE_DOC
 
@@ -92,6 +95,28 @@ def test_run_never_correct_exits_1(tmp_path):
     entry = summary["tasks"][0]
     assert entry["satisfied"] is False
     assert entry["llm_calls"] == 4  # initial + default static budget
+
+
+@pytest.mark.parametrize("where", ["relative", "absolute"])
+def test_run_task_id_outside_log_dir_exits_2(
+    tmp_path, capsys, monkeypatch, stub_server, where
+):
+    base_url, handler = stub_server
+    monkeypatch.setenv("AUTOFEEDBACK_LLM_KEY", "k")
+    log_dir = tmp_path / "logs"
+    task_id = "../escaped" if where == "relative" else str(tmp_path / "abs")
+    code = run_cli(
+        "run", INSTRUCTION,
+        "--doc", str(FIXTURE_DOC),
+        "--llm", "http",
+        "--llm-base-url", base_url,
+        "--log-dir", str(log_dir),
+        "--task-id", task_id,
+    )
+    assert code == 2
+    assert "not a plain file name" in capsys.readouterr().err
+    assert handler.requests_seen == []  # no LLM call
+    assert list(tmp_path.iterdir()) == []  # nothing written
 
 
 # -- bench ---------------------------------------------------------------------
@@ -201,6 +226,50 @@ def test_classify_missing_ground_truth_exits_2(tmp_path, capsys):
     write_dataset(dataset, lines)
     assert run_cli("classify", "--dataset", str(dataset)) == 2
     assert "ground truth" in capsys.readouterr().err
+
+
+def test_classify_http_asks_the_pipeline_question(
+    tmp_path, monkeypatch, stub_server, doc, prepared
+):
+    base_url, handler = stub_server
+    handler.default_behavior = (200, json.dumps({
+        "choices": [{"message": {"content": wrap(TRUTH)}}],
+        "usage": {"prompt_tokens": 5, "completion_tokens": 5},
+    }))
+    monkeypatch.setenv("AUTOFEEDBACK_LLM_KEY", "k")
+    counts = Counter()
+
+    def counted(name, fn):
+        def wrapper(*args, **kwargs):
+            counts[name] += 1
+            return fn(*args, **kwargs)
+        return wrapper
+
+    monkeypatch.setattr(cli, "HttpLlmClient", counted("client", cli.HttpLlmClient))
+    monkeypatch.setattr(cli, "system_message", counted("system", cli.system_message))
+    instructions = [INSTRUCTION, "Start a session for kate."]
+    lines = [
+        {"id": f"s{i}", "instruction": text, "ground_truth": TRUTH, "doc": str(FIXTURE_DOC)}
+        for i, text in enumerate(instructions)
+    ]
+    dataset = tmp_path / "labeled.jsonl"
+    write_dataset(dataset, lines)
+    code = run_cli(
+        "classify", "--dataset", str(dataset),
+        "--llm", "http", "--llm-base-url", base_url,
+        "--out", str(tmp_path / "hist.json"),
+    )
+    assert code == 0
+    assert json.loads((tmp_path / "hist.json").read_text())["counts"] == {"none": 2}
+    assert counts == {"client": 1, "system": 1}
+
+    posted = [json.loads(body)["messages"] for _, _, body in handler.requests_seen]
+    assert len(posted) == 2
+    for text, messages in zip(instructions, posted):
+        llm = ScriptedLlm([wrap(TRUTH)])
+        run_task(text, prepared, llm, echo_executor(doc), ExactMatchJudge())
+        opening = [{"role": m.role, "content": m.content} for m in llm.received_prompts[0]]
+        assert messages == opening
 
 
 # -- report ---------------------------------------------------------------------

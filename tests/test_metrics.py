@@ -83,15 +83,6 @@ def test_process_correctness_empty_raises():
         process_correctness([], [])
 
 
-def test_process_correctness_judge_mode():
-    executed = [["a()"], ["b()"]]
-    truth = [["a()"], ["c()"]]
-    got = process_correctness(
-        executed, truth, mode="judge", judge=lambda e, t: e == t
-    )
-    assert got == 50.0
-
-
 def test_process_correctness_permutation_invariant():
     executed = [["a()"], ["b()"], ["c()"], ["d()"]]
     truth = [["a()"], ["x()"], ["c()"], ["y()"]]

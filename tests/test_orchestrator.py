@@ -155,7 +155,7 @@ def test_executor_outage_keeps_dynamic_records(prepared, tmp_path):
     assert lines[1]["action"] == ROUTE_REVERSED
     assert lines[1]["new_action"] == ROUTE_CORRECT
     # The corrected request was sent but never answered.
-    assert executed_sequence(result.log) == [ROUTE_REVERSED]
+    assert executed_sequence(result) == [ROUTE_REVERSED]
 
 
 def test_llm_outage_after_a_correction_keeps_it_executed(prepared):
@@ -173,7 +173,7 @@ def test_llm_outage_after_a_correction_keeps_it_executed(prepared):
     result = run_task(ROUTE_INSTRUCTION, prepared, FailingThirdCall(), executor, judge)
     assert result.error == "llm down"
     assert len(executor.executed) == 2
-    assert executed_sequence(result.log) == [ROUTE_REVERSED, ROUTE_REVERSED]
+    assert executed_sequence(result) == [ROUTE_REVERSED, ROUTE_REVERSED]
 
 
 def test_run_task_rejects_doc_prepared_for_other_chunk_threshold(doc, model):
@@ -413,7 +413,7 @@ def test_executed_sequence_reconstruction(prepared, executor):
     )
     judge = ExactMatchJudge(ground_truth=req(ROUTE_CORRECT))
     result = run_task(ROUTE_INSTRUCTION, prepared, llm, executor, judge)
-    assert executed_sequence(result.log) == [ROUTE_REVERSED, ROUTE_CORRECT]
+    assert executed_sequence(result) == [ROUTE_REVERSED, ROUTE_CORRECT]
     assert [serialize_request(r) for r in executor.executed] == [
         ROUTE_REVERSED, ROUTE_CORRECT,
     ]

@@ -238,21 +238,25 @@ def test_infer_value_type():
 
 def test_type_matches_widening():
     assert type_matches(3, ValueType.FLOAT)
-    assert not type_matches(3, ValueType.FLOAT, int_widens_to_float=False)
     assert not type_matches("three", ValueType.INT)
     assert type_matches([1], ValueType.LIST)
     assert not type_matches(3.5, ValueType.INT)
     assert not type_matches(True, ValueType.INT)
     assert not type_matches(1, ValueType.BOOL)
     assert not type_matches((1,), ValueType.LIST)
-    assert type_matches((1,), ValueType.LIST, tuple_as_list=True)
-    assert type_matches([1], ValueType.TUPLE, tuple_as_list=True)
 
 
 def test_values_equal_type_aware():
     assert values_equal(3, 3.0)
-    assert not values_equal(3, 3.0, int_widens_to_float=False)
     assert not values_equal(True, 1)
     assert not values_equal([True], [1])
     assert values_equal({"a": [1, 2.0]}, {"a": [1, 2.0]})
     assert not values_equal((1,), [1])
+
+
+def test_values_equal_compares_mixed_numbers_as_floats():
+    # 2**53 + 1 rounds to 2**53 as a float, so the pair is equal, unlike
+    # under Python's exact int/float comparison.
+    assert values_equal(2**53 + 1, float(2**53))
+    assert values_equal([2**53 + 1], [float(2**53)])
+    assert not values_equal(2**53 + 2, float(2**53))

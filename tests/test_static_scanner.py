@@ -1,3 +1,6 @@
+import random
+from collections import Counter
+
 import numpy as np
 import pytest
 
@@ -12,16 +15,23 @@ from autofeedback import (
     prepare_document,
     render_feedback,
     retrieve_relevant_apis,
+    serialize_request,
 )
 from autofeedback.errors import NoErrorFindingError, UnknownTruthApiError
-from autofeedback.retrieval import SimilarityModel
+from autofeedback.retrieval import RelevantSet, SimilarityModel
 from autofeedback.static_scanner import (
     REGENERATE_SENTENCE,
     DetectionFinding,
     FeedbackPart,
 )
 
-from corruption import Corruptor, build_corpus_cases
+from corruption import (
+    Corruptor,
+    base_request,
+    build_arity_cases,
+    build_corpus_cases,
+    build_multifault_cases,
+)
 from oracles import arity_ok
 
 
@@ -182,11 +192,6 @@ def test_int_widens_to_float(doc, model):
     instruction = "Convert an amount of money from one currency to another."
     outcome = outcome_of('currency_convert(amount=3, from_currency="EUR", to_currency="JPY")')
     assert detect(outcome, relevant(instruction, doc, model), doc, model).error_type is ErrorType.NONE
-    strict = detect(
-        outcome, relevant(instruction, doc, model), doc, model,
-        int_widens_to_float=False,
-    )
-    assert strict.error_type is ErrorType.E4_1
 
 
 def test_clean_request_is_none(doc, model):
@@ -290,6 +295,39 @@ def test_classify_identity_soundness_over_corpus(doc, model):
         assert classify_against_truth(outcome, req, doc, model) is ErrorType.NONE
 
 
+def test_detect_and_classify_share_the_cascade(doc, model):
+    """With the truth's name generated and relevant, both scans walk the
+    same unknown-key, missing-required and value-type stages."""
+    cases = [
+        (case.api_name, case.text)
+        for case in build_corpus_cases(doc)
+        + build_arity_cases(doc, n=1000)
+        + build_multifault_cases(doc, n=500)
+    ]
+    # The corpus injects no missing required parameter; drop one per API.
+    rng = random.Random(7)
+    for api in doc.apis:
+        req = base_request(api, rng)
+        required = [p.name for p in api.params if p.required]
+        if required:
+            args = tuple(a for a in req.args if a[0] != required[0])
+            cases.append((api.name, serialize_request(ApiRequest(api.name, args))))
+    labels = Counter()
+    for api_name, text in cases:
+        outcome = outcome_of(text)
+        if not outcome.ok or outcome.request.name != api_name:
+            continue
+        truth = outcome.request
+        finding = detect(outcome, RelevantSet(((truth.name, 1.0),)), doc, model)
+        got = classify_against_truth(outcome, truth, doc, model)
+        assert got is finding.error_type, (text, got, finding.error_type)
+        labels[got] += 1
+    assert {t.family for t in labels} == {"E3", "E4", "none"}
+    assert set(labels) >= {
+        ErrorType.E3_1, ErrorType.E3_2, ErrorType.E3_3, ErrorType.E3_OTHER, ErrorType.E4_1,
+    }
+
+
 # -- render_feedback ----------------------------------------------------------
 
 def _finding(doc, model, text, instruction):
@@ -303,7 +341,7 @@ def test_e1_feedback_has_no_exclude_part(doc, model):
         doc,
         model,
     )
-    feedback = render_feedback(finding, doc)
+    feedback = render_feedback(finding)
     assert feedback.parts_present == frozenset(
         {FeedbackPart.DECLARE, FeedbackPart.LOCATE, FeedbackPart.SUGGEST,
          FeedbackPart.REGENERATE}
@@ -317,7 +355,7 @@ def test_e2_3_feedback_names_both_apis(doc, model):
         "List remaining medicines in the cabinet and their stock.",
     )
     assert finding.error_type is ErrorType.E2_3
-    feedback = render_feedback(finding, doc)
+    feedback = render_feedback(finding)
     assert "medicines_list" in feedback.text
     assert "list_medicines" in feedback.text
     assert "not a selection error or a formatting error" in feedback.text
@@ -329,7 +367,7 @@ def test_e2_2_feedback_names_both_and_regenerates(doc, model):
         doc, model, 'user_login(username="kate", days=3)',
         "Log a user into the system and start a session.",
     )
-    feedback = render_feedback(finding, doc)
+    feedback = render_feedback(finding)
     assert "user_login" in feedback.text and "userLogin" in feedback.text
     assert feedback.text.endswith(REGENERATE_SENTENCE)
 
@@ -339,7 +377,7 @@ def test_e4_1_feedback_quotes_value_and_description(doc, model):
         doc, model, 'userLogin(username="kate", days="three")',
         "Log a user into the system and start a session.",
     )
-    feedback = render_feedback(finding, doc)
+    feedback = render_feedback(finding)
     assert '"three"' in feedback.text
     assert "Number of days the login session stays valid." in feedback.text
 
@@ -347,7 +385,7 @@ def test_e4_1_feedback_quotes_value_and_description(doc, model):
 def test_feedback_always_quotes_offending_content(doc, model):
     for case in build_corpus_cases(doc, per_class=2, seed=23):
         finding = detect(outcome_of(case.text), relevant(case.instruction, doc, model), doc, model)
-        feedback = render_feedback(finding, doc)
+        feedback = render_feedback(finding)
         if finding.offending_name is not None:
             assert finding.offending_name in feedback.text
         assert feedback.text.startswith("The API request you generated")
@@ -356,4 +394,4 @@ def test_feedback_always_quotes_offending_content(doc, model):
 
 def test_render_none_raises(doc):
     with pytest.raises(NoErrorFindingError):
-        render_feedback(DetectionFinding(ErrorType.NONE), doc)
+        render_feedback(DetectionFinding(ErrorType.NONE))
