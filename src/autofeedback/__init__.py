@@ -12,7 +12,6 @@ from .doc_model import (
     ApiSpec,
     ParamSpec,
     ValueType,
-    document_to_json,
     load_document,
     lookup_api,
     normalize_name,
@@ -21,8 +20,6 @@ from .dynamic_analyzer import (
     DynamicOutcome,
     ExactMatchJudge,
     FeedbackRecord,
-    LlmJudge,
-    RequirementJudge,
     assemble_react_prompt,
     run_dynamic_loop,
 )
@@ -77,7 +74,6 @@ from .retrieval import (
 from .static_scanner import (
     DetectionFinding,
     ErrorType,
-    StaticFeedback,
     classify_against_truth,
     detect,
     render_feedback,
@@ -99,7 +95,6 @@ __all__ = [
     "ExactMatchJudge",
     "FeedbackRecord",
     "LlmClient",
-    "LlmJudge",
     "LlmReply",
     "ParamSpec",
     "ParseFailure",
@@ -107,12 +102,10 @@ __all__ = [
     "PipelineConfig",
     "PreparedDoc",
     "RelevantSet",
-    "RequirementJudge",
     "RetrievedMessage",
     "ScriptedLlm",
     "SessionLog",
     "SimilarityModel",
-    "StaticFeedback",
     "TaskResult",
     "TfidfSimilarity",
     "ValueType",
@@ -122,7 +115,6 @@ __all__ = [
     "classify_against_truth",
     "default_similarity",
     "detect",
-    "document_to_json",
     "error_distribution",
     "extract_request_block",
     "infer_value_type",

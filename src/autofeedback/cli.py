@@ -352,12 +352,9 @@ def _cmd_classify(args: argparse.Namespace) -> int:
     base_doc = _load_doc(values) if values.get("doc") else None
     tasks = _load_dataset(values, base_doc)
     threshold = _pipeline_config(values).threshold
-    similarity_factory = _similarity_factory(values)
-
-    llm: HttpLlmClient | None = None
-    systems: dict[int, ChatMessage] = {}
-    models: dict[int, object] = {}
-    labels: list[ErrorType] = []
+    http = values["llm"] == "http"
+    # Every sample is checked before the first LLM call or model build.
+    truths = []
     for task in tasks:
         if not task.truth_sequence:
             raise ConfigError(f"dataset sample {task.task_id!r} has no ground truth")
@@ -366,28 +363,35 @@ def _cmd_classify(args: argparse.Namespace) -> int:
             raise ConfigError(
                 f"dataset sample {task.task_id!r}: ground truth does not parse"
             )
+        if not task.script and not http:
+            raise ConfigError(
+                f"dataset sample {task.task_id!r} has no recorded output (script)"
+                " and the LLM is scripted"
+            )
+        truths.append(truth_outcome.request)
+    llm = None if all(task.script for task in tasks) else _http_llm(values)
+    similarity_factory = _similarity_factory(values)
+
+    systems: dict[int, ChatMessage] = {}
+    models: dict[int, object] = {}
+    labels: list[ErrorType] = []
+    for task, truth in zip(tasks, truths):
         key = id(task.doc)
         if task.script:
             generated_text = task.script[0]
-        elif values["llm"] == "http":
+        else:
             # The same opening turn as the pipeline's first generation.
-            llm = llm or _http_llm(values)
             if key not in systems:
                 systems[key] = system_message(task.doc)
             generated_text = llm.complete(
                 opening_messages(systems[key], task.instruction)
             ).text
-        else:
-            raise ConfigError(
-                f"dataset sample {task.task_id!r} has no recorded output (script)"
-                " and the LLM is scripted"
-            )
         if key not in models:
             models[key] = similarity_factory(task.doc)
         labels.append(
             classify_against_truth(
                 parse_llm_output(generated_text),
-                truth_outcome.request,
+                truth,
                 task.doc,
                 models[key],
                 threshold,

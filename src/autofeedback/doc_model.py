@@ -26,7 +26,6 @@ __all__ = [
     "ApiSpec",
     "ApiDocument",
     "load_document",
-    "document_to_json",
     "lookup_api",
     "normalize_name",
 ]
@@ -196,30 +195,6 @@ def load_document(source: str | Path) -> ApiDocument:
         seen.add(api.name)
         apis.append(api)
     return ApiDocument(tuple(apis))
-
-
-def document_to_json(doc: ApiDocument) -> str:
-    """Serialize a document back to its JSON file format (round-trip safe)."""
-    payload = {
-        "apis": [
-            {
-                "name": a.name,
-                "description": a.description,
-                "parameters": [
-                    {
-                        "name": p.name,
-                        "type": p.value_type.value,
-                        "description": p.description,
-                        "required": p.required,
-                    }
-                    for p in a.params
-                ],
-                "exceptions": [{"code": c, "message": m} for c, m in a.exceptions],
-            }
-            for a in doc.apis
-        ]
-    }
-    return json.dumps(payload, indent=2, ensure_ascii=False)
 
 
 def lookup_api(doc: ApiDocument, name: str) -> ApiSpec | None:

@@ -5,7 +5,6 @@ request with the full record history in a Thought/Action/Observation prompt.
 
 from __future__ import annotations
 
-from abc import ABC, abstractmethod
 from dataclasses import dataclass
 from typing import Callable, Sequence
 
@@ -17,9 +16,7 @@ from .retrieval import ChunkIndex, RetrievedMessage, SimilarityModel, retrieve_e
 __all__ = [
     "FeedbackRecord",
     "DynamicOutcome",
-    "RequirementJudge",
     "ExactMatchJudge",
-    "LlmJudge",
     "run_dynamic_loop",
     "assemble_react_prompt",
 ]
@@ -45,63 +42,22 @@ class DynamicOutcome:
     satisfied: bool
 
 
-class RequirementJudge(ABC):
-    """Decides whether an API response satisfies the user's task."""
+class ExactMatchJudge:
+    """Decides whether an API response satisfies the user's task: it
+    accepts status 200 when the request, if ground truth is known, matches
+    it canonically."""
 
-    @abstractmethod
-    def accepts(self, request: ApiRequest, response: ApiResponse) -> bool: ...
-
-
-class ExactMatchJudge(RequirementJudge):
-    """Accepts when the status is in the success set and, if ground truth
-    is known, the request matches it canonically."""
-
-    def __init__(
-        self,
-        success_statuses: frozenset[int] = frozenset({200}),
-        ground_truth: ApiRequest | None = None,
-    ):
-        self._success_statuses = success_statuses
+    def __init__(self, ground_truth: ApiRequest | None = None):
         self._truth = (
             serialize_request(ground_truth) if ground_truth is not None else None
         )
 
     def accepts(self, request: ApiRequest, response: ApiResponse) -> bool:
-        if response.status not in self._success_statuses:
+        if response.status != 200:
             return False
         if self._truth is None:
             return True
         return serialize_request(request) == self._truth
-
-
-_JUDGE_PROMPT = """\
-A user asked: {instruction}
-
-The assistant called the API request below and received the response below.
-
-Request: {request}
-Response (status {status}): {body}
-
-Does this response satisfy the user's need? Answer with exactly one word,
-"yes" or "no"."""
-
-
-class LlmJudge(RequirementJudge):
-    """Delegates acceptance to an LLM playing the user's role."""
-
-    def __init__(self, llm: LlmClient, instruction: str):
-        self._llm = llm
-        self._instruction = instruction
-
-    def accepts(self, request: ApiRequest, response: ApiResponse) -> bool:
-        prompt = _JUDGE_PROMPT.format(
-            instruction=self._instruction,
-            request=serialize_request(request),
-            status=response.status,
-            body=response.body,
-        )
-        reply = self._llm.complete([ChatMessage("user", prompt)])
-        return reply.text.strip().lower().startswith("yes")
 
 
 def _observation_line(response: ApiResponse, message: RetrievedMessage | None) -> str:
@@ -177,7 +133,7 @@ def run_dynamic_loop(
     index: ChunkIndex,
     executor: ApiExecutor,
     llm: LlmClient,
-    judge: RequirementJudge,
+    judge: ExactMatchJudge,
     model: SimilarityModel,
     n_max: int,
     *,

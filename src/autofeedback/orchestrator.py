@@ -16,7 +16,6 @@ from .dynamic_analyzer import (
     DynamicOutcome,
     ExactMatchJudge,
     FeedbackRecord,
-    RequirementJudge,
     run_dynamic_loop,
 )
 from .errors import AutoFeedbackError, EmptyDatasetError, ExecutorUnavailableError
@@ -210,7 +209,7 @@ def run_task(
     prepared: PreparedDoc,
     llm: LlmClient,
     executor: ApiExecutor,
-    judge: RequirementJudge,
+    judge: ExactMatchJudge,
     config: PipelineConfig = PipelineConfig(),
     *,
     task_id: str = "task",
@@ -267,9 +266,8 @@ def run_task(
                 break
             if attempt == config.max_static:
                 return _finish(False, outcome.request, None)
-            feedback = render_feedback(finding)
-            event.feedback_text = feedback.text
-            messages.append(ChatMessage("user", feedback.text))
+            event.feedback_text = render_feedback(finding)
+            messages.append(ChatMessage("user", event.feedback_text))
         assert request is not None
 
         outcome_dyn: DynamicOutcome = run_dynamic_loop(
@@ -350,7 +348,7 @@ def _default_llm(task: BenchTask) -> LlmClient:
     return ScriptedLlm(["I cannot call any API."])
 
 
-def _default_judge(task: BenchTask) -> RequirementJudge:
+def _default_judge(task: BenchTask) -> ExactMatchJudge:
     truth = task.truth_sequence
     if truth:
         outcome = parse_request(truth[0])

@@ -63,12 +63,6 @@ class ApiRequest:
     def arg_names(self) -> tuple[str, ...]:
         return tuple(k for k, _ in self.args)
 
-    def get(self, key: str) -> Value | None:
-        for k, v in self.args:
-            if k == key:
-                return v
-        return None
-
 
 class ParseFailure(Enum):
     NO_BLOCK = "no_block"
@@ -78,11 +72,10 @@ class ParseFailure(Enum):
 
 @dataclass(frozen=True)
 class ParseOutcome:
-    """Result of parsing: either a request or a failure with the raw text."""
+    """Result of parsing: either a request or a failure."""
 
     request: ApiRequest | None
     failure: ParseFailure | None = None
-    raw_text: str = ""
 
     @property
     def ok(self) -> bool:
@@ -93,8 +86,8 @@ class ParseOutcome:
         return cls(request=request)
 
     @classmethod
-    def unparseable(cls, failure: ParseFailure, raw_text: str) -> "ParseOutcome":
-        return cls(request=None, failure=failure, raw_text=raw_text)
+    def unparseable(cls, failure: ParseFailure) -> "ParseOutcome":
+        return cls(request=None, failure=failure)
 
 
 _IDENT = re.compile(r"[A-Za-z_][A-Za-z0-9_]*")
@@ -329,21 +322,17 @@ def parse_request(block: str) -> ParseOutcome:
     try:
         return ParseOutcome.parsed(_Parser(block).request())
     except _DuplicateKey:
-        return ParseOutcome.unparseable(ParseFailure.DUPLICATE_KEY, block)
+        return ParseOutcome.unparseable(ParseFailure.DUPLICATE_KEY)
     except _SyntaxError:
-        return ParseOutcome.unparseable(ParseFailure.BAD_SYNTAX, block)
+        return ParseOutcome.unparseable(ParseFailure.BAD_SYNTAX)
 
 
 def parse_llm_output(text: str) -> ParseOutcome:
-    """Extract and parse the request block; failures keep the whole raw
-    output so the session log can show what the model actually said."""
+    """Extract and parse the request block of raw LLM output."""
     block = extract_request_block(text)
     if block is None:
-        return ParseOutcome.unparseable(ParseFailure.NO_BLOCK, text)
-    outcome = parse_request(block)
-    if outcome.ok:
-        return outcome
-    return ParseOutcome.unparseable(outcome.failure, text)
+        return ParseOutcome.unparseable(ParseFailure.NO_BLOCK)
+    return parse_request(block)
 
 
 _STRING_ESCAPES = {"\\": "\\\\", '"': '\\"', "\n": "\\n", "\t": "\\t", "\r": "\\r"}

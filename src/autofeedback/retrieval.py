@@ -83,7 +83,7 @@ class TfidfSimilarity(SimilarityModel):
     drop out.
     """
 
-    def __init__(self, corpus: Iterable[str] = ()):
+    def __init__(self, corpus: Iterable[str]):
         docs = [set(tokenize(text)) for text in corpus]
         self._n_docs = len(docs)
         df: dict[str, int] = {}
@@ -228,21 +228,11 @@ def api_documentation_text(api: ApiSpec) -> str:
     return "\n".join(part for part in parts if part)
 
 
-def default_similarity(
-    source: ApiDocument | Iterable[str] | None = None,
-) -> TfidfSimilarity:
-    """TF-IDF model with idf fitted on the given corpus.
-
-    An :class:`ApiDocument` contributes one corpus entry per API (its name
-    plus all documentation text); ``None`` yields a corpus-free model in
-    which every token weighs the same.
-    """
-    if source is None:
-        return TfidfSimilarity(())
-    if isinstance(source, ApiDocument):
-        corpus = [f"{a.name}\n{api_documentation_text(a)}" for a in source.apis]
-        return TfidfSimilarity(corpus)
-    return TfidfSimilarity(source)
+def default_similarity(doc: ApiDocument) -> TfidfSimilarity:
+    """TF-IDF model with idf fitted on *doc*: one corpus entry per API, its
+    name plus all documentation text."""
+    corpus = [f"{a.name}\n{api_documentation_text(a)}" for a in doc.apis]
+    return TfidfSimilarity(corpus)
 
 
 @dataclass(frozen=True)
@@ -307,10 +297,6 @@ class ChunkIndex:
 
     def for_api(self, api_name: str) -> tuple[Chunk, ...]:
         return self.chunks.get(api_name, ())
-
-    @property
-    def api_names(self) -> tuple[str, ...]:
-        return tuple(self.chunks)
 
 
 def build_chunk_index(

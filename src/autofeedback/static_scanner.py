@@ -25,8 +25,6 @@ from .retrieval import RelevantSet, SimilarityModel
 __all__ = [
     "ErrorType",
     "DetectionFinding",
-    "FeedbackPart",
-    "StaticFeedback",
     "detect",
     "classify_against_truth",
     "render_feedback",
@@ -226,22 +224,6 @@ def classify_against_truth(
     return ErrorType.NONE
 
 
-class FeedbackPart(Enum):
-    DECLARE = "declare"
-    LOCATE = "locate"
-    EXCLUDE = "exclude"
-    SUGGEST = "suggest"
-    REGENERATE = "regenerate"
-
-
-@dataclass(frozen=True)
-class StaticFeedback:
-    """Rendered corrective prompt plus the template parts it contains."""
-
-    text: str
-    parts_present: frozenset[FeedbackPart]
-
-
 DECLARE_SENTENCE = "The API request you generated contains an error."
 REGENERATE_SENTENCE = (
     "Please regenerate the API request between <<API>> and <</API>>."
@@ -338,8 +320,9 @@ def _suggest_sentence(finding: DetectionFinding) -> str:
     )
 
 
-def render_feedback(finding: DetectionFinding) -> StaticFeedback:
-    """Render the five-part corrective prompt for a non-empty finding.
+def render_feedback(finding: DetectionFinding) -> str:
+    """Render the five-part corrective prompt (declare, locate, exclude,
+    suggest, regenerate) for a non-empty finding as one string.
 
     Declare and Regenerate are always present; Exclude is omitted for the
     parse error, which has no earlier stage to rule out.
@@ -348,8 +331,6 @@ def render_feedback(finding: DetectionFinding) -> StaticFeedback:
         raise NoErrorFindingError("cannot render feedback for a clean request")
 
     parts: list[str] = [DECLARE_SENTENCE]
-    present = {FeedbackPart.DECLARE, FeedbackPart.LOCATE, FeedbackPart.SUGGEST,
-               FeedbackPart.REGENERATE}
 
     if finding.error_type is ErrorType.E1:
         parts.append("No parseable API request was found in your output.")
@@ -358,8 +339,7 @@ def render_feedback(finding: DetectionFinding) -> StaticFeedback:
             _LOCATE[finding.error_type.family].format(offending=finding.offending_name)
         )
         parts.append(_EXCLUDE[finding.error_type])
-        present.add(FeedbackPart.EXCLUDE)
 
     parts.append(_suggest_sentence(finding))
     parts.append(REGENERATE_SENTENCE)
-    return StaticFeedback(" ".join(parts), frozenset(present))
+    return " ".join(parts)

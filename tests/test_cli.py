@@ -228,6 +228,32 @@ def test_classify_missing_ground_truth_exits_2(tmp_path, capsys):
     assert "ground truth" in capsys.readouterr().err
 
 
+def test_classify_checks_every_sample_before_any_llm_call(
+    tmp_path, capsys, monkeypatch, stub_server
+):
+    base_url, handler = stub_server
+    handler.default_behavior = (200, json.dumps({
+        "choices": [{"message": {"content": wrap(TRUTH)}}],
+        "usage": {"prompt_tokens": 5, "completion_tokens": 5},
+    }))
+    monkeypatch.setenv("AUTOFEEDBACK_LLM_KEY", "k")
+    lines = [
+        {"id": f"s{i}", "instruction": INSTRUCTION, "ground_truth": TRUTH,
+         "doc": str(FIXTURE_DOC)}
+        for i in range(5)
+    ]
+    lines.append(dict(lines[0], id="last", ground_truth=None))
+    dataset = tmp_path / "labeled.jsonl"
+    write_dataset(dataset, lines)
+    code = run_cli(
+        "classify", "--dataset", str(dataset),
+        "--llm", "http", "--llm-base-url", base_url,
+    )
+    assert code == 2
+    assert "'last' has no ground truth" in capsys.readouterr().err
+    assert handler.requests_seen == []
+
+
 def test_classify_http_asks_the_pipeline_question(
     tmp_path, monkeypatch, stub_server, doc, prepared
 ):

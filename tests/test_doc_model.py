@@ -6,7 +6,6 @@ from hypothesis import strategies as st
 
 from autofeedback import (
     ValueType,
-    document_to_json,
     load_document,
     lookup_api,
     normalize_name,
@@ -67,10 +66,6 @@ def test_missing_field_names_path():
     with pytest.raises(SchemaError) as exc_info:
         load_document(text)
     assert "apis[0]" in str(exc_info.value)
-
-
-def test_roundtrip_through_json(doc):
-    assert load_document(document_to_json(doc)) == doc
 
 
 def test_lookup_exact_match(doc):

@@ -17,6 +17,7 @@ from autofeedback import (
 from autofeedback.errors import EmptyDocumentError, ProtocolError, TransportError
 from autofeedback.retrieval import (
     RemoteEmbeddingSimilarity,
+    TfidfSimilarity,
     api_documentation_text,
     split_sentences,
 )
@@ -33,17 +34,17 @@ FROZEN_ASPIRIN_SCORE = 0.40754939887039815
 
 
 def test_score_identical_text():
-    model = default_similarity(FROZEN_CORPUS)
+    model = TfidfSimilarity(FROZEN_CORPUS)
     assert model.score("get weather", "get weather") == 1.0
 
 
 def test_score_disjoint_vocabulary():
-    model = default_similarity(FROZEN_CORPUS)
+    model = TfidfSimilarity(FROZEN_CORPUS)
     assert model.score("abc", "xyz") == 0.0
 
 
 def test_score_matches_frozen_oracle_value():
-    model = default_similarity(FROZEN_CORPUS)
+    model = TfidfSimilarity(FROZEN_CORPUS)
     got = model.score("find aspirin number", "list medicines aspirin")
     assert 0.0 < got < 1.0
     assert got == pytest.approx(FROZEN_ASPIRIN_SCORE, abs=1e-12)
@@ -169,7 +170,7 @@ def test_prepared_ranking_equals_scoring_every_api(case, fitted):
     # The inverted-index ranker must give score()'s floats exactly, and the
     # same order, ties in doc order.
     doc, queries = case
-    model = default_similarity(doc if fitted else None)
+    model = default_similarity(doc) if fitted else TfidfSimilarity(())
     prepared = prepare_document(doc, model)
     for query in queries:
         scored = [(a.name, model.score(query, a.description)) for a in doc.apis]

@@ -22,7 +22,6 @@ from autofeedback.retrieval import RelevantSet, SimilarityModel
 from autofeedback.static_scanner import (
     REGENERATE_SENTENCE,
     DetectionFinding,
-    FeedbackPart,
 )
 
 from corruption import (
@@ -52,7 +51,7 @@ def valid_request(text: str) -> ApiRequest:
 # -- detect: stage examples -------------------------------------------------
 
 def test_unparseable_is_e1(doc, model):
-    outcome = ParseOutcome.unparseable(ParseFailure.NO_BLOCK, "no api here")
+    outcome = ParseOutcome.unparseable(ParseFailure.NO_BLOCK)
     finding = detect(
         outcome, relevant("Log a user into the system.", doc, model), doc, model
     )
@@ -336,17 +335,14 @@ def _finding(doc, model, text, instruction):
 
 def test_e1_feedback_has_no_exclude_part(doc, model):
     finding = detect(
-        ParseOutcome.unparseable(ParseFailure.NO_BLOCK, "nope"),
+        ParseOutcome.unparseable(ParseFailure.NO_BLOCK),
         relevant("Log a user into the system.", doc, model),
         doc,
         model,
     )
     feedback = render_feedback(finding)
-    assert feedback.parts_present == frozenset(
-        {FeedbackPart.DECLARE, FeedbackPart.LOCATE, FeedbackPart.SUGGEST,
-         FeedbackPart.REGENERATE}
-    )
-    assert feedback.text.endswith(REGENERATE_SENTENCE)
+    assert "correct" not in feedback and "selection error" not in feedback
+    assert feedback.endswith(REGENERATE_SENTENCE)
 
 
 def test_e2_3_feedback_names_both_apis(doc, model):
@@ -356,10 +352,14 @@ def test_e2_3_feedback_names_both_apis(doc, model):
     )
     assert finding.error_type is ErrorType.E2_3
     feedback = render_feedback(finding)
-    assert "medicines_list" in feedback.text
-    assert "list_medicines" in feedback.text
-    assert "not a selection error or a formatting error" in feedback.text
-    assert FeedbackPart.EXCLUDE in feedback.parts_present
+    assert "medicines_list" in feedback
+    assert "list_medicines" in feedback
+    assert "not a selection error or a formatting error" in feedback
+    # The Exclude sentence sits between Locate and Suggest.
+    assert (
+        "you used 'medicines_list'. The API name is not a selection error or a"
+        " formatting error. 'medicines_list' does not exist" in feedback
+    )
 
 
 def test_e2_2_feedback_names_both_and_regenerates(doc, model):
@@ -368,8 +368,8 @@ def test_e2_2_feedback_names_both_and_regenerates(doc, model):
         "Log a user into the system and start a session.",
     )
     feedback = render_feedback(finding)
-    assert "user_login" in feedback.text and "userLogin" in feedback.text
-    assert feedback.text.endswith(REGENERATE_SENTENCE)
+    assert "user_login" in feedback and "userLogin" in feedback
+    assert feedback.endswith(REGENERATE_SENTENCE)
 
 
 def test_e4_1_feedback_quotes_value_and_description(doc, model):
@@ -378,8 +378,8 @@ def test_e4_1_feedback_quotes_value_and_description(doc, model):
         "Log a user into the system and start a session.",
     )
     feedback = render_feedback(finding)
-    assert '"three"' in feedback.text
-    assert "Number of days the login session stays valid." in feedback.text
+    assert '"three"' in feedback
+    assert "Number of days the login session stays valid." in feedback
 
 
 def test_feedback_always_quotes_offending_content(doc, model):
@@ -387,11 +387,124 @@ def test_feedback_always_quotes_offending_content(doc, model):
         finding = detect(outcome_of(case.text), relevant(case.instruction, doc, model), doc, model)
         feedback = render_feedback(finding)
         if finding.offending_name is not None:
-            assert finding.offending_name in feedback.text
-        assert feedback.text.startswith("The API request you generated")
-        assert feedback.text.endswith(REGENERATE_SENTENCE)
+            assert finding.offending_name in feedback
+        assert feedback.startswith("The API request you generated")
+        assert feedback.endswith(REGENERATE_SENTENCE)
 
 
 def test_render_none_raises(doc):
     with pytest.raises(NoErrorFindingError):
         render_feedback(DetectionFinding(ErrorType.NONE))
+
+
+RELEVANT = RelevantSet((("list_medicines", 0.8),))
+DAYS = "Number of days the login session stays valid."
+
+
+@pytest.mark.parametrize(
+    "finding, expected",
+    [
+        pytest.param(
+            DetectionFinding(ErrorType.E1),
+            "The API request you generated contains an error. No parseable API "
+            "request was found in your output. Your output did not contain a "
+            "parseable API request in the format APINAME(key1=value1, key2=value2, "
+            "...). Please regenerate the API request between <<API>> and <</API>>.",
+            id="E1",
+        ),
+        pytest.param(
+            DetectionFinding(ErrorType.E2_1, "get_weather", relevant_apis=RELEVANT),
+            "The API request you generated contains an error. The error is in the "
+            "API name: you used 'get_weather'. The request format itself is correct. "
+            "'get_weather' exists in the documentation but does not match the user "
+            "instruction; you selected the wrong API. The API most relevant to the "
+            "instruction is 'list_medicines'. Please regenerate the API request "
+            "between <<API>> and <</API>>.",
+            id="E2.1",
+        ),
+        pytest.param(
+            DetectionFinding(ErrorType.E2_2, "user_login", "userLogin"),
+            "The API request you generated contains an error. The error is in the "
+            "API name: you used 'user_login'. The API name is not a selection error. "
+            "'user_login' uses the wrong naming format; the documented API is named "
+            "'userLogin'. Please regenerate the API request between <<API>> and "
+            "<</API>>.",
+            id="E2.2",
+        ),
+        pytest.param(
+            DetectionFinding(ErrorType.E2_3, "medicines_list", "list_medicines"),
+            "The API request you generated contains an error. The error is in the "
+            "API name: you used 'medicines_list'. The API name is not a selection "
+            "error or a formatting error. 'medicines_list' does not exist; the "
+            "semantically closest documented API is 'list_medicines'. Please "
+            "regenerate the API request between <<API>> and <</API>>.",
+            id="E2.3",
+        ),
+        pytest.param(
+            DetectionFinding(ErrorType.E2_OTHER, "fly_me", relevant_apis=RELEVANT),
+            "The API request you generated contains an error. The error is in the "
+            "API name: you used 'fly_me'. The API name is not a selection error, a "
+            "formatting error, or a semantically similar name. 'fly_me' does not "
+            "appear in the API documentation. The API most relevant to the "
+            "instruction is 'list_medicines'. Please regenerate the API request "
+            "between <<API>> and <</API>>.",
+            id="E2.other",
+        ),
+        pytest.param(
+            DetectionFinding(ErrorType.E3_1, "city"),
+            "The API request you generated contains an error. The error is in the "
+            "parameter name 'city'. The API name is correct. 'city' is a parameter "
+            "of a different API, not of the API you called. Please regenerate the "
+            "API request between <<API>> and <</API>>.",
+            id="E3.1",
+        ),
+        pytest.param(
+            DetectionFinding(ErrorType.E3_2, "user_name", "username"),
+            "The API request you generated contains an error. The error is in the "
+            "parameter name 'user_name'. The parameter name is not a selection "
+            "error. 'user_name' uses the wrong naming format; the documented "
+            "parameter is named 'username'. Please regenerate the API request "
+            "between <<API>> and <</API>>.",
+            id="E3.2",
+        ),
+        pytest.param(
+            DetectionFinding(ErrorType.E3_3, "login_days", "days"),
+            "The API request you generated contains an error. The error is in the "
+            "parameter name 'login_days'. The parameter name is not a selection "
+            "error or a formatting error. 'login_days' is not documented; the "
+            "semantically closest documented parameter is 'days'. Please regenerate "
+            "the API request between <<API>> and <</API>>.",
+            id="E3.3",
+        ),
+        pytest.param(
+            DetectionFinding(ErrorType.E3_OTHER, "token"),
+            "The API request you generated contains an error. The error is in the "
+            "parameter name 'token'. The parameter name is not a selection error, a "
+            "formatting error, or a semantically similar name. No documented "
+            "parameter of the called API matches 'token'. If the documentation lists "
+            "'token' as required, include it; otherwise remove or replace it. Please "
+            "regenerate the API request between <<API>> and <</API>>.",
+            id="E3.other",
+        ),
+        pytest.param(
+            DetectionFinding(ErrorType.E4_1, '"three"', param_description=DAYS),
+            "The API request you generated contains an error. The error is in the "
+            'parameter value "three". The API name and all parameter names are '
+            'correct. The value "three" does not match the documented parameter '
+            "type. Parameter description: Number of days the login session stays "
+            "valid. Please regenerate the API request between <<API>> and <</API>>.",
+            id="E4.1",
+        ),
+        pytest.param(
+            DetectionFinding(ErrorType.E4_OTHER, "9", param_description=DAYS),
+            "The API request you generated contains an error. The error is in the "
+            "parameter value 9. The API name, the parameter names, and the value "
+            "types are correct. The value 9 does not match the documented parameter "
+            "type. Parameter description: Number of days the login session stays "
+            "valid. Please regenerate the API request between <<API>> and <</API>>.",
+            id="E4.other",
+        ),
+    ],
+)
+def test_feedback_text_per_error_type(finding, expected):
+    assert render_feedback(finding) == expected
