@@ -16,6 +16,7 @@ import json
 import re
 from dataclasses import dataclass, field
 from enum import Enum
+from functools import cached_property
 from pathlib import Path
 
 from .errors import SchemaError
@@ -92,6 +93,9 @@ class ApiDocument:
     """An ordered, immutable collection of API specs.
 
     Source order is preserved; several detection rules break ties by it.
+    The name indices below are built on first use and kept; each lists
+    its entries in doc order, so the first entry is the one a scan of the
+    doc would find first.
     """
 
     apis: tuple[ApiSpec, ...] = field(default_factory=tuple)
@@ -104,9 +108,41 @@ class ApiDocument:
     def __len__(self) -> int:
         return len(self.apis)
 
-    @property
+    @cached_property
     def api_names(self) -> tuple[str, ...]:
         return tuple(a.name for a in self.apis)
+
+    @cached_property
+    def by_name(self) -> dict[str, ApiSpec]:
+        """API name -> spec."""
+        return {a.name: a for a in self.apis}
+
+    @cached_property
+    def api_by_normalized_name(self) -> dict[str, str]:
+        """Normalized API name -> the first API name with that form."""
+        index: dict[str, str] = {}
+        for a in self.apis:
+            index.setdefault(normalize_name(a.name), a.name)
+        return index
+
+    @cached_property
+    def param_owners(self) -> dict[str, tuple[str, ...]]:
+        """Parameter name -> the APIs that document it."""
+        index: dict[str, list[str]] = {}
+        for a in self.apis:
+            for p in a.params:
+                index.setdefault(p.name, []).append(a.name)
+        return {name: tuple(owners) for name, owners in index.items()}
+
+    @cached_property
+    def params_by_normalized_name(self) -> dict[str, tuple[tuple[str, str], ...]]:
+        """Normalized parameter name -> ``(owner API, parameter name)`` for
+        every parameter with that form."""
+        index: dict[str, list[tuple[str, str]]] = {}
+        for a in self.apis:
+            for p in a.params:
+                index.setdefault(normalize_name(p.name), []).append((a.name, p.name))
+        return {key: tuple(pairs) for key, pairs in index.items()}
 
 
 def _require(obj: dict, key: str, path: str):
@@ -198,11 +234,9 @@ def load_document(source: str | Path) -> ApiDocument:
 
 
 def lookup_api(doc: ApiDocument, name: str) -> ApiSpec | None:
-    """Exact, case-sensitive lookup of an API by name."""
-    for api in doc.apis:
-        if api.name == name:
-            return api
-    return None
+    """Exact, case-sensitive lookup of an API by name, through the doc's
+    ``by_name`` index (API names are unique, so there is no tie)."""
+    return doc.by_name.get(name)
 
 
 _NON_LETTER = re.compile(r"[^a-zA-Z]")

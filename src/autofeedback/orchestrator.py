@@ -192,14 +192,15 @@ def prepare_document(
     chunk_threshold: float = PipelineConfig.chunk_threshold,
 ) -> PreparedDoc:
     """Build the per-document state every task on *doc* shares: the chunk
-    index, the relevance ranker over API descriptions, and the system
-    message with the rendered documentation."""
+    index, the relevance ranker over API descriptions, the ranker over API
+    names, and the system message with the rendered documentation."""
     return PreparedDoc(
         doc,
         model,
         chunk_threshold,
         build_chunk_index(doc, model, chunk_threshold),
         model.ranker([api.description for api in doc.apis]),
+        model.ranker(doc.api_names),
         system_message(doc),
     )
 
@@ -227,7 +228,7 @@ def run_task(
             f"document prepared with chunk_threshold={prepared.chunk_threshold},"
             f" config has {config.chunk_threshold}"
         )
-    doc, model = prepared.doc, prepared.model
+    model = prepared.model
     counting = _CountingLlm(llm)
     log = SessionLog(task_id=task_id)
 
@@ -239,7 +240,7 @@ def run_task(
         nonlocal relevant
         if relevant is None:
             relevant = retrieve_relevant_apis(instruction, prepared, config.k)
-        return detect(outcome, relevant, doc, model, config.threshold)
+        return detect(outcome, relevant, prepared, config.threshold)
 
     def _finish(
         satisfied: bool,

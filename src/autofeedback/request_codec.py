@@ -99,30 +99,114 @@ _NUMBER = re.compile(
 )
 
 
-def _scan_balanced_call(text: str, start: int) -> str | None:
-    """Return ``name(...)`` starting at *start* if the parens balance."""
-    open_idx = text.index("(", start)
-    depth = 1
-    i = open_idx + 1
-    quote: str | None = None
-    while i < len(text):
-        c = text[i]
-        if quote is not None:
-            if c == "\\":
-                i += 2
-                continue
-            if c == quote:
-                quote = None
-        elif c in "'\"":
-            quote = c
-        elif c == "(":
-            depth += 1
-        elif c == ")":
-            depth -= 1
-            if depth == 0:
-                return text[start : i + 1]
-        i += 1
-    return None
+# The characters a balanced-call scan acts on; every other one is skipped.
+_SCAN_STOP = re.compile(r"[()'\"\\]")
+
+
+class _Scans:
+    """The candidate scans that are in one quote state, and so see every
+    later character alike: one paren level for all of them, and for each
+    level the leftmost start of the scans that close on reaching it."""
+
+    __slots__ = ("quote", "skip", "level", "closes")
+
+    def __init__(self, start: int):
+        """A group of one scan, just past the paren of the call at *start*."""
+        self.quote: str | None = None  # the open quote character, if any
+        self.skip = -1  # index of the character an escape consumes
+        self.level = 1
+        self.closes: dict[int, int] = {0: start}
+
+
+def _first_balanced_call(text: str) -> str | None:
+    """The first ``name(...)`` of *text*, in start order, whose parens
+    balance, in one pass.
+
+    Each candidate ``name(`` starts a scan outside quotes: a quote opens
+    or closes a string, a backslash in a string skips the next character,
+    and parens outside strings count depth. Scans started at different
+    points can disagree on quote state, but there are few states (outside
+    quotes, in ``'`` or ``"``, either with an escape pending), so the
+    scans are kept as one group per state, and groups that reach the same
+    state are merged, smaller into larger.
+    """
+    calls = _CALL_START.finditer(text)
+    call = next(calls, None)
+    if call is None:
+        return None
+    next_open = call.end() - 1  # the paren of the next candidate to start
+    groups: list[_Scans] = []
+    starts: list[int] = []  # every candidate started, leftmost first
+    ends: dict[int, int] = {}  # candidate start -> index of its closing paren
+    unclosed = 0  # index into starts of the leftmost candidate still open
+    best = -1  # start of the leftmost candidate closed so far
+    for stop in _SCAN_STOP.finditer(text, next_open):
+        i = stop.start()
+        c = stop.group()
+        for group in groups:
+            if group.skip >= 0:
+                escaped = group.skip == i
+                group.skip = -1
+                if escaped:
+                    continue
+            if group.quote is not None:
+                if c == "\\":
+                    group.skip = i + 1
+                elif c == group.quote:
+                    group.quote = None
+            elif c == "(":
+                group.level += 1
+            elif c == ")":
+                group.level -= 1
+                closed = group.closes.pop(group.level, None)
+                if closed is not None:
+                    ends[closed] = i
+                    best = closed if best < 0 else min(best, closed)
+            elif c != "\\":
+                group.quote = c
+        if i == next_open:
+            # Once a candidate has closed, no later one can be the answer.
+            if best < 0:
+                start = call.start()
+                for group in groups:
+                    if group.quote is None:
+                        group.closes[group.level - 1] = start
+                        break
+                else:
+                    groups.append(_Scans(start))
+                starts.append(start)
+                call = next(calls, None)
+                next_open = -1 if call is None else call.end() - 1
+        elif best >= 0:
+            while unclosed < len(starts) and starts[unclosed] in ends:
+                unclosed += 1
+            if unclosed == len(starts) or starts[unclosed] > best:
+                return text[best : ends[best] + 1]
+        if len(groups) > 1:
+            groups = _merge_scans(groups)
+    return text[best : ends[best] + 1] if best >= 0 else None
+
+
+def _merge_scans(groups: list[_Scans]) -> list[_Scans]:
+    """Merge the groups in one state and drop those with no open scan."""
+    by_state: dict[tuple[str | None, int], _Scans] = {}
+    for group in groups:
+        if not group.closes:
+            continue
+        state = (group.quote, group.skip)
+        other = by_state.get(state)
+        if other is None:
+            by_state[state] = group
+            continue
+        big, small = (
+            (other, group) if len(other.closes) >= len(group.closes) else (group, other)
+        )
+        shift = big.level - small.level
+        for level, start in small.closes.items():
+            level += shift
+            big.closes[level] = min(big.closes.get(level, start), start)
+        by_state[state] = big
+    return list(by_state.values())
 
 
 def extract_request_block(llm_output: str) -> str | None:
@@ -141,11 +225,7 @@ def extract_request_block(llm_output: str) -> str | None:
             if OPEN_MARKER in rest and CLOSE_MARKER in rest:
                 logger.debug("multiple request blocks found; keeping the first")
             return llm_output[open_idx + len(OPEN_MARKER) : close].strip()
-    for m in _CALL_START.finditer(llm_output):
-        candidate = _scan_balanced_call(llm_output, m.start())
-        if candidate is not None:
-            return candidate.strip()
-    return None
+    return _first_balanced_call(llm_output)
 
 
 class _SyntaxError(Exception):

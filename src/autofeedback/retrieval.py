@@ -333,13 +333,16 @@ class PreparedDoc:
     once by ``orchestrator.prepare_document`` and shared by every task on
     the document: the chunk index for error retrieval, the relevance ranker
     over the API descriptions (``rank(query)`` gives one score per API, in
-    doc order), and the system message holding the rendered doc."""
+    doc order), the ranker over the API names that the name cascade
+    matches a wrong name against (``rank_names``, also in doc order), and
+    the system message holding the rendered doc."""
 
     doc: ApiDocument
     model: SimilarityModel
     chunk_threshold: float
     index: ChunkIndex
     rank: Callable[[str], list[float]]
+    rank_names: Callable[[str], list[float]]
     system: ChatMessage
 
 

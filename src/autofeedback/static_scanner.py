@@ -9,7 +9,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass, field, replace
 from enum import Enum
-from typing import Sequence
+from typing import Callable, Mapping, Sequence
 
 from .doc_model import ApiDocument, ApiSpec, lookup_api, normalize_name
 from .errors import NoErrorFindingError, UnknownTruthApiError
@@ -20,7 +20,7 @@ from .request_codec import (
     type_matches,
     values_equal,
 )
-from .retrieval import RelevantSet, SimilarityModel
+from .retrieval import PreparedDoc, RelevantSet, SimilarityModel
 
 __all__ = [
     "ErrorType",
@@ -75,24 +75,27 @@ def _match_name(
     name: str,
     doc: ApiDocument,
     candidates: Sequence[str],
-    model: SimilarityModel,
+    literal: Mapping[str, str],
+    rank: Callable[[str], Sequence[float]],
     threshold: float,
 ) -> tuple[ErrorType, str | None]:
     """Name sub-cascade: selection (any documented name), then literal and
-    semantic match against *candidates*."""
-    if any(a.name == name for a in doc.apis):
+    semantic match against *candidates*.
+
+    *literal* maps a normalized name to the first candidate of that form,
+    and *rank* scores a name against every candidate, in order; the first
+    of the best scores above *threshold* wins. Ties thus go to the earlier
+    candidate, as in a scan of the candidates in order.
+    """
+    if name in doc.by_name:
         return ErrorType.E2_1, None
-    normalized = normalize_name(name)
-    for candidate in candidates:
-        if normalize_name(candidate) == normalized:
-            return ErrorType.E2_2, candidate
-    best_name, best_score = None, threshold
-    for candidate in candidates:
-        score = model.score(name, candidate)
-        if score > best_score:
-            best_name, best_score = candidate, score
-    if best_name is not None:
-        return ErrorType.E2_3, best_name
+    suggested = literal.get(normalize_name(name))
+    if suggested is not None:
+        return ErrorType.E2_2, suggested
+    scores = rank(name)
+    best = max(scores, default=threshold)
+    if best > threshold:
+        return ErrorType.E2_3, candidates[scores.index(best)]
     return ErrorType.E2_OTHER, None
 
 
@@ -101,16 +104,18 @@ def _match_param(
     threshold: float,
 ) -> tuple[ErrorType, str | None]:
     """Parameter sub-cascade: selection against other APIs, literal match
-    against other APIs, semantic match against the named API's own params."""
-    other_params = [
-        p for api in doc.apis if api.name != named.name for p in api.params
-    ]
-    if any(p.name == key for p in other_params):
+    against other APIs, semantic match against the named API's own params.
+
+    Selection and literal match read the doc's parameter indices, whose
+    entries are in doc order, so the literal match is the first parameter
+    of another API a scan of the doc would find.
+    """
+    if any(owner != named.name for owner in doc.param_owners.get(key, ())):
         return ErrorType.E3_1, None
-    normalized = normalize_name(key)
-    for p in other_params:
-        if normalize_name(p.name) == normalized:
-            return ErrorType.E3_2, p.name
+    pairs = doc.params_by_normalized_name.get(normalize_name(key), ())
+    for owner, param_name in pairs:
+        if owner != named.name:
+            return ErrorType.E3_2, param_name
     best_name, best_score = None, threshold
     for p in named.params:
         score = model.score(key, p.name)
@@ -124,19 +129,17 @@ def _match_param(
 def _cascade(
     req: ApiRequest,
     named: ApiSpec | None,
-    name_candidates: Sequence[str],
+    match_name: Callable[[str], tuple[ErrorType, str | None]],
     doc: ApiDocument,
     model: SimilarityModel,
     threshold: float,
 ) -> DetectionFinding:
     """The stages after parsing, in order: API name, unknown key, missing
     required parameter, value type. *named* is the spec the request's name
-    is accepted as, or ``None`` when the name itself is wrong; the name
-    cascade then matches against *name_candidates*."""
+    is accepted as, or ``None`` when the name itself is wrong; *match_name*
+    then runs the name sub-cascade on it."""
     if named is None:
-        error_type, suggested = _match_name(
-            req.name, doc, name_candidates, model, threshold
-        )
+        error_type, suggested = match_name(req.name)
         return DetectionFinding(
             error_type, offending_name=req.name, suggested_name=suggested
         )
@@ -165,8 +168,7 @@ def _cascade(
 def detect(
     outcome: ParseOutcome,
     relevant: RelevantSet,
-    doc: ApiDocument,
-    model: SimilarityModel,
+    prepared: PreparedDoc,
     threshold: float = 0.5,
 ) -> DetectionFinding:
     """Scan a parsed request and return the first error found, if any.
@@ -174,16 +176,26 @@ def detect(
     The APIs retrieved as relevant to the instruction (see
     ``retrieval.retrieve_relevant_apis``) decide whether the API name
     matches it; the name and parameter cascades then pin down the cause.
-    A finding of ``NONE`` means the request name is relevant, every key is
-    documented and every value type is compatible.
+    A wrong name is matched against every documented name through the
+    prepared doc's name ranker. A finding of ``NONE`` means the request
+    name is relevant, every key is documented and every value type is
+    compatible.
     """
     if not outcome.ok:
         return DetectionFinding(ErrorType.E1, relevant_apis=relevant)
     req = outcome.request
     assert req is not None
+    doc = prepared.doc
+
+    def match_name(name: str) -> tuple[ErrorType, str | None]:
+        return _match_name(
+            name, doc, doc.api_names, doc.api_by_normalized_name,
+            prepared.rank_names, threshold,
+        )
+
     # Relevant-set names come from the document, so the lookup finds them.
     named = lookup_api(doc, req.name) if req.name in relevant else None
-    finding = _cascade(req, named, doc.api_names, doc, model, threshold)
+    finding = _cascade(req, named, match_name, doc, prepared.model, threshold)
     return replace(finding, relevant_apis=relevant)
 
 
@@ -197,9 +209,10 @@ def classify_against_truth(
     """Label a generated request against its ground truth.
 
     Same cascade as :func:`detect`, with the ground-truth request as the
-    correctness baseline instead of the retrieved set. A request that is
-    well formed and type-correct but differs from the truth in argument
-    values (or argument choice) is the residual value error.
+    correctness baseline instead of the retrieved set, so a wrong name is
+    matched against the truth's name alone. A request that is well formed
+    and type-correct but differs from the truth in argument values (or
+    argument choice) is the residual value error.
     """
     truth_spec = lookup_api(doc, truth.name)
     if truth_spec is None:
@@ -209,8 +222,15 @@ def classify_against_truth(
         return ErrorType.E1
     req = generated.request
     assert req is not None
+
+    def match_name(name: str) -> tuple[ErrorType, str | None]:
+        return _match_name(
+            name, doc, (truth.name,), {normalize_name(truth.name): truth.name},
+            lambda query: (model.score(query, truth.name),), threshold,
+        )
+
     named = truth_spec if req.name == truth.name else None
-    error_type = _cascade(req, named, (truth.name,), doc, model, threshold).error_type
+    error_type = _cascade(req, named, match_name, doc, model, threshold).error_type
     if error_type is not ErrorType.NONE:
         return error_type
 

@@ -69,7 +69,7 @@ def test_criterion_01_error_classification_corpus(doc, model, prepared, raw_doc)
         finding = detect(
             parse_request(case.text),
             retrieve_relevant_apis(case.instruction, prepared, 1),
-            doc, model, threshold=0.5,
+            prepared, threshold=0.5,
         )
         assert finding.error_type is case.label, (
             case.text, case.label, finding.error_type,
@@ -89,7 +89,7 @@ def test_criterion_02_finding_arity_property(doc, model, prepared):
         finding = detect(
             parse_request(case.text),
             retrieve_relevant_apis(case.instruction, prepared, 1),
-            doc, model, threshold=0.5,
+            prepared, threshold=0.5,
         )
         assert arity_ok(finding), (case.text, finding)
         if case.label is ErrorType.NONE:
@@ -104,7 +104,7 @@ def test_criterion_03_ordering_property(doc, model, prepared):
         finding = detect(
             parse_request(case.text),
             retrieve_relevant_apis(case.instruction, prepared, 1),
-            doc, model, threshold=0.5,
+            prepared, threshold=0.5,
         )
         assert finding.error_type is case.label, (
             case.text, case.label, finding.error_type,

@@ -9,9 +9,21 @@ import inspect
 import sys
 from pathlib import Path
 
-from autofeedback import orchestrator, static_scanner
+from autofeedback import (
+    ApiDocument,
+    ApiRequest,
+    ErrorType,
+    ParseOutcome,
+    TfidfSimilarity,
+    default_similarity,
+    load_document,
+    orchestrator,
+    parse_request,
+    static_scanner,
+)
 
 PERFBENCH = Path(__file__).resolve().parent.parent / "perfbench"
+FIXTURE_DOC = Path(__file__).resolve().parent / "data" / "fixture_doc.json"
 
 
 def _tracing():
@@ -58,3 +70,18 @@ def test_call_shapes_used_by_the_benchmark():
         log_dir=placeholder,
         jobs=2,
     )
+
+
+def test_classify_runs_on_the_benchmark_argument_types():
+    # The classify workload loads each doc from its file, fits the default
+    # model, parses the truth and the reply, and passes the threshold 0.5.
+    doc = load_document(FIXTURE_DOC)
+    model = default_similarity(doc)
+    truth = parse_request('list_medicines(name="aspirin")').request
+    outcome = orchestrator.parse_llm_output(
+        'I will now call medicines_list(name="aspirin") and report back.'
+    )
+    assert isinstance(doc, ApiDocument) and isinstance(model, TfidfSimilarity)
+    assert isinstance(truth, ApiRequest) and isinstance(outcome, ParseOutcome)
+    label = static_scanner.classify_against_truth(outcome, truth, doc, model, 0.5)
+    assert label is ErrorType.E2_3

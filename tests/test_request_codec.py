@@ -1,8 +1,9 @@
 import random
 import string
+import time
 
 import pytest
-from hypothesis import given
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from autofeedback import (
@@ -15,6 +16,8 @@ from autofeedback import (
     serialize_request,
 )
 from autofeedback.request_codec import MAX_NESTING, type_matches, values_equal
+
+from oracles import oracle_extract_request_block
 
 
 def random_value(rng: random.Random, depth: int):
@@ -223,6 +226,59 @@ def test_extract_never_returns_markers(prefix, suffix):
     block = extract_request_block(text)
     assert block is not None
     assert "<<API>>" not in block and "<</API>>" not in block
+
+
+_EXTRACT_TOKEN = st.sampled_from(
+    ["f", "(", ")", "'", '"', "\\", "x", " ", "<<API>>", "<</API>>"]
+)
+
+
+def _nested(inner):
+    run = st.lists(inner, max_size=4).map("".join)
+    return st.one_of(
+        run,
+        run.map(lambda s: f"f({s})"),
+        run.map(lambda s: f"'{s}'"),
+        run.map(lambda s: f'"{s}"'),
+    )
+
+
+# Flat token runs, and runs nested into calls and strings, which close far
+# more often than flat ones do.
+_EXTRACT_TEXT = st.one_of(
+    st.lists(_EXTRACT_TOKEN, max_size=60).map("".join),
+    st.recursive(_EXTRACT_TOKEN, _nested, max_leaves=30),
+)
+
+
+@settings(max_examples=500, deadline=None)
+@given(_EXTRACT_TEXT)
+# Scans that start at different points and disagree on quote state: the
+# leftmost call that closes wins, not the first to close, and scans that
+# reach the same state keep their own depths and starts.
+@example("ff(f(')\\f(')')")
+@example("(\"f('f(\\''))")
+@example("\\f((x'\"\"f('\\'')")
+@example("f(g('h(')')")
+def test_extract_equals_the_rescanning_extractor(text):
+    assert extract_request_block(text) == oracle_extract_request_block(text)
+
+
+@pytest.mark.parametrize("unit", ["f(", "f('", "'f(", "f(\\'", "x(\"'"])
+def test_extract_time_grows_linearly(unit):
+    # The rescanning extractor took 0.15 s at 2 KB and 2.5 s at 8 KB on a
+    # reply of "f(" repeated: four times the time per doubling.
+    def best_time(size):
+        text = unit * (size // len(unit))
+        times = []
+        for _ in range(3):
+            started = time.perf_counter()
+            extract_request_block(text)
+            times.append(time.perf_counter() - started)
+        return min(times)
+
+    small, large = best_time(8_000), best_time(16_000)
+    assert large < 3.0 * small + 0.002, (small, large)
 
 
 def test_infer_value_type():

@@ -1,16 +1,25 @@
+import json
 import random
 from collections import Counter
+from dataclasses import replace
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
+
+from autofeedback import doc_model, static_scanner
 
 from autofeedback import (
+    ApiDocument,
     ApiRequest,
     ErrorType,
     ParseFailure,
     ParseOutcome,
     classify_against_truth,
+    default_similarity,
     detect,
+    load_document,
     parse_request,
     prepare_document,
     render_feedback,
@@ -31,7 +40,13 @@ from corruption import (
     build_corpus_cases,
     build_multifault_cases,
 )
-from oracles import arity_ok
+from oracles import (
+    arity_ok,
+    oracle_corpus_from_raw,
+    oracle_match_name,
+    oracle_match_param,
+    oracle_tfidf_score,
+)
 
 
 def outcome_of(text: str) -> ParseOutcome:
@@ -53,7 +68,8 @@ def valid_request(text: str) -> ApiRequest:
 def test_unparseable_is_e1(doc, model):
     outcome = ParseOutcome.unparseable(ParseFailure.NO_BLOCK)
     finding = detect(
-        outcome, relevant("Log a user into the system.", doc, model), doc, model
+        outcome, relevant("Log a user into the system.", doc, model),
+        prepare_document(doc, model),
     )
     assert finding.error_type is ErrorType.E1
     assert finding.offending_name is None and finding.suggested_name is None
@@ -62,7 +78,7 @@ def test_unparseable_is_e1(doc, model):
 def test_wrong_selection_is_e2_1(doc, model):
     instruction = "Log a user into the system and start a session."
     outcome = outcome_of('userLogout(username="kate")')
-    finding = detect(outcome, relevant(instruction, doc, model), doc, model)
+    finding = detect(outcome, relevant(instruction, doc, model), prepare_document(doc, model))
     assert finding.error_type is ErrorType.E2_1
     assert finding.offending_name == "userLogout"
     assert finding.relevant_apis.names == ("userLogin",)
@@ -71,7 +87,7 @@ def test_wrong_selection_is_e2_1(doc, model):
 def test_naming_style_is_e2_2(doc, model):
     instruction = "Log a user into the system and start a session."
     outcome = outcome_of('user_login(username="kate", days=3)')
-    finding = detect(outcome, relevant(instruction, doc, model), doc, model)
+    finding = detect(outcome, relevant(instruction, doc, model), prepare_document(doc, model))
     assert finding.error_type is ErrorType.E2_2
     assert finding.offending_name == "user_login"
     assert finding.suggested_name == "userLogin"
@@ -82,7 +98,7 @@ def test_semantic_name_is_e2_3_tfidf(doc, model, raw_doc):
     # the corruption generator guarantees its score beats the threshold.
     instruction = "List remaining medicines in the cabinet and their stock."
     outcome = outcome_of('medicines_list(name="aspirin")')
-    finding = detect(outcome, relevant(instruction, doc, model), doc, model)
+    finding = detect(outcome, relevant(instruction, doc, model), prepare_document(doc, model))
     assert finding.error_type is ErrorType.E2_3
     assert finding.offending_name == "medicines_list"
     assert finding.suggested_name == "list_medicines"
@@ -118,7 +134,7 @@ def test_hallucinated_name_is_e2_3_with_embedding_model(doc):
         instruction, target.description, "find_aspirin_number", "list_medicines"
     )
     outcome = outcome_of("find_aspirin_number()")
-    finding = detect(outcome, relevant(instruction, doc, model), doc, model)
+    finding = detect(outcome, relevant(instruction, doc, model), prepare_document(doc, model))
     assert finding.error_type is ErrorType.E2_3
     assert finding.offending_name == "find_aspirin_number"
     assert finding.suggested_name == "list_medicines"
@@ -127,7 +143,7 @@ def test_hallucinated_name_is_e2_3_with_embedding_model(doc):
 def test_unknown_unrelated_name_is_e2_other(doc, model):
     instruction = "Log a user into the system and start a session."
     outcome = outcome_of("zzqqy(x=1)")
-    finding = detect(outcome, relevant(instruction, doc, model), doc, model)
+    finding = detect(outcome, relevant(instruction, doc, model), prepare_document(doc, model))
     assert finding.error_type is ErrorType.E2_OTHER
     assert finding.offending_name == "zzqqy"
     assert finding.suggested_name is None
@@ -136,7 +152,7 @@ def test_unknown_unrelated_name_is_e2_other(doc, model):
 def test_foreign_parameter_is_e3_1(doc, model):
     instruction = "Log a user into the system and start a session."
     outcome = outcome_of('userLogin(recipient="kate", days=3)')
-    finding = detect(outcome, relevant(instruction, doc, model), doc, model)
+    finding = detect(outcome, relevant(instruction, doc, model), prepare_document(doc, model))
     assert finding.error_type is ErrorType.E3_1
     assert finding.offending_name == "recipient"
 
@@ -145,7 +161,7 @@ def test_param_naming_style_is_e3_2(doc, model):
     # user_name normalizes to username, which another API documents.
     instruction = "Log a user into the system and start a session."
     outcome = outcome_of('userLogin(user_name="kate", days=3)')
-    finding = detect(outcome, relevant(instruction, doc, model), doc, model)
+    finding = detect(outcome, relevant(instruction, doc, model), prepare_document(doc, model))
     assert finding.error_type is ErrorType.E3_2
     assert finding.offending_name == "user_name"
     assert finding.suggested_name == "username"
@@ -155,7 +171,7 @@ def test_param_case_variant_is_e3_3(doc, model):
     # Days matches no other API's parameters, but token-matches days.
     instruction = "Log a user into the system and start a session."
     outcome = outcome_of('userLogin(username="kate", Days=3)')
-    finding = detect(outcome, relevant(instruction, doc, model), doc, model)
+    finding = detect(outcome, relevant(instruction, doc, model), prepare_document(doc, model))
     assert finding.error_type is ErrorType.E3_3
     assert finding.offending_name == "Days"
     assert finding.suggested_name == "days"
@@ -164,7 +180,7 @@ def test_param_case_variant_is_e3_3(doc, model):
 def test_param_token_reorder_is_e3_3(doc, model):
     instruction = "Convert an amount of money from one currency to another."
     outcome = outcome_of('currency_convert(amount=3.5, currency_from="EUR", to_currency="JPY")')
-    finding = detect(outcome, relevant(instruction, doc, model), doc, model)
+    finding = detect(outcome, relevant(instruction, doc, model), prepare_document(doc, model))
     assert finding.error_type is ErrorType.E3_3
     assert finding.offending_name == "currency_from"
     assert finding.suggested_name == "from_currency"
@@ -173,7 +189,7 @@ def test_param_token_reorder_is_e3_3(doc, model):
 def test_missing_required_is_e3_other(doc, model):
     instruction = "Log a user into the system and start a session."
     outcome = outcome_of('userLogin(username="kate")')
-    finding = detect(outcome, relevant(instruction, doc, model), doc, model)
+    finding = detect(outcome, relevant(instruction, doc, model), prepare_document(doc, model))
     assert finding.error_type is ErrorType.E3_OTHER
     assert finding.offending_name == "days"
 
@@ -181,7 +197,7 @@ def test_missing_required_is_e3_other(doc, model):
 def test_type_mismatch_is_e4_1(doc, model):
     instruction = "Log a user into the system and start a session."
     outcome = outcome_of('userLogin(username="kate", days="three")')
-    finding = detect(outcome, relevant(instruction, doc, model), doc, model)
+    finding = detect(outcome, relevant(instruction, doc, model), prepare_document(doc, model))
     assert finding.error_type is ErrorType.E4_1
     assert finding.offending_name == '"three"'
     assert finding.param_description == "Number of days the login session stays valid."
@@ -190,13 +206,13 @@ def test_type_mismatch_is_e4_1(doc, model):
 def test_int_widens_to_float(doc, model):
     instruction = "Convert an amount of money from one currency to another."
     outcome = outcome_of('currency_convert(amount=3, from_currency="EUR", to_currency="JPY")')
-    assert detect(outcome, relevant(instruction, doc, model), doc, model).error_type is ErrorType.NONE
+    assert detect(outcome, relevant(instruction, doc, model), prepare_document(doc, model)).error_type is ErrorType.NONE
 
 
 def test_clean_request_is_none(doc, model):
     instruction = "Log a user into the system and start a session."
     outcome = outcome_of('userLogin(username="kate", days=3)')
-    finding = detect(outcome, relevant(instruction, doc, model), doc, model)
+    finding = detect(outcome, relevant(instruction, doc, model), prepare_document(doc, model))
     assert finding.error_type is ErrorType.NONE
     assert finding.offending_name is None
 
@@ -205,13 +221,13 @@ def test_name_fault_masks_later_faults(doc, model):
     # Wrong name AND wrong value: the name stage fires first.
     instruction = "Log a user into the system and start a session."
     outcome = outcome_of('user_login(username="kate", days="three")')
-    finding = detect(outcome, relevant(instruction, doc, model), doc, model)
+    finding = detect(outcome, relevant(instruction, doc, model), prepare_document(doc, model))
     assert finding.error_type is ErrorType.E2_2
 
 
 def test_corpus_sample_detects_exactly(doc, model):
     for case in build_corpus_cases(doc, per_class=3, seed=11):
-        finding = detect(outcome_of(case.text), relevant(case.instruction, doc, model), doc, model)
+        finding = detect(outcome_of(case.text), relevant(case.instruction, doc, model), prepare_document(doc, model))
         assert finding.error_type is case.label, (case.text, finding.error_type)
         if case.expected_suggestion is not None:
             assert finding.suggested_name == case.expected_suggestion
@@ -312,12 +328,13 @@ def test_detect_and_classify_share_the_cascade(doc, model):
             args = tuple(a for a in req.args if a[0] != required[0])
             cases.append((api.name, serialize_request(ApiRequest(api.name, args))))
     labels = Counter()
+    prepared = prepare_document(doc, model)
     for api_name, text in cases:
         outcome = outcome_of(text)
         if not outcome.ok or outcome.request.name != api_name:
             continue
         truth = outcome.request
-        finding = detect(outcome, RelevantSet(((truth.name, 1.0),)), doc, model)
+        finding = detect(outcome, RelevantSet(((truth.name, 1.0),)), prepared)
         got = classify_against_truth(outcome, truth, doc, model)
         assert got is finding.error_type, (text, got, finding.error_type)
         labels[got] += 1
@@ -330,15 +347,14 @@ def test_detect_and_classify_share_the_cascade(doc, model):
 # -- render_feedback ----------------------------------------------------------
 
 def _finding(doc, model, text, instruction):
-    return detect(outcome_of(text), relevant(instruction, doc, model), doc, model)
+    return detect(outcome_of(text), relevant(instruction, doc, model), prepare_document(doc, model))
 
 
 def test_e1_feedback_has_no_exclude_part(doc, model):
     finding = detect(
         ParseOutcome.unparseable(ParseFailure.NO_BLOCK),
         relevant("Log a user into the system.", doc, model),
-        doc,
-        model,
+        prepare_document(doc, model),
     )
     feedback = render_feedback(finding)
     assert "correct" not in feedback and "selection error" not in feedback
@@ -384,7 +400,7 @@ def test_e4_1_feedback_quotes_value_and_description(doc, model):
 
 def test_feedback_always_quotes_offending_content(doc, model):
     for case in build_corpus_cases(doc, per_class=2, seed=23):
-        finding = detect(outcome_of(case.text), relevant(case.instruction, doc, model), doc, model)
+        finding = detect(outcome_of(case.text), relevant(case.instruction, doc, model), prepare_document(doc, model))
         feedback = render_feedback(finding)
         if finding.offending_name is not None:
             assert finding.offending_name in feedback
@@ -508,3 +524,131 @@ DAYS = "Number of days the login session stays valid."
 )
 def test_feedback_text_per_error_type(finding, expected):
     assert render_feedback(finding) == expected
+
+
+# -- index lookups answer as the linear scans did ----------------------------
+
+# Pools built to collide: API names that normalize alike or share tokens,
+# one parameter name spread over several APIs in several naming styles.
+_API_NAMES = [
+    "get_user", "getUser", "GET-USER", "user_get", "get_users", "list_orders",
+    "listOrders", "order_list", "send_mail", "mail_send", "delete_user",
+]
+_PARAM_NAMES = [
+    "user_id", "userId", "USER-ID", "id_user", "user", "order_id", "orderId",
+    "limit", "max_limit", "query", "user_name",
+]
+_PROBE_NAMES = _API_NAMES + [
+    "get", "user", "order", "list", "users_get", "Get_User", "get_user_by_id",
+    "orders_list", "zzq",
+]
+_PROBE_KEYS = _PARAM_NAMES + [
+    "userid", "User_Id", "id", "name_user", "limit_max", "orders", "zzq",
+]
+_WORDS = ["fetch", "user", "record", "order", "mail", "list", "delete", "the", "by"]
+
+
+@st.composite
+def _colliding_doc(draw):
+    names = draw(st.lists(st.sampled_from(_API_NAMES), min_size=1, max_size=7, unique=True))
+    words = st.lists(st.sampled_from(_WORDS), max_size=5).map(" ".join)
+    apis = []
+    for name in names:
+        params = draw(st.lists(st.sampled_from(_PARAM_NAMES), max_size=4, unique=True))
+        apis.append({
+            "name": name,
+            "description": draw(words),
+            "parameters": [
+                {"name": p, "type": "string", "description": draw(words)} for p in params
+            ],
+        })
+    return {"apis": apis}
+
+
+@settings(max_examples=300, deadline=None)
+@given(
+    _colliding_doc(),
+    st.data(),
+    st.sampled_from([0.2, 0.5, 0.8]),
+)
+def test_index_lookups_equal_linear_scans(raw, data, threshold):
+    doc = load_document(json.dumps(raw))
+    model = default_similarity(doc)
+    corpus = oracle_corpus_from_raw(raw)
+
+    def score(a, b):
+        return oracle_tfidf_score(a, b, corpus)
+
+    truth_api = data.draw(st.sampled_from(doc.apis))
+    truth = ApiRequest(truth_api.name)
+    if data.draw(st.booleans()):
+        probe = data.draw(st.sampled_from(_PROBE_NAMES).filter(lambda n: n != truth.name))
+        request = ApiRequest(probe)
+        in_detect = oracle_match_name(probe, raw, list(doc.api_names), score, threshold)
+        in_classify = oracle_match_name(probe, raw, [truth.name], score, threshold)
+    else:
+        probe = data.draw(
+            st.sampled_from(_PROBE_KEYS).filter(lambda k: k not in truth_api.param_names)
+        )
+        request = ApiRequest(truth.name, ((probe, "x"),))
+        in_detect = in_classify = oracle_match_param(probe, truth.name, raw, score, threshold)
+
+    outcome = ParseOutcome.parsed(request)
+    finding = detect(
+        outcome, RelevantSet(((truth.name, 1.0),)), prepare_document(doc, model), threshold
+    )
+    assert (finding.error_type.value, finding.offending_name, finding.suggested_name) == (
+        in_detect[0], probe, in_detect[1],
+    )
+    label = classify_against_truth(outcome, truth, doc, model, threshold)
+    assert label.value == in_classify[0]
+
+
+def _renamed_copies(doc: ApiDocument, times: int) -> ApiDocument:
+    """*doc* followed by times - 1 copies of its APIs under new names;
+    letter suffixes keep every normalized name distinct."""
+    apis = list(doc.apis)
+    for i in range(1, times):
+        suffix = "Copy" + "abcdefghijklmnopqrstuvwxyz"[i]
+        apis.extend(replace(api, name=api.name + suffix) for api in doc.apis)
+    return ApiDocument(tuple(apis))
+
+
+def test_scan_cost_does_not_grow_with_the_doc(doc, monkeypatch):
+    normalized = Counter()
+
+    def counting_normalize(name):
+        normalized[name] += 1
+        return doc_model._NON_LETTER.sub("", name).lower()
+
+    monkeypatch.setattr(doc_model, "normalize_name", counting_normalize)
+    monkeypatch.setattr(static_scanner, "normalize_name", counting_normalize)
+    truth = valid_request('userLogin(username="kate", days=3)')
+    wrong_name = outcome_of('medicines_list(name="aspirin")')
+    foreign_key = outcome_of('userLogin(recipient="kate", days=3)')
+    styled_key = outcome_of('userLogin(user_name="kate", days=3)')
+    per_doc = []
+    for scanned in (doc, _renamed_copies(doc, 10)):
+        model = default_similarity(scanned)
+        prepared = prepare_document(scanned, model)
+        scores = []
+        score = model.score
+        model.score = lambda a, b: scores.append((a, b)) or score(a, b)
+
+        finding = detect(wrong_name, RelevantSet(((truth.name, 1.0),)), prepared)
+        assert finding.error_type is ErrorType.E2_3
+        assert finding.suggested_name == "list_medicines"
+        assert scores == []
+        medicines = valid_request('list_medicines(name="aspirin")')
+        assert classify_against_truth(wrong_name, medicines, scanned, model) is ErrorType.E2_3
+        assert len(scores) == 1
+
+        counts = []
+        for outcome, label in ((foreign_key, ErrorType.E3_1), (styled_key, ErrorType.E3_2)):
+            classify_against_truth(outcome, truth, scanned, model)  # builds the indices
+            normalized.clear()
+            assert classify_against_truth(outcome, truth, scanned, model) is label
+            counts.append(sum(normalized.values()))
+        per_doc.append(counts)
+    assert per_doc[0] == per_doc[1]
+    assert per_doc[0][1] <= 1
