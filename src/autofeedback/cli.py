@@ -1,9 +1,12 @@
 """Command-line entry point.
 
 Commands: ``run`` one task, ``bench`` a dataset, ``classify`` generated
-requests against ground truth, ``report`` digest session logs. Every flag
-has a config-file equivalent (one flat JSON object mirroring flag names);
-a flag beats the file, the file beats the default.
+requests against ground truth, ``report`` digest session logs. Each command
+takes only the settings it reads. A setting is a flag (``--max-static``)
+and a key of the config file (``max_static``; one flat JSON object), so a
+command's config keys mirror its setting flags; a flag beats the file, the
+file beats the default. Flags naming one invocation's inputs (``--script``,
+``--task-id``, ``--out``, ...) have no config key.
 
 Exit codes: 0 ok/satisfied, 1 unsatisfied, 2 configuration error,
 3 transport error.
@@ -15,6 +18,7 @@ import argparse
 import json
 import os
 import sys
+from dataclasses import fields
 from pathlib import Path
 
 from .doc_model import ApiDocument, load_document
@@ -52,24 +56,41 @@ class ConfigError(Exception):
     pass
 
 
-_FLAG_DEFAULTS = {
-    "doc": None,
-    "dataset": None,
-    "llm": "scripted",
-    "llm_base_url": None,
-    "model": "default",
-    "executor": "mock",
-    "executor_base_url": None,
-    "embedder_base_url": None,
-    "embedder_model": "default",
-    # Pipeline settings left unset take PipelineConfig's defaults.
-    "max_static": None,
-    "max_dynamic": None,
-    "k": None,
-    "threshold": None,
-    "chunk_threshold": None,
-    "jobs": 1,
-    "log_dir": "logs",
+# One declaration per setting: (type, default, help). A setting is a flag
+# and a config-file key of each command that reads it.
+_SETTINGS = {
+    "doc": (str, None, "API documentation JSON file"),
+    "dataset": (str, None, "JSONL dataset, one task per line"),
+    "llm": (str, "scripted", "LLM client"),
+    "llm_base_url": (str, None, "base URL of the http LLM"),
+    "model": (str, "default", "model name for the http LLM"),
+    "embedder_base_url": (str, None, "remote embedding service; default is local TF-IDF"),
+    "embedder_model": (str, "default", "model name for the remote embedder"),
+    "executor": (str, "mock", "API executor"),
+    "executor_base_url": (str, None, "base URL of the http executor"),
+    "k": (int, PipelineConfig.k, "relevant APIs kept per instruction"),
+    "threshold": (float, PipelineConfig.threshold, "similarity a name match must beat"),
+    "max_static": (int, PipelineConfig.max_static, "static loop budget"),
+    "max_dynamic": (int, PipelineConfig.max_dynamic, "dynamic loop budget"),
+    "chunk_threshold": (float, PipelineConfig.chunk_threshold, "chunking similarity"),
+    "jobs": (int, 1, "worker threads"),
+    "log_dir": (str, "logs", "session log directory"),
+}
+_CHOICES = {"llm": ("scripted", "http"), "executor": ("mock", "http")}
+
+_MODELS = ("llm", "llm_base_url", "model", "embedder_base_url", "embedder_model")
+_EXECUTOR = ("executor", "executor_base_url")
+_PIPELINE = tuple(f.name for f in fields(PipelineConfig))
+_COMMANDS = {  # command: (help, the settings it reads)
+    "run": ("run one task", ("doc", *_MODELS, *_EXECUTOR, *_PIPELINE, "log_dir")),
+    "bench": (
+        "run a JSONL dataset",
+        ("doc", "dataset", *_MODELS, *_EXECUTOR, *_PIPELINE, "jobs", "log_dir"),
+    ),
+    "classify": (
+        "label outputs against ground truth", ("doc", "dataset", *_MODELS, "threshold")
+    ),
+    "report": ("digest session logs", ("log_dir",)),
 }
 
 
@@ -79,27 +100,18 @@ def _build_parser() -> argparse.ArgumentParser:
         description="Feedback-driven API request generation pipeline.",
     )
     sub = parser.add_subparsers(dest="command", required=True)
+    commands = {}
+    for command, (command_help, settings) in _COMMANDS.items():
+        p = commands[command] = sub.add_parser(command, help=command_help)
+        p.add_argument("--config", help="flat JSON file of settings keyed by flag name")
+        for name in settings:
+            kind, _default, setting_help = _SETTINGS[name]
+            p.add_argument(
+                "--" + name.replace("_", "-"), dest=name, type=kind,
+                choices=_CHOICES.get(name), help=setting_help,
+            )
 
-    def add_common(p: argparse.ArgumentParser):
-        p.add_argument("--config", help="flat JSON config file mirroring flag names")
-        p.add_argument("--doc", help="API documentation JSON file")
-        p.add_argument("--llm", choices=["scripted", "http"])
-        p.add_argument("--llm-base-url", dest="llm_base_url")
-        p.add_argument("--model", help="model name for the http LLM")
-        p.add_argument("--executor", choices=["mock", "http"])
-        p.add_argument("--executor-base-url", dest="executor_base_url")
-        p.add_argument("--embedder-base-url", dest="embedder_base_url",
-                       help="remote embedding service; default is local TF-IDF")
-        p.add_argument("--embedder-model", dest="embedder_model")
-        p.add_argument("--max-static", dest="max_static", type=int)
-        p.add_argument("--max-dynamic", dest="max_dynamic", type=int)
-        p.add_argument("--k", type=int)
-        p.add_argument("--threshold", type=float)
-        p.add_argument("--chunk-threshold", dest="chunk_threshold", type=float)
-        p.add_argument("--jobs", type=int)
-        p.add_argument("--log-dir", dest="log_dir")
-
-    run_p = sub.add_parser("run", help="run one task")
+    run_p = commands["run"]
     run_p.add_argument("instruction")
     run_p.add_argument("--script", action="append", default=None,
                        help="scripted LLM reply (repeatable)")
@@ -107,67 +119,50 @@ def _build_parser() -> argparse.ArgumentParser:
     run_p.add_argument("--ground-truth", dest="ground_truth",
                        help="expected request for the exact-match judge")
     run_p.add_argument("--task-id", dest="task_id", default="task")
-    add_common(run_p)
-
-    bench_p = sub.add_parser("bench", help="run a JSONL dataset")
-    bench_p.add_argument("--dataset")
-    add_common(bench_p)
-
-    classify_p = sub.add_parser("classify", help="label outputs against ground truth")
-    classify_p.add_argument("--dataset")
-    classify_p.add_argument("--out", help="write histogram JSON here")
-    add_common(classify_p)
-
-    report_p = sub.add_parser("report", help="digest session logs")
-    add_common(report_p)
-
+    commands["classify"].add_argument("--out", help="write histogram JSON here")
     return parser
 
 
 def _merge_config(args: argparse.Namespace) -> dict:
-    """flag > config file > default."""
-    values = dict(_FLAG_DEFAULTS)
-    config_path = getattr(args, "config", None)
-    if config_path:
+    """The command's settings: flag > config file > default."""
+    names = _COMMANDS[args.command][1]
+    values = {name: _SETTINGS[name][1] for name in names}
+    if args.config:
         try:
-            loaded = json.loads(Path(config_path).read_text(encoding="utf-8"))
+            loaded = json.loads(Path(args.config).read_text(encoding="utf-8"))
         except (OSError, json.JSONDecodeError) as exc:
-            raise ConfigError(f"cannot read config file {config_path}: {exc}") from exc
+            raise ConfigError(f"cannot read config file {args.config}: {exc}") from exc
         if not isinstance(loaded, dict):
-            raise ConfigError(f"config file {config_path} must hold one JSON object")
+            raise ConfigError(f"config file {args.config} must hold one JSON object")
         for key, value in loaded.items():
             key = key.replace("-", "_")
             if key not in values:
-                raise ConfigError(f"unknown config key {key!r} in {config_path}")
-            values[key] = value
-    for key in values:
-        flag_value = getattr(args, key, None)
-        if flag_value is not None:
-            values[key] = flag_value
+                raise ConfigError(
+                    f"config key {key!r} in {args.config} is not a setting of {args.command}"
+                )
+            if value is None:
+                continue
+            try:
+                values[key] = _SETTINGS[key][0](value)
+            except (TypeError, ValueError) as exc:
+                raise ConfigError(f"config key {key!r}: {exc}") from exc
+            if key in _CHOICES and values[key] not in _CHOICES[key]:
+                raise ConfigError(f"config key {key!r} must be one of {_CHOICES[key]}")
+    for name in names:
+        if getattr(args, name) is not None:
+            values[name] = getattr(args, name)
     return values
-
-
-_PIPELINE_KEYS = {  # PipelineConfig fields and the type of each
-    "k": int, "threshold": float, "chunk_threshold": float,
-    "max_static": int, "max_dynamic": int,
-}
 
 
 def _pipeline_config(values: dict) -> PipelineConfig:
     try:
-        return PipelineConfig(
-            **{
-                key: convert(values[key])
-                for key, convert in _PIPELINE_KEYS.items()
-                if values[key] is not None
-            }
-        )
-    except (TypeError, ValueError) as exc:
+        return PipelineConfig(**{name: values[name] for name in _PIPELINE if name in values})
+    except ValueError as exc:
         raise ConfigError(f"invalid pipeline settings: {exc}") from exc
 
 
 def _load_doc(values: dict) -> ApiDocument:
-    path = values.get("doc")
+    path = values["doc"]
     if not path:
         raise ConfigError("--doc is required")
     if not Path(path).exists():
@@ -179,29 +174,27 @@ def _load_doc(values: dict) -> ApiDocument:
 
 
 def _similarity_factory(values: dict):
-    base_url = values.get("embedder_base_url")
+    base_url = values["embedder_base_url"]
     if not base_url:
         return default_similarity
     key = os.environ.get(EMBED_KEY_ENV) or os.environ.get(API_KEY_ENV, "")
-    shared = RemoteEmbeddingSimilarity(
-        base_url, values.get("embedder_model") or "default", key
-    )
+    shared = RemoteEmbeddingSimilarity(base_url, values["embedder_model"], key)
     return lambda doc: shared
 
 
 def _http_llm(values: dict) -> HttpLlmClient:
-    base_url = values.get("llm_base_url")
+    base_url = values["llm_base_url"]
     if not base_url:
         raise ConfigError("--llm http requires --llm-base-url")
     key = os.environ.get(API_KEY_ENV, "")
     if not key:
         raise ConfigError(f"--llm http requires the {API_KEY_ENV} environment variable")
-    return HttpLlmClient(base_url, values.get("model") or "default", key)
+    return HttpLlmClient(base_url, values["model"], key)
 
 
 def _executor_for(values: dict, task: BenchTask):
     if values["executor"] == "http":
-        base_url = values.get("executor_base_url")
+        base_url = values["executor_base_url"]
         if not base_url:
             raise ConfigError("--executor http requires --executor-base-url")
         route_map = {
@@ -211,8 +204,12 @@ def _executor_for(values: dict, task: BenchTask):
     return echo_executor(task.doc)
 
 
+def _is_strings(value: object) -> bool:
+    return isinstance(value, list) and all(isinstance(v, str) for v in value)
+
+
 def _load_dataset(values: dict, base_doc: ApiDocument | None) -> list[BenchTask]:
-    path = values.get("dataset")
+    path = values["dataset"]
     if not path:
         raise ConfigError("--dataset is required")
     dataset_path = Path(path)
@@ -229,10 +226,20 @@ def _load_dataset(values: dict, base_doc: ApiDocument | None) -> list[BenchTask]
             raw = json.loads(line)
             task_id = str(raw["id"])
             instruction = str(raw["instruction"])
-            ground_truth = raw.get("ground_truth")
         except (json.JSONDecodeError, KeyError, TypeError) as exc:
             raise ConfigError(f"malformed dataset line {line_no}: {exc}") from exc
         doc_ref = raw.get("doc")
+        ground_truth = raw.get("ground_truth")
+        script = raw.get("script")
+        if not isinstance(doc_ref, (str, type(None))):
+            raise ConfigError(f"dataset line {line_no}: doc must be a string")
+        if not (isinstance(ground_truth, (str, type(None))) or _is_strings(ground_truth)):
+            raise ConfigError(
+                f"dataset line {line_no}: ground_truth must be a string,"
+                " a list of strings or null"
+            )
+        if not (script is None or _is_strings(script)):
+            raise ConfigError(f"dataset line {line_no}: script must be a list of strings")
         if doc_ref:
             doc_path = Path(doc_ref)
             if not doc_path.is_absolute():
@@ -251,12 +258,9 @@ def _load_dataset(values: dict, base_doc: ApiDocument | None) -> list[BenchTask]
         else:
             raise ConfigError(f"dataset line {line_no}: no doc given and no --doc")
         if isinstance(ground_truth, list):
-            ground_truth = tuple(str(t) for t in ground_truth)
-        elif ground_truth is not None:
-            ground_truth = str(ground_truth)
-        script = raw.get("script")
+            ground_truth = tuple(ground_truth)
         if script is not None:
-            script = tuple(str(s) for s in script)
+            script = tuple(script)
         tasks.append(BenchTask(task_id, instruction, doc, ground_truth, script))
     if not tasks:
         raise ConfigError(f"dataset {path} holds no tasks")
@@ -276,9 +280,12 @@ def _cmd_run(args: argparse.Namespace) -> int:
     script = list(args.script or [])
     if args.script_file:
         try:
-            script.extend(json.loads(Path(args.script_file).read_text(encoding="utf-8")))
+            replies = json.loads(Path(args.script_file).read_text(encoding="utf-8"))
         except (OSError, json.JSONDecodeError) as exc:
             raise ConfigError(f"cannot read script file: {exc}") from exc
+        if not _is_strings(replies):
+            raise ConfigError("script file must hold a JSON list of strings")
+        script.extend(replies)
     if values["llm"] == "http":
         llm = _http_llm(values)
     else:
@@ -322,7 +329,7 @@ def _cmd_run(args: argparse.Namespace) -> int:
 def _cmd_bench(args: argparse.Namespace) -> int:
     values = _merge_config(args)
     config = _pipeline_config(values)
-    base_doc = _load_doc(values) if values.get("doc") else None
+    base_doc = _load_doc(values) if values["doc"] else None
     tasks = _load_dataset(values, base_doc)
 
     llm_factory = None
@@ -338,7 +345,7 @@ def _cmd_bench(args: argparse.Namespace) -> int:
             executor_factory=lambda task: _executor_for(values, task),
             model_factory=_similarity_factory(values),
             log_dir=values["log_dir"],
-            jobs=int(values["jobs"]),
+            jobs=values["jobs"],
         )
     except ValueError as exc:  # a task id that cannot name its log file
         raise ConfigError(f"dataset {values['dataset']}: {exc}") from exc
@@ -349,7 +356,7 @@ def _cmd_bench(args: argparse.Namespace) -> int:
 
 def _cmd_classify(args: argparse.Namespace) -> int:
     values = _merge_config(args)
-    base_doc = _load_doc(values) if values.get("doc") else None
+    base_doc = _load_doc(values) if values["doc"] else None
     tasks = _load_dataset(values, base_doc)
     threshold = _pipeline_config(values).threshold
     http = values["llm"] == "http"
@@ -441,8 +448,12 @@ def _cmd_report(args: argparse.Namespace) -> int:
             if not line.strip():
                 continue
             try:
-                events.append(json.loads(line))
+                event = json.loads(line)
             except json.JSONDecodeError:
+                event = None
+            if isinstance(event, dict):
+                events.append(event)
+            else:
                 print(f"warning: skipping {path.name}:{line_no}", file=sys.stderr)
         if events:
             sessions[path.stem] = events

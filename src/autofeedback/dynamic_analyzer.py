@@ -11,7 +11,7 @@ from typing import Callable, Sequence
 from .errors import ExecutorUnavailableError, TransportError
 from .gateways import ApiExecutor, ApiResponse, ChatMessage, LlmClient
 from .request_codec import ApiRequest, parse_llm_output, serialize_request
-from .retrieval import ChunkIndex, RetrievedMessage, SimilarityModel, retrieve_error_message
+from .retrieval import PreparedDoc, RetrievedMessage, retrieve_error_message
 
 __all__ = [
     "FeedbackRecord",
@@ -107,14 +107,13 @@ _REASK_MESSAGE = (
 
 
 def _ask_for_correction(
-    llm: LlmClient, prompt: str, system: ChatMessage | None
+    llm: LlmClient, prompt: str, system: ChatMessage
 ) -> tuple[ApiRequest | None, str]:
     """One LLM exchange with a single re-ask on unparseable output.
 
     Returns (request or None, thought).
     """
-    messages: list[ChatMessage] = [system] if system is not None else []
-    messages.append(ChatMessage("user", prompt))
+    messages = [system, ChatMessage("user", prompt)]
     reply = llm.complete(messages)
     outcome = parse_llm_output(reply.text)
     if outcome.ok:
@@ -130,29 +129,29 @@ def _ask_for_correction(
 
 def run_dynamic_loop(
     request: ApiRequest,
-    index: ChunkIndex,
+    prepared: PreparedDoc,
     executor: ApiExecutor,
     llm: LlmClient,
     judge: ExactMatchJudge,
-    model: SimilarityModel,
     n_max: int,
     *,
-    system: ChatMessage | None = None,
-    static_check: Callable[[ApiRequest], bool] | None = None,
-    record_sink: list[FeedbackRecord] | None = None,
+    static_check: Callable[[ApiRequest], bool],
+    records: list[FeedbackRecord],
 ) -> DynamicOutcome:
     """Execute-and-correct loop bounded by *n_max* iterations.
 
-    Per iteration: retrieve the documentation text closest to the request
-    plus response body, prompt the LLM with the full history, adopt its
-    corrected request, and re-execute. An unparseable correction is re-asked
-    once; a correction that is still unparseable (or fails *static_check*)
-    burns the iteration and resends the previous request. With ``n_max=0``
-    the request is executed exactly once and no LLM call happens.
+    Per iteration: retrieve the text of the prepared doc's chunk index
+    closest to the request plus response body, prompt the LLM with the full
+    history, adopt its corrected request, and re-execute. An unparseable
+    correction is re-asked once; a correction that is still unparseable (or
+    fails *static_check*) burns the iteration and resends the previous
+    request. With ``n_max=0`` the request is executed exactly once and no
+    LLM call happens.
 
-    *record_sink*, when given, receives each record as it completes, so a
+    *records*, empty on entry, receives each record as it completes, so a
     transport failure mid-loop still leaves the earlier records with the
-    caller. *system*, when given, opens every correction exchange.
+    caller. The prepared doc's system message opens every correction
+    exchange.
     """
     if n_max < 0:
         raise ValueError("n_max must be >= 0")
@@ -165,16 +164,14 @@ def run_dynamic_loop(
 
     response = _execute(request)
     satisfied = judge.accepts(request, response)
-    records: list[FeedbackRecord] = record_sink if record_sink is not None else []
     while not satisfied and len(records) < n_max:
         query = f"{serialize_request(request)}\n{response.body}"
-        message = retrieve_error_message(request.name, query, index, model)
+        message = retrieve_error_message(
+            request.name, query, prepared.index, prepared.model
+        )
         prompt = assemble_react_prompt(records, request, (response, message))
-        new_request, thought = _ask_for_correction(llm, prompt, system)
-        if new_request is not None and static_check is not None:
-            if not static_check(new_request):
-                new_request = None
-        if new_request is None:
+        new_request, thought = _ask_for_correction(llm, prompt, prepared.system)
+        if new_request is None or not static_check(new_request):
             new_request = request  # failed iteration: resend the old request
         records.append(
             FeedbackRecord(

@@ -38,6 +38,9 @@ __all__ = [
 Role = Literal["system", "user", "assistant"]
 
 RETRY_ATTEMPTS = 3
+RETRY_BASE_DELAY = 1.0  # seconds before the second attempt; doubles after
+LLM_TIMEOUT = 60.0  # seconds per attempt of a chat completion
+HTTP_TIMEOUT = 30.0  # seconds per attempt of any other request
 
 
 @dataclass(frozen=True)
@@ -109,21 +112,17 @@ def _never_sent(exc: Exception) -> bool:
 
 
 def _send_with_retries(
-    send: Callable[[], requests.Response],
-    url: str,
-    retry_base_delay: float,
-    *,
-    idempotent: bool = True,
+    send: Callable[[], requests.Response], url: str, *, idempotent: bool = True
 ) -> requests.Response:
     """Call *send* up to ``RETRY_ATTEMPTS`` times; the sleep between
-    attempts starts at *retry_base_delay* and doubles. A failure is a
+    attempts starts at ``RETRY_BASE_DELAY`` and doubles. A failure is a
     ``RequestException`` or a ``TransportError`` raised by *send*. A request
     that is not *idempotent* is retried only when it was never sent, so a
     server that may have acted on it never sees it twice."""
     last_error: Exception | None = None
     for attempt in range(RETRY_ATTEMPTS):
         if attempt:
-            time.sleep(retry_base_delay * 2 ** (attempt - 1))
+            time.sleep(RETRY_BASE_DELAY * 2 ** (attempt - 1))
         try:
             return send()
         except (requests.RequestException, TransportError) as exc:
@@ -135,9 +134,7 @@ def _send_with_retries(
     raise TransportError(f"{url} unreachable after {RETRY_ATTEMPTS} attempts") from last_error
 
 
-def post_json(
-    url: str, payload: dict, api_key: str, timeout: float, retry_base_delay: float
-) -> requests.Response:
+def post_json(url: str, payload: dict, api_key: str, timeout: float) -> requests.Response:
     """POST *payload* as JSON with an optional Bearer key; a 5xx answer
     counts as a failed attempt."""
     headers = {"Content-Type": "application/json"}
@@ -150,7 +147,7 @@ def post_json(
             raise TransportError(f"server error {response.status_code} from {url}")
         return response
 
-    return _send_with_retries(send, url, retry_base_delay)
+    return _send_with_retries(send, url)
 
 
 class HttpLlmClient(LlmClient):
@@ -158,42 +155,50 @@ class HttpLlmClient(LlmClient):
 
     Sends ``{"model": ..., "messages": [{"role", "content"}]}`` and reads
     ``choices[0].message.content``. Token counts come from ``usage`` when
-    present, otherwise from whitespace token counts.
+    present, otherwise from whitespace token counts. Content that is not a
+    string, ``usage`` that is not an object and a count that is not an int
+    are protocol errors.
     """
 
-    def __init__(
-        self,
-        base_url: str,
-        model_name: str,
-        api_key: str = "",
-        timeout: float = 60.0,
-        retry_base_delay: float = 1.0,
-    ):
+    def __init__(self, base_url: str, model_name: str, api_key: str = ""):
         self._url = base_url.rstrip("/") + "/chat/completions"
         self._model_name = model_name
         self._api_key = api_key
-        self._timeout = timeout
-        self._retry_base_delay = retry_base_delay
 
     def complete(self, messages: Sequence[ChatMessage]) -> LlmReply:
         payload = {
             "model": self._model_name,
             "messages": [{"role": m.role, "content": m.content} for m in messages],
         }
-        response = post_json(
-            self._url, payload, self._api_key, self._timeout, self._retry_base_delay
-        )
+        response = post_json(self._url, payload, self._api_key, LLM_TIMEOUT)
         try:
             body = response.json()
             text = body["choices"][0]["message"]["content"]
+            usage = body.get("usage")
         except (ValueError, KeyError, IndexError, TypeError) as exc:
             raise ProtocolError(f"malformed completion response: {exc}") from exc
-        usage = body.get("usage") or {}
-        prompt_tokens = usage.get("prompt_tokens")
-        if prompt_tokens is None:
-            prompt_tokens = sum(m.tokens for m in messages)
-        completion_tokens = usage.get("completion_tokens", whitespace_tokens(text))
-        return LlmReply(str(text), int(prompt_tokens), int(completion_tokens))
+        if not isinstance(text, str):
+            raise ProtocolError(f"completion content is not a string: {text!r}")
+        if usage is None:
+            usage = {}
+        elif not isinstance(usage, dict):
+            raise ProtocolError(f"completion usage is not an object: {usage!r}")
+        return LlmReply(
+            text,
+            _token_count(usage, "prompt_tokens", sum(m.tokens for m in messages)),
+            _token_count(usage, "completion_tokens", whitespace_tokens(text)),
+        )
+
+
+def _token_count(usage: dict, key: str, fallback: int) -> int:
+    """The count *usage* reports under *key*, or *fallback* when it
+    reports none."""
+    count = usage.get(key)
+    if count is None:
+        return fallback
+    if not isinstance(count, int) or isinstance(count, bool):
+        raise ProtocolError(f"completion usage {key} is not an int: {count!r}")
+    return count
 
 
 @dataclass(frozen=True)
@@ -243,16 +248,6 @@ def _wire_value(value: Value) -> str:
     return serialize_value(value)
 
 
-def _json_safe(value: Value):
-    if isinstance(value, tuple):
-        return [_json_safe(v) for v in value]
-    if isinstance(value, list):
-        return [_json_safe(v) for v in value]
-    if isinstance(value, dict):
-        return {k: _json_safe(v) for k, v in value.items()}
-    return value
-
-
 class HttpApiExecutor(ApiExecutor):
     """Executes requests against real HTTP endpoints.
 
@@ -263,17 +258,9 @@ class HttpApiExecutor(ApiExecutor):
     is retried after the request may have reached the server.
     """
 
-    def __init__(
-        self,
-        base_url: str,
-        route_map: Mapping[str, tuple[str, str]],
-        timeout: float = 30.0,
-        retry_base_delay: float = 1.0,
-    ):
+    def __init__(self, base_url: str, route_map: Mapping[str, tuple[str, str]]):
         self._base_url = base_url.rstrip("/")
         self._route_map = dict(route_map)
-        self._timeout = timeout
-        self._retry_base_delay = retry_base_delay
 
     def execute(self, req: ApiRequest) -> ApiResponse:
         route = self._route_map.get(req.name)
@@ -296,18 +283,16 @@ class HttpApiExecutor(ApiExecutor):
                 return requests.get(
                     url,
                     params={k: _wire_value(v) for k, v in args.items()},
-                    timeout=self._timeout,
+                    timeout=HTTP_TIMEOUT,
                 )
             return requests.request(
                 method.upper(),
                 url,
-                data=json.dumps({k: _json_safe(v) for k, v in args.items()}),
+                data=json.dumps(args),
                 headers={"Content-Type": "application/json"},
-                timeout=self._timeout,
+                timeout=HTTP_TIMEOUT,
             )
 
         # A 5xx answer is an API response like any other: returned, not retried.
-        response = _send_with_retries(
-            send, url, self._retry_base_delay, idempotent=is_get
-        )
+        response = _send_with_retries(send, url, idempotent=is_get)
         return ApiResponse(response.status_code, response.text)

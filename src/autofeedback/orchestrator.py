@@ -187,9 +187,7 @@ def opening_messages(system: ChatMessage, instruction: str) -> list[ChatMessage]
 
 
 def prepare_document(
-    doc: ApiDocument,
-    model: SimilarityModel,
-    chunk_threshold: float = PipelineConfig.chunk_threshold,
+    doc: ApiDocument, model: SimilarityModel, chunk_threshold: float
 ) -> PreparedDoc:
     """Build the per-document state every task on *doc* shares: the chunk
     index, the relevance ranker over API descriptions, the ranker over API
@@ -228,7 +226,6 @@ def run_task(
             f"document prepared with chunk_threshold={prepared.chunk_threshold},"
             f" config has {config.chunk_threshold}"
         )
-    model = prepared.model
     counting = _CountingLlm(llm)
     log = SessionLog(task_id=task_id)
 
@@ -273,16 +270,14 @@ def run_task(
 
         outcome_dyn: DynamicOutcome = run_dynamic_loop(
             request,
-            prepared.index,
+            prepared,
             executor,
             counting,
             judge,
-            model,
             config.max_dynamic,
-            system=prepared.system,
             static_check=lambda req: _detect(ParseOutcome.parsed(req)).error_type
             is ErrorType.NONE,
-            record_sink=log.dynamic_records,
+            records=log.dynamic_records,
         )
         final_request = (
             outcome_dyn.records[-1].new_action if outcome_dyn.records else request

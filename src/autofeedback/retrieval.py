@@ -8,6 +8,7 @@ implementing :class:`SimilarityModel`.
 
 from __future__ import annotations
 
+import heapq
 import math
 import re
 from abc import ABC, abstractmethod
@@ -18,7 +19,7 @@ import numpy as np
 
 from .doc_model import ApiDocument, ApiSpec
 from .errors import EmptyDocumentError, ProtocolError
-from .gateways import ChatMessage, post_json
+from .gateways import HTTP_TIMEOUT, ChatMessage, post_json
 
 __all__ = [
     "SimilarityModel",
@@ -171,24 +172,16 @@ class RemoteEmbeddingSimilarity(SimilarityModel):
     """Drop-in embedding service adapter.
 
     Sends ``{"input": [text], "model": name}`` and reads
-    ``data[0].embedding``; vectors are L2-normalized and cached per text,
-    and scoring is the inherited clamped cosine. The first response pins
-    the vector length; any later deviation is a protocol error.
+    ``data[0].embedding``, which must be a non-empty flat list of numbers;
+    vectors are L2-normalized and cached per text, and scoring is the
+    inherited clamped cosine. The first response pins the vector length;
+    any later deviation is a protocol error.
     """
 
-    def __init__(
-        self,
-        base_url: str,
-        model_name: str,
-        api_key: str = "",
-        timeout: float = 30.0,
-        retry_base_delay: float = 1.0,
-    ):
+    def __init__(self, base_url: str, model_name: str, api_key: str = ""):
         self._url = base_url.rstrip("/") + "/embeddings"
         self._model_name = model_name
         self._api_key = api_key
-        self._timeout = timeout
-        self._retry_base_delay = retry_base_delay
         self._cache: dict[str, np.ndarray] = {}
         self._dim: int | None = None
 
@@ -197,15 +190,21 @@ class RemoteEmbeddingSimilarity(SimilarityModel):
         if cached is not None:
             return cached
         payload = {"input": [text], "model": self._model_name}
-        response = post_json(
-            self._url, payload, self._api_key, self._timeout, self._retry_base_delay
-        )
+        response = post_json(self._url, payload, self._api_key, HTTP_TIMEOUT)
         try:
-            vector = np.asarray(
-                response.json()["data"][0]["embedding"], dtype=float
-            )
+            embedding = response.json()["data"][0]["embedding"]
         except (ValueError, KeyError, IndexError, TypeError) as exc:
             raise ProtocolError(f"malformed embedding response: {exc}") from exc
+        if not (
+            isinstance(embedding, list)
+            and embedding
+            and all(
+                isinstance(x, (int, float)) and not isinstance(x, bool)
+                for x in embedding
+            )
+        ):
+            raise ProtocolError("embedding is not a non-empty flat list of numbers")
+        vector = np.asarray(embedding, dtype=float)
         if self._dim is None:
             self._dim = vector.shape[0]
         elif vector.shape[0] != self._dim:
@@ -265,9 +264,9 @@ def retrieve_relevant_apis(
         raise EmptyDocumentError("cannot retrieve from an empty document")
     if k < 1:
         raise ValueError("k must be >= 1")
-    scored = zip((api.name for api in apis), prepared.rank(instruction))
-    ranked = sorted(scored, key=lambda pair: -pair[1])
-    return RelevantSet(tuple(ranked[: min(k, len(ranked))]))
+    scores = prepared.rank(instruction)
+    top = heapq.nlargest(k, range(len(scores)), key=scores.__getitem__)
+    return RelevantSet(tuple((apis[i].name, scores[i]) for i in top))
 
 
 _SENTENCE_SPLIT = re.compile(r"(?<=[.?!])\s+|\n+")

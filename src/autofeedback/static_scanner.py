@@ -169,7 +169,7 @@ def detect(
     outcome: ParseOutcome,
     relevant: RelevantSet,
     prepared: PreparedDoc,
-    threshold: float = 0.5,
+    threshold: float,
 ) -> DetectionFinding:
     """Scan a parsed request and return the first error found, if any.
 
@@ -204,7 +204,7 @@ def classify_against_truth(
     truth: ApiRequest,
     doc: ApiDocument,
     model: SimilarityModel,
-    threshold: float = 0.5,
+    threshold: float,
 ) -> ErrorType:
     """Label a generated request against its ground truth.
 

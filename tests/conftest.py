@@ -8,6 +8,7 @@ import pytest
 from autofeedback import (
     build_chunk_index,
     default_similarity,
+    gateways,
     load_document,
     prepare_document,
 )
@@ -60,6 +61,12 @@ class StubHandler(BaseHTTPRequestHandler):
 
     def log_message(self, *args):
         pass
+
+
+@pytest.fixture(autouse=True)
+def no_retry_delay(monkeypatch):
+    """HTTP retries happen without sleeping between attempts."""
+    monkeypatch.setattr(gateways, "RETRY_BASE_DELAY", 0.0)
 
 
 @pytest.fixture

@@ -160,7 +160,7 @@ def test_criterion_07_static_convergence(prepared):
     _passed("7 static-convergence")
 
 
-def test_criterion_08_dynamic_convergence(doc, model, chunk_index):
+def test_criterion_08_dynamic_convergence(prepared):
     reversed_req = parse_request(
         'route_planning(origin="116.4,39.9", dest="121.5,31.2")'
     ).request
@@ -169,7 +169,8 @@ def test_criterion_08_dynamic_convergence(doc, model, chunk_index):
     llm = ScriptedLlm([f"Thought: swap the coordinate order.\n<<API>>{correct}<</API>>"])
     judge = ExactMatchJudge(ground_truth=parse_request(correct).request)
     outcome = run_dynamic_loop(
-        reversed_req, chunk_index, executor, llm, judge, model, n_max=2
+        reversed_req, prepared, executor, llm, judge, n_max=2,
+        static_check=lambda request: True, records=[],
     )
     assert outcome.satisfied
     assert len(outcome.records) == 1

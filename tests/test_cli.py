@@ -1,3 +1,4 @@
+import argparse
 import json
 from collections import Counter
 from pathlib import Path
@@ -153,6 +154,30 @@ def test_bench_malformed_line_names_line_number(tmp_path, capsys):
     code = run_cli("bench", "--dataset", str(dataset), "--log-dir", str(tmp_path / "l"))
     assert code == 2
     assert "line 3" in capsys.readouterr().err
+
+
+@pytest.mark.parametrize(
+    "field, value, message",
+    [
+        ("script", 5, "script must be a list of strings"),
+        ("script", wrap(TRUTH), "script must be a list of strings"),
+        ("script", [wrap(TRUTH), 7], "script must be a list of strings"),
+        ("ground_truth", 5, "ground_truth must be a string"),
+        ("ground_truth", [TRUTH, None], "ground_truth must be a string"),
+        ("doc", 5, "doc must be a string"),
+    ],
+    ids=["script-int", "script-string", "script-mixed", "truth-int", "truth-mixed", "doc-int"],
+)
+def test_dataset_field_of_the_wrong_type_exits_2(tmp_path, capsys, field, value, message):
+    dataset = tmp_path / "tasks.jsonl"
+    lines = dataset_lines(2, 0)
+    lines[1][field] = value
+    write_dataset(dataset, lines)
+    for argv in (["bench", "--log-dir", str(tmp_path / "l")], ["classify"]):
+        assert run_cli(*argv, "--dataset", str(dataset)) == 2
+        err = capsys.readouterr().err
+        assert "dataset line 2" in err and message in err
+    assert not (tmp_path / "l").exists()
 
 
 def _strip_ts(path: Path) -> list[str]:
@@ -332,6 +357,79 @@ def test_report_skips_corrupt_lines(tmp_path, capsys):
     captured = capsys.readouterr()
     assert "skipping" in captured.err
     assert "ok-0" in captured.out
+
+
+def test_report_skips_lines_that_are_not_objects(tmp_path, capsys):
+    dataset = tmp_path / "tasks.jsonl"
+    write_dataset(dataset, dataset_lines(1, 0))
+    log_dir = tmp_path / "logs"
+    run_cli("bench", "--dataset", str(dataset), "--log-dir", str(log_dir))
+    log_file = log_dir / "ok-0.jsonl"
+    log_file.write_text(log_file.read_text() + "[1, 2]\n5\n", encoding="utf-8")
+    capsys.readouterr()
+    assert run_cli("report", "--log-dir", str(log_dir)) == 0
+    captured = capsys.readouterr()
+    assert "skipping ok-0.jsonl:2" in captured.err
+    assert "skipping ok-0.jsonl:3" in captured.err
+    assert "static #0: clean" in captured.out
+
+
+# -- flags and config file --------------------------------------------------------
+
+def test_each_command_registers_only_the_flags_it_reads():
+    sub = next(
+        a for a in cli._build_parser()._actions
+        if isinstance(a, argparse._SubParsersAction)
+    )
+    counts = {
+        name: sum(
+            1 for a in parser._actions
+            if a.option_strings and not isinstance(a, argparse._HelpAction)
+        )
+        for name, parser in sub.choices.items()
+    }
+    assert counts == {"run": 19, "bench": 17, "classify": 10, "report": 2}
+    assert sum(counts.values()) == 48
+
+
+@pytest.mark.parametrize(
+    "argv",
+    [["classify", "--dataset", "d.jsonl", "--max-static", "3"], ["report", "--doc", "x"]],
+    ids=["classify-max-static", "report-doc"],
+)
+def test_flag_of_another_command_exits_2(argv, capsys):
+    with pytest.raises(SystemExit) as exc:
+        run_cli(*argv)
+    assert exc.value.code == 2
+    assert "unrecognized arguments" in capsys.readouterr().err
+
+
+@pytest.mark.parametrize(
+    "command, config, message",
+    [
+        ("report", {"doc": str(FIXTURE_DOC)}, "'doc'"),
+        ("classify", {"max_static": 1}, "'max_static'"),
+        ("bench", {"k": "many"}, "'k'"),
+        ("bench", {"llm": "oracle"}, "'llm'"),
+    ],
+    ids=["report-doc", "classify-max-static", "bench-k-not-int", "bench-llm-not-a-choice"],
+)
+def test_config_key_the_command_cannot_take_exits_2(tmp_path, capsys, command, config, message):
+    config_file = tmp_path / "cfg.json"
+    config_file.write_text(json.dumps(config))
+    assert run_cli(command, "--config", str(config_file)) == 2
+    assert message in capsys.readouterr().err
+
+
+def test_script_file_must_hold_a_list_of_strings(tmp_path, capsys):
+    script_file = tmp_path / "script.json"
+    script_file.write_text(json.dumps(wrap(TRUTH)))
+    code = run_cli(
+        "run", INSTRUCTION, "--doc", str(FIXTURE_DOC), "--script-file", str(script_file),
+        "--log-dir", str(tmp_path / "l"),
+    )
+    assert code == 2
+    assert "list of strings" in capsys.readouterr().err
 
 
 # -- config file precedence --------------------------------------------------------

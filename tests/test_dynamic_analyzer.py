@@ -20,6 +20,10 @@ REVERSED = 'route_planning(origin="116.4,39.9", dest="121.5,31.2")'
 CORRECT = 'route_planning(origin="39.9,116.4", dest="31.2,121.5")'
 
 
+def accept_all(request: ApiRequest) -> bool:
+    return True
+
+
 def req(text: str) -> ApiRequest:
     outcome = parse_request(text)
     assert outcome.ok
@@ -36,10 +40,11 @@ def judge():
     return ExactMatchJudge(ground_truth=req(CORRECT))
 
 
-def test_accepted_first_try_enters_no_loop(doc, model, chunk_index, executor, judge):
+def test_accepted_first_try_enters_no_loop(doc, prepared, executor, judge):
     llm = ScriptedLlm(["should never be called"])
     outcome = run_dynamic_loop(
-        req(CORRECT), chunk_index, executor, llm, judge, model, n_max=2
+        req(CORRECT), prepared, executor, llm, judge, n_max=2,
+        static_check=accept_all, records=[],
     )
     assert outcome.satisfied
     assert outcome.records == ()
@@ -47,7 +52,7 @@ def test_accepted_first_try_enters_no_loop(doc, model, chunk_index, executor, ju
     assert len(executor.executed) == 1
 
 
-def test_route_planning_correction_converges(doc, model, chunk_index, executor, judge):
+def test_route_planning_correction_converges(doc, prepared, executor, judge):
     llm = ScriptedLlm(
         [
             "Thought: The coordinates were given longitude-first; swapping the"
@@ -55,7 +60,8 @@ def test_route_planning_correction_converges(doc, model, chunk_index, executor, 
         ]
     )
     outcome = run_dynamic_loop(
-        req(REVERSED), chunk_index, executor, llm, judge, model, n_max=2
+        req(REVERSED), prepared, executor, llm, judge, n_max=2,
+        static_check=accept_all, records=[],
     )
     assert outcome.satisfied
     assert len(outcome.records) == 1
@@ -71,17 +77,18 @@ def test_route_planning_correction_converges(doc, model, chunk_index, executor, 
     assert "Longitude precedes latitude" in prompt
 
 
-def test_budget_exhaustion_is_unsatisfied(doc, model, chunk_index, executor, judge):
+def test_budget_exhaustion_is_unsatisfied(doc, prepared, executor, judge):
     llm = ScriptedLlm([f"Thought: retrying as-is.\n<<API>>{REVERSED}<</API>>"])
     outcome = run_dynamic_loop(
-        req(REVERSED), chunk_index, executor, llm, judge, model, n_max=2
+        req(REVERSED), prepared, executor, llm, judge, n_max=2,
+        static_check=accept_all, records=[],
     )
     assert not outcome.satisfied
     assert len(outcome.records) == 2
     assert len(executor.executed) == 3  # n_max + 1
 
 
-def test_records_chain_action_to_new_action(doc, model, chunk_index, executor, judge):
+def test_records_chain_action_to_new_action(doc, prepared, executor, judge):
     llm = ScriptedLlm(
         [
             f"Thought: first try.\n<<API>>route_planning(origin=\"100.0,1.0\", dest=\"31.2,121.5\")<</API>>",
@@ -89,7 +96,8 @@ def test_records_chain_action_to_new_action(doc, model, chunk_index, executor, j
         ]
     )
     outcome = run_dynamic_loop(
-        req(REVERSED), chunk_index, executor, llm, judge, model, n_max=3
+        req(REVERSED), prepared, executor, llm, judge, n_max=3,
+        static_check=accept_all, records=[],
     )
     assert outcome.satisfied
     assert len(outcome.records) == 2
@@ -98,10 +106,11 @@ def test_records_chain_action_to_new_action(doc, model, chunk_index, executor, j
     assert [r.iteration for r in outcome.records] == [0, 1]
 
 
-def test_n_max_zero_means_one_execution_no_llm(doc, model, chunk_index, executor, judge):
+def test_n_max_zero_means_one_execution_no_llm(doc, prepared, executor, judge):
     llm = ScriptedLlm(["unused"])
     outcome = run_dynamic_loop(
-        req(REVERSED), chunk_index, executor, llm, judge, model, n_max=0
+        req(REVERSED), prepared, executor, llm, judge, n_max=0,
+        static_check=accept_all, records=[],
     )
     assert not outcome.satisfied
     assert outcome.records == ()
@@ -109,7 +118,7 @@ def test_n_max_zero_means_one_execution_no_llm(doc, model, chunk_index, executor
     assert len(executor.executed) == 1
 
 
-def test_unparseable_correction_reasked_once(doc, model, chunk_index, executor, judge):
+def test_unparseable_correction_reasked_once(doc, prepared, executor, judge):
     llm = ScriptedLlm(
         [
             "I think the coordinates are wrong but here is no request.",
@@ -117,7 +126,8 @@ def test_unparseable_correction_reasked_once(doc, model, chunk_index, executor, 
         ]
     )
     outcome = run_dynamic_loop(
-        req(REVERSED), chunk_index, executor, llm, judge, model, n_max=2
+        req(REVERSED), prepared, executor, llm, judge, n_max=2,
+        static_check=accept_all, records=[],
     )
     assert outcome.satisfied
     assert len(outcome.records) == 1
@@ -127,11 +137,12 @@ def test_unparseable_correction_reasked_once(doc, model, chunk_index, executor, 
 
 
 def test_twice_unparseable_burns_iteration_keeps_request(
-    doc, model, chunk_index, executor, judge
+    doc, prepared, executor, judge
 ):
     llm = ScriptedLlm(["no request here", "still no request"])
     outcome = run_dynamic_loop(
-        req(REVERSED), chunk_index, executor, llm, judge, model, n_max=1
+        req(REVERSED), prepared, executor, llm, judge, n_max=1,
+        static_check=accept_all, records=[],
     )
     assert not outcome.satisfied
     assert len(outcome.records) == 1
@@ -140,28 +151,29 @@ def test_twice_unparseable_burns_iteration_keeps_request(
     assert len(executor.executed) == 2
 
 
-def test_llm_calls_bounded_by_twice_budget(doc, model, chunk_index, executor, judge):
+def test_llm_calls_bounded_by_twice_budget(doc, prepared, executor, judge):
     llm = ScriptedLlm(["never a request"])
     n_max = 3
     outcome = run_dynamic_loop(
-        req(REVERSED), chunk_index, executor, llm, judge, model, n_max=n_max
+        req(REVERSED), prepared, executor, llm, judge, n_max=n_max,
+        static_check=accept_all, records=[],
     )
     assert not outcome.satisfied
     assert llm.calls <= 2 * n_max
     assert len(executor.executed) <= n_max + 1
 
 
-def test_static_check_rejection_burns_iteration(doc, model, chunk_index, executor, judge):
+def test_static_check_rejection_burns_iteration(doc, prepared, executor, judge):
     llm = ScriptedLlm([f"Thought: using a fake api.\n<<API>>fake_api(x=1)<</API>>"])
     outcome = run_dynamic_loop(
         req(REVERSED),
-        chunk_index,
+        prepared,
         executor,
         llm,
         judge,
-        model,
         n_max=1,
         static_check=lambda r: r.name in doc.api_names,
+        records=[],
     )
     assert not outcome.satisfied
     assert outcome.records[0].new_action == outcome.records[0].action

@@ -6,7 +6,14 @@ import requests
 from hypothesis import given
 from hypothesis import strategies as st
 
-from autofeedback import ApiRequest, ApiResponse, ChatMessage, ScriptedLlm
+from autofeedback import (
+    ApiRequest,
+    ApiResponse,
+    ChatMessage,
+    ExactMatchJudge,
+    ScriptedLlm,
+    run_task,
+)
 from autofeedback.errors import ProtocolError, TransportError
 from autofeedback.gateways import (
     RETRY_ATTEMPTS,
@@ -76,7 +83,7 @@ def _completion_body(text, usage=True):
 def test_http_llm_round_trip(stub_server):
     base_url, handler = stub_server
     handler.behaviors.append((200, _completion_body("hello there")))
-    client = HttpLlmClient(base_url, "test-model", "secret", retry_base_delay=0.0)
+    client = HttpLlmClient(base_url, "test-model", "secret")
     reply = client.complete([ChatMessage("user", "hi")])
     assert reply.text == "hello there"
     assert (reply.prompt_tokens, reply.completion_tokens) == (11, 7)
@@ -90,7 +97,7 @@ def test_http_llm_round_trip(stub_server):
 def test_http_llm_usage_fallback_to_whitespace(stub_server):
     base_url, handler = stub_server
     handler.behaviors.append((200, _completion_body("two words", usage=False)))
-    client = HttpLlmClient(base_url, "m", retry_base_delay=0.0)
+    client = HttpLlmClient(base_url, "m")
     reply = client.complete([ChatMessage("user", "one two three")])
     assert reply.prompt_tokens == 3
     assert reply.completion_tokens == 2
@@ -99,7 +106,7 @@ def test_http_llm_usage_fallback_to_whitespace(stub_server):
 def test_http_llm_retries_then_transport_error(stub_server):
     base_url, handler = stub_server
     handler.behaviors.extend([(500, "{}"), (500, "{}"), (500, "{}")])
-    client = HttpLlmClient(base_url, "m", retry_base_delay=0.0)
+    client = HttpLlmClient(base_url, "m")
     with pytest.raises(TransportError):
         client.complete([ChatMessage("user", "hi")])
     assert len(handler.requests_seen) == 3
@@ -108,16 +115,50 @@ def test_http_llm_retries_then_transport_error(stub_server):
 def test_http_llm_recovers_after_transient_failure(stub_server):
     base_url, handler = stub_server
     handler.behaviors.extend([(500, "{}"), (200, _completion_body("ok"))])
-    client = HttpLlmClient(base_url, "m", retry_base_delay=0.0)
+    client = HttpLlmClient(base_url, "m")
     assert client.complete([ChatMessage("user", "hi")]).text == "ok"
 
 
 def test_http_llm_malformed_body_is_protocol_error(stub_server):
     base_url, handler = stub_server
     handler.behaviors.append((200, json.dumps({"unexpected": True})))
-    client = HttpLlmClient(base_url, "m", retry_base_delay=0.0)
+    client = HttpLlmClient(base_url, "m")
     with pytest.raises(ProtocolError):
         client.complete([ChatMessage("user", "hi")])
+
+
+@pytest.mark.parametrize(
+    "body, error",
+    [
+        ({"choices": [{"message": {"content": None}}]}, "content is not a string"),
+        ({"choices": [{"message": {"content": "hi"}}], "usage": "x"}, "usage is not an object"),
+        (
+            {"choices": [{"message": {"content": "hi"}}], "usage": {"prompt_tokens": "abc"}},
+            "prompt_tokens is not an int",
+        ),
+    ],
+    ids=["content-null", "usage-string", "prompt-tokens-string"],
+)
+def test_malformed_completion_ends_the_session(stub_server, prepared, body, error):
+    base_url, handler = stub_server
+    handler.default_behavior = (200, json.dumps(body))
+    result = run_task(
+        "Log me in.", prepared, HttpLlmClient(base_url, "m"), MockApiServer({}),
+        ExactMatchJudge(),
+    )
+    assert not result.satisfied
+    assert error in result.error
+    assert len(handler.requests_seen) == 1
+
+
+def test_http_llm_null_token_counts_fall_back_to_whitespace(stub_server):
+    base_url, handler = stub_server
+    handler.behaviors.append((200, json.dumps({
+        "choices": [{"message": {"content": "two words"}}],
+        "usage": {"prompt_tokens": None, "completion_tokens": None},
+    })))
+    reply = HttpLlmClient(base_url, "m").complete([ChatMessage("user", "one two three")])
+    assert (reply.prompt_tokens, reply.completion_tokens) == (3, 2)
 
 
 # -- mock API server -------------------------------------------------------------
@@ -163,9 +204,7 @@ def test_mock_server_unknown_api_is_not_found():
 def test_http_executor_get_query_params(stub_server):
     base_url, handler = stub_server
     handler.behaviors.append((200, '{"ok": true}'))
-    executor = HttpApiExecutor(
-        base_url, {"search": ("GET", "/search")}, retry_base_delay=0.0
-    )
+    executor = HttpApiExecutor(base_url, {"search": ("GET", "/search")})
     response = executor.execute(ApiRequest("search", (("q", "x"), ("n", 2))))
     assert response.status == 200
     method, path, _ = handler.requests_seen[0]
@@ -176,9 +215,7 @@ def test_http_executor_get_query_params(stub_server):
 def test_http_executor_post_json_body(stub_server):
     base_url, handler = stub_server
     handler.behaviors.append((201, "made"))
-    executor = HttpApiExecutor(
-        base_url, {"make": ("POST", "/make/{kind}")}, retry_base_delay=0.0
-    )
+    executor = HttpApiExecutor(base_url, {"make": ("POST", "/make/{kind}")})
     response = executor.execute(
         ApiRequest("make", (("kind", "alarm"), ("urgent", True), ("at", (1, 2))))
     )
@@ -191,22 +228,20 @@ def test_http_executor_post_json_body(stub_server):
 def test_http_executor_preserves_error_body(stub_server):
     base_url, handler = stub_server
     handler.behaviors.append((404, "gone"))
-    executor = HttpApiExecutor(
-        base_url, {"g": ("GET", "/g")}, retry_base_delay=0.0
-    )
+    executor = HttpApiExecutor(base_url, {"g": ("GET", "/g")})
     response = executor.execute(ApiRequest("g", ()))
     assert (response.status, response.body) == (404, "gone")
 
 
 def test_http_executor_unknown_api_via_route_map(stub_server):
     base_url, _handler = stub_server
-    executor = HttpApiExecutor(base_url, {}, retry_base_delay=0.0)
+    executor = HttpApiExecutor(base_url, {})
     assert executor.execute(ApiRequest("nope", ())).status == 404
 
 
 def test_http_executor_percent_encodes_path_values(stub_server):
     base_url, handler = stub_server
-    executor = HttpApiExecutor(base_url, {"x": ("GET", "/x/{v}")}, retry_base_delay=0.0)
+    executor = HttpApiExecutor(base_url, {"x": ("GET", "/x/{v}")})
     assert executor.execute(ApiRequest("x", (("v", "a/b?c#d"),))).status == 200
     assert handler.requests_seen == [("GET", "/x/a%2Fb%3Fc%23d", "")]
 
@@ -222,7 +257,7 @@ def _closed_port() -> int:
 def test_http_executor_returns_5xx_body_without_retry(stub_server):
     base_url, handler = stub_server
     handler.behaviors.extend([(503, "busy"), (200, "late")])
-    executor = HttpApiExecutor(base_url, {"g": ("GET", "/g")}, retry_base_delay=0.0)
+    executor = HttpApiExecutor(base_url, {"g": ("GET", "/g")})
     response = executor.execute(ApiRequest("g", ()))
     assert (response.status, response.body) == (503, "busy")
     assert len(handler.requests_seen) == 1
@@ -238,7 +273,7 @@ def test_http_executor_unreachable_after_retry_attempts(monkeypatch):
 
     monkeypatch.setattr(requests.Session, "send", counting_send)
     base_url = f"http://127.0.0.1:{_closed_port()}"
-    executor = HttpApiExecutor(base_url, {"g": ("GET", "/g")}, retry_base_delay=0)
+    executor = HttpApiExecutor(base_url, {"g": ("GET", "/g")})
     with pytest.raises(TransportError):
         executor.execute(ApiRequest("g", ()))
     assert len(sent) == RETRY_ATTEMPTS
@@ -248,7 +283,7 @@ def test_http_executor_post_sent_once_when_answer_is_lost(stub_server):
     # The server may have acted on the request, so it is not sent again.
     base_url, handler = stub_server
     handler.default_behavior = DROP
-    executor = HttpApiExecutor(base_url, {"book": ("POST", "/book")}, retry_base_delay=0)
+    executor = HttpApiExecutor(base_url, {"book": ("POST", "/book")})
     with pytest.raises(TransportError):
         executor.execute(ApiRequest("book", (("seats", 2),)))
     assert handler.requests_seen == [("POST", "/book", '{"seats": 2}')]
@@ -264,7 +299,7 @@ def test_http_executor_post_retried_when_never_sent(monkeypatch):
 
     monkeypatch.setattr(requests.Session, "send", counting_send)
     base_url = f"http://127.0.0.1:{_closed_port()}"
-    executor = HttpApiExecutor(base_url, {"book": ("POST", "/book")}, retry_base_delay=0)
+    executor = HttpApiExecutor(base_url, {"book": ("POST", "/book")})
     with pytest.raises(TransportError):
         executor.execute(ApiRequest("book", ()))
     assert len(sent) == RETRY_ATTEMPTS

@@ -86,7 +86,7 @@ def test_embed_fixed_length_and_normalized(model):
 
 def test_retrieve_top1_self_description(doc, model):
     api = doc.apis[3]
-    result = retrieve_relevant_apis(api.description, prepare_document(doc, model), 1)
+    result = retrieve_relevant_apis(api.description, prepare_document(doc, model, 0.3), 1)
     assert result.names == (api.name,)
     assert result.entries[0][1] == 1.0
 
@@ -107,7 +107,7 @@ def test_retrieve_k_capped_by_doc_size(model):
         )
     )
     result = retrieve_relevant_apis(
-        "thing", prepare_document(small, default_similarity(small)), 5
+        "thing", prepare_document(small, default_similarity(small), 0.3), 5
     )
     assert len(result) == 3
     scores = [s for _, s in result.entries]
@@ -129,7 +129,7 @@ def test_retrieve_tie_breaks_by_doc_order():
     )
     model = default_similarity(twins)
     result = retrieve_relevant_apis(
-        "identical words here", prepare_document(twins, model), 1
+        "identical words here", prepare_document(twins, model, 0.3), 1
     )
     assert result.names == ("later_twin",)
 
@@ -171,7 +171,7 @@ def test_prepared_ranking_equals_scoring_every_api(case, fitted):
     # same order, ties in doc order.
     doc, queries = case
     model = default_similarity(doc) if fitted else TfidfSimilarity(())
-    prepared = prepare_document(doc, model)
+    prepared = prepare_document(doc, model, 0.3)
     for query in queries:
         scored = [(a.name, model.score(query, a.description)) for a in doc.apis]
         expected = sorted(scored, key=lambda pair: -pair[1])
@@ -183,7 +183,7 @@ def test_prepared_ranking_equals_scoring_every_api(case, fitted):
 def test_retrieve_empty_document_raises(model):
     empty = load_document(json.dumps({"apis": []}))
     with pytest.raises(EmptyDocumentError):
-        retrieve_relevant_apis("anything", prepare_document(empty, model), 1)
+        retrieve_relevant_apis("anything", prepare_document(empty, model, 0.3), 1)
 
 
 def test_single_sentence_api_single_chunk():
@@ -265,7 +265,7 @@ def _embedding_body(vector):
 def test_remote_embedder_normalizes_and_caches(stub_server):
     base_url, handler = stub_server
     handler.behaviors.append((200, _embedding_body([3.0, 4.0])))
-    model = RemoteEmbeddingSimilarity(base_url, "embed-1", retry_base_delay=0.0)
+    model = RemoteEmbeddingSimilarity(base_url, "embed-1")
     vec = model.embed("hello")
     assert vec == pytest.approx([0.6, 0.8])
     assert model.embed("hello") is vec  # served from cache
@@ -279,7 +279,7 @@ def test_remote_embedder_score_is_cosine(stub_server):
     base_url, handler = stub_server
     handler.behaviors.append((200, _embedding_body([1.0, 0.0])))
     handler.behaviors.append((200, _embedding_body([1.0, 1.0])))
-    model = RemoteEmbeddingSimilarity(base_url, "m", retry_base_delay=0.0)
+    model = RemoteEmbeddingSimilarity(base_url, "m")
     assert model.score("a", "b") == pytest.approx(1 / 2**0.5)
 
 
@@ -287,16 +287,27 @@ def test_remote_embedder_dimension_change_is_protocol_error(stub_server):
     base_url, handler = stub_server
     handler.behaviors.append((200, _embedding_body([1.0, 0.0])))
     handler.behaviors.append((200, _embedding_body([1.0, 0.0, 0.0])))
-    model = RemoteEmbeddingSimilarity(base_url, "m", retry_base_delay=0.0)
+    model = RemoteEmbeddingSimilarity(base_url, "m")
     model.embed("a")
     with pytest.raises(ProtocolError):
         model.embed("b")
 
 
+@pytest.mark.parametrize(
+    "embedding", [1.5, [[1.0, 2.0]], [], [True, 1.0], ["1.0"]],
+    ids=["scalar", "nested", "empty", "bool", "string"],
+)
+def test_remote_embedder_rejects_a_non_vector(stub_server, embedding):
+    base_url, handler = stub_server
+    handler.behaviors.append((200, _embedding_body(embedding)))
+    with pytest.raises(ProtocolError):
+        RemoteEmbeddingSimilarity(base_url, "m").embed("a")
+
+
 def test_remote_embedder_transport_error_after_retries(stub_server):
     base_url, handler = stub_server
     handler.behaviors.extend([(500, "{}")] * 3)
-    model = RemoteEmbeddingSimilarity(base_url, "m", retry_base_delay=0.0)
+    model = RemoteEmbeddingSimilarity(base_url, "m")
     with pytest.raises(TransportError):
         model.embed("a")
     assert len(handler.requests_seen) == 3
@@ -323,6 +334,6 @@ def test_retrieve_matches_bruteforce_argmax(doc, model, chunk_index):
 def test_remote_embedder_recovers_after_one_server_error(stub_server):
     base_url, handler = stub_server
     handler.behaviors.extend([(500, "{}"), (200, _embedding_body([0.0, 2.0]))])
-    model = RemoteEmbeddingSimilarity(base_url, "m", retry_base_delay=0.0)
+    model = RemoteEmbeddingSimilarity(base_url, "m")
     assert model.embed("a") == pytest.approx([0.0, 1.0])
     assert len(handler.requests_seen) == 2

@@ -54,7 +54,7 @@ def outcome_of(text: str) -> ParseOutcome:
 
 
 def relevant(instruction: str, doc, model):
-    return retrieve_relevant_apis(instruction, prepare_document(doc, model), 1)
+    return retrieve_relevant_apis(instruction, prepare_document(doc, model, 0.3), 1)
 
 
 def valid_request(text: str) -> ApiRequest:
@@ -69,7 +69,7 @@ def test_unparseable_is_e1(doc, model):
     outcome = ParseOutcome.unparseable(ParseFailure.NO_BLOCK)
     finding = detect(
         outcome, relevant("Log a user into the system.", doc, model),
-        prepare_document(doc, model),
+        prepare_document(doc, model, 0.3), 0.5,
     )
     assert finding.error_type is ErrorType.E1
     assert finding.offending_name is None and finding.suggested_name is None
@@ -78,7 +78,7 @@ def test_unparseable_is_e1(doc, model):
 def test_wrong_selection_is_e2_1(doc, model):
     instruction = "Log a user into the system and start a session."
     outcome = outcome_of('userLogout(username="kate")')
-    finding = detect(outcome, relevant(instruction, doc, model), prepare_document(doc, model))
+    finding = detect(outcome, relevant(instruction, doc, model), prepare_document(doc, model, 0.3), 0.5)
     assert finding.error_type is ErrorType.E2_1
     assert finding.offending_name == "userLogout"
     assert finding.relevant_apis.names == ("userLogin",)
@@ -87,7 +87,7 @@ def test_wrong_selection_is_e2_1(doc, model):
 def test_naming_style_is_e2_2(doc, model):
     instruction = "Log a user into the system and start a session."
     outcome = outcome_of('user_login(username="kate", days=3)')
-    finding = detect(outcome, relevant(instruction, doc, model), prepare_document(doc, model))
+    finding = detect(outcome, relevant(instruction, doc, model), prepare_document(doc, model, 0.3), 0.5)
     assert finding.error_type is ErrorType.E2_2
     assert finding.offending_name == "user_login"
     assert finding.suggested_name == "userLogin"
@@ -98,7 +98,7 @@ def test_semantic_name_is_e2_3_tfidf(doc, model, raw_doc):
     # the corruption generator guarantees its score beats the threshold.
     instruction = "List remaining medicines in the cabinet and their stock."
     outcome = outcome_of('medicines_list(name="aspirin")')
-    finding = detect(outcome, relevant(instruction, doc, model), prepare_document(doc, model))
+    finding = detect(outcome, relevant(instruction, doc, model), prepare_document(doc, model, 0.3), 0.5)
     assert finding.error_type is ErrorType.E2_3
     assert finding.offending_name == "medicines_list"
     assert finding.suggested_name == "list_medicines"
@@ -134,7 +134,7 @@ def test_hallucinated_name_is_e2_3_with_embedding_model(doc):
         instruction, target.description, "find_aspirin_number", "list_medicines"
     )
     outcome = outcome_of("find_aspirin_number()")
-    finding = detect(outcome, relevant(instruction, doc, model), prepare_document(doc, model))
+    finding = detect(outcome, relevant(instruction, doc, model), prepare_document(doc, model, 0.3), 0.5)
     assert finding.error_type is ErrorType.E2_3
     assert finding.offending_name == "find_aspirin_number"
     assert finding.suggested_name == "list_medicines"
@@ -143,7 +143,7 @@ def test_hallucinated_name_is_e2_3_with_embedding_model(doc):
 def test_unknown_unrelated_name_is_e2_other(doc, model):
     instruction = "Log a user into the system and start a session."
     outcome = outcome_of("zzqqy(x=1)")
-    finding = detect(outcome, relevant(instruction, doc, model), prepare_document(doc, model))
+    finding = detect(outcome, relevant(instruction, doc, model), prepare_document(doc, model, 0.3), 0.5)
     assert finding.error_type is ErrorType.E2_OTHER
     assert finding.offending_name == "zzqqy"
     assert finding.suggested_name is None
@@ -152,7 +152,7 @@ def test_unknown_unrelated_name_is_e2_other(doc, model):
 def test_foreign_parameter_is_e3_1(doc, model):
     instruction = "Log a user into the system and start a session."
     outcome = outcome_of('userLogin(recipient="kate", days=3)')
-    finding = detect(outcome, relevant(instruction, doc, model), prepare_document(doc, model))
+    finding = detect(outcome, relevant(instruction, doc, model), prepare_document(doc, model, 0.3), 0.5)
     assert finding.error_type is ErrorType.E3_1
     assert finding.offending_name == "recipient"
 
@@ -161,7 +161,7 @@ def test_param_naming_style_is_e3_2(doc, model):
     # user_name normalizes to username, which another API documents.
     instruction = "Log a user into the system and start a session."
     outcome = outcome_of('userLogin(user_name="kate", days=3)')
-    finding = detect(outcome, relevant(instruction, doc, model), prepare_document(doc, model))
+    finding = detect(outcome, relevant(instruction, doc, model), prepare_document(doc, model, 0.3), 0.5)
     assert finding.error_type is ErrorType.E3_2
     assert finding.offending_name == "user_name"
     assert finding.suggested_name == "username"
@@ -171,7 +171,7 @@ def test_param_case_variant_is_e3_3(doc, model):
     # Days matches no other API's parameters, but token-matches days.
     instruction = "Log a user into the system and start a session."
     outcome = outcome_of('userLogin(username="kate", Days=3)')
-    finding = detect(outcome, relevant(instruction, doc, model), prepare_document(doc, model))
+    finding = detect(outcome, relevant(instruction, doc, model), prepare_document(doc, model, 0.3), 0.5)
     assert finding.error_type is ErrorType.E3_3
     assert finding.offending_name == "Days"
     assert finding.suggested_name == "days"
@@ -180,7 +180,7 @@ def test_param_case_variant_is_e3_3(doc, model):
 def test_param_token_reorder_is_e3_3(doc, model):
     instruction = "Convert an amount of money from one currency to another."
     outcome = outcome_of('currency_convert(amount=3.5, currency_from="EUR", to_currency="JPY")')
-    finding = detect(outcome, relevant(instruction, doc, model), prepare_document(doc, model))
+    finding = detect(outcome, relevant(instruction, doc, model), prepare_document(doc, model, 0.3), 0.5)
     assert finding.error_type is ErrorType.E3_3
     assert finding.offending_name == "currency_from"
     assert finding.suggested_name == "from_currency"
@@ -189,7 +189,7 @@ def test_param_token_reorder_is_e3_3(doc, model):
 def test_missing_required_is_e3_other(doc, model):
     instruction = "Log a user into the system and start a session."
     outcome = outcome_of('userLogin(username="kate")')
-    finding = detect(outcome, relevant(instruction, doc, model), prepare_document(doc, model))
+    finding = detect(outcome, relevant(instruction, doc, model), prepare_document(doc, model, 0.3), 0.5)
     assert finding.error_type is ErrorType.E3_OTHER
     assert finding.offending_name == "days"
 
@@ -197,7 +197,7 @@ def test_missing_required_is_e3_other(doc, model):
 def test_type_mismatch_is_e4_1(doc, model):
     instruction = "Log a user into the system and start a session."
     outcome = outcome_of('userLogin(username="kate", days="three")')
-    finding = detect(outcome, relevant(instruction, doc, model), prepare_document(doc, model))
+    finding = detect(outcome, relevant(instruction, doc, model), prepare_document(doc, model, 0.3), 0.5)
     assert finding.error_type is ErrorType.E4_1
     assert finding.offending_name == '"three"'
     assert finding.param_description == "Number of days the login session stays valid."
@@ -206,13 +206,13 @@ def test_type_mismatch_is_e4_1(doc, model):
 def test_int_widens_to_float(doc, model):
     instruction = "Convert an amount of money from one currency to another."
     outcome = outcome_of('currency_convert(amount=3, from_currency="EUR", to_currency="JPY")')
-    assert detect(outcome, relevant(instruction, doc, model), prepare_document(doc, model)).error_type is ErrorType.NONE
+    assert detect(outcome, relevant(instruction, doc, model), prepare_document(doc, model, 0.3), 0.5).error_type is ErrorType.NONE
 
 
 def test_clean_request_is_none(doc, model):
     instruction = "Log a user into the system and start a session."
     outcome = outcome_of('userLogin(username="kate", days=3)')
-    finding = detect(outcome, relevant(instruction, doc, model), prepare_document(doc, model))
+    finding = detect(outcome, relevant(instruction, doc, model), prepare_document(doc, model, 0.3), 0.5)
     assert finding.error_type is ErrorType.NONE
     assert finding.offending_name is None
 
@@ -221,13 +221,13 @@ def test_name_fault_masks_later_faults(doc, model):
     # Wrong name AND wrong value: the name stage fires first.
     instruction = "Log a user into the system and start a session."
     outcome = outcome_of('user_login(username="kate", days="three")')
-    finding = detect(outcome, relevant(instruction, doc, model), prepare_document(doc, model))
+    finding = detect(outcome, relevant(instruction, doc, model), prepare_document(doc, model, 0.3), 0.5)
     assert finding.error_type is ErrorType.E2_2
 
 
 def test_corpus_sample_detects_exactly(doc, model):
     for case in build_corpus_cases(doc, per_class=3, seed=11):
-        finding = detect(outcome_of(case.text), relevant(case.instruction, doc, model), prepare_document(doc, model))
+        finding = detect(outcome_of(case.text), relevant(case.instruction, doc, model), prepare_document(doc, model, 0.3), 0.5)
         assert finding.error_type is case.label, (case.text, finding.error_type)
         if case.expected_suggestion is not None:
             assert finding.suggested_name == case.expected_suggestion
@@ -245,13 +245,13 @@ TRUTH = 'userLogin(username="kate", days=3)'
 
 def test_classify_identity_is_none(doc, model):
     truth = valid_request(TRUTH)
-    assert classify_against_truth(outcome_of(TRUTH), truth, doc, model) is ErrorType.NONE
+    assert classify_against_truth(outcome_of(TRUTH), truth, doc, model, 0.5) is ErrorType.NONE
 
 
 def test_classify_case_variant_is_e2_2(doc, model):
     truth = valid_request(TRUTH)
     got = classify_against_truth(
-        outcome_of('UserLogin(username="kate", days=3)'), truth, doc, model
+        outcome_of('UserLogin(username="kate", days=3)'), truth, doc, model, 0.5
     )
     assert got is ErrorType.E2_2
 
@@ -259,7 +259,7 @@ def test_classify_case_variant_is_e2_2(doc, model):
 def test_classify_other_api_is_e2_1(doc, model):
     truth = valid_request(TRUTH)
     got = classify_against_truth(
-        outcome_of('userLogout(username="kate")'), truth, doc, model
+        outcome_of('userLogout(username="kate")'), truth, doc, model, 0.5
     )
     assert got is ErrorType.E2_1
 
@@ -267,7 +267,7 @@ def test_classify_other_api_is_e2_1(doc, model):
 def test_classify_wrong_value_is_e4_other(doc, model):
     truth = valid_request(TRUTH)
     got = classify_against_truth(
-        outcome_of('userLogin(username="bob", days=3)'), truth, doc, model
+        outcome_of('userLogin(username="bob", days=3)'), truth, doc, model, 0.5
     )
     assert got is ErrorType.E4_OTHER
 
@@ -275,21 +275,21 @@ def test_classify_wrong_value_is_e4_other(doc, model):
 def test_classify_missing_optional_arg_is_e4_other(doc, model):
     truth = valid_request('get_weather(city="kyoto", units="metric")')
     got = classify_against_truth(
-        outcome_of('get_weather(city="kyoto")'), truth, doc, model
+        outcome_of('get_weather(city="kyoto")'), truth, doc, model, 0.5
     )
     assert got is ErrorType.E4_OTHER
 
 
 def test_classify_unparseable_is_e1(doc, model):
     truth = valid_request(TRUTH)
-    got = classify_against_truth(outcome_of("not a request"), truth, doc, model)
+    got = classify_against_truth(outcome_of("not a request"), truth, doc, model, 0.5)
     assert got is ErrorType.E1
 
 
 def test_classify_type_mismatch_is_e4_1(doc, model):
     truth = valid_request(TRUTH)
     got = classify_against_truth(
-        outcome_of('userLogin(username="kate", days="three")'), truth, doc, model
+        outcome_of('userLogin(username="kate", days="three")'), truth, doc, model, 0.5
     )
     assert got is ErrorType.E4_1
 
@@ -297,7 +297,7 @@ def test_classify_type_mismatch_is_e4_1(doc, model):
 def test_classify_unknown_truth_api_raises(doc, model):
     truth = ApiRequest("ghost", ())
     with pytest.raises(UnknownTruthApiError):
-        classify_against_truth(outcome_of(TRUTH), truth, doc, model)
+        classify_against_truth(outcome_of(TRUTH), truth, doc, model, 0.5)
 
 
 def test_classify_identity_soundness_over_corpus(doc, model):
@@ -307,7 +307,7 @@ def test_classify_identity_soundness_over_corpus(doc, model):
     for api in doc.apis:
         req = base_request(api, corruptor.rng)
         outcome = ParseOutcome.parsed(req)
-        assert classify_against_truth(outcome, req, doc, model) is ErrorType.NONE
+        assert classify_against_truth(outcome, req, doc, model, 0.5) is ErrorType.NONE
 
 
 def test_detect_and_classify_share_the_cascade(doc, model):
@@ -328,14 +328,14 @@ def test_detect_and_classify_share_the_cascade(doc, model):
             args = tuple(a for a in req.args if a[0] != required[0])
             cases.append((api.name, serialize_request(ApiRequest(api.name, args))))
     labels = Counter()
-    prepared = prepare_document(doc, model)
+    prepared = prepare_document(doc, model, 0.3)
     for api_name, text in cases:
         outcome = outcome_of(text)
         if not outcome.ok or outcome.request.name != api_name:
             continue
         truth = outcome.request
-        finding = detect(outcome, RelevantSet(((truth.name, 1.0),)), prepared)
-        got = classify_against_truth(outcome, truth, doc, model)
+        finding = detect(outcome, RelevantSet(((truth.name, 1.0),)), prepared, 0.5)
+        got = classify_against_truth(outcome, truth, doc, model, 0.5)
         assert got is finding.error_type, (text, got, finding.error_type)
         labels[got] += 1
     assert {t.family for t in labels} == {"E3", "E4", "none"}
@@ -347,14 +347,14 @@ def test_detect_and_classify_share_the_cascade(doc, model):
 # -- render_feedback ----------------------------------------------------------
 
 def _finding(doc, model, text, instruction):
-    return detect(outcome_of(text), relevant(instruction, doc, model), prepare_document(doc, model))
+    return detect(outcome_of(text), relevant(instruction, doc, model), prepare_document(doc, model, 0.3), 0.5)
 
 
 def test_e1_feedback_has_no_exclude_part(doc, model):
     finding = detect(
         ParseOutcome.unparseable(ParseFailure.NO_BLOCK),
         relevant("Log a user into the system.", doc, model),
-        prepare_document(doc, model),
+        prepare_document(doc, model, 0.3), 0.5,
     )
     feedback = render_feedback(finding)
     assert "correct" not in feedback and "selection error" not in feedback
@@ -400,7 +400,7 @@ def test_e4_1_feedback_quotes_value_and_description(doc, model):
 
 def test_feedback_always_quotes_offending_content(doc, model):
     for case in build_corpus_cases(doc, per_class=2, seed=23):
-        finding = detect(outcome_of(case.text), relevant(case.instruction, doc, model), prepare_document(doc, model))
+        finding = detect(outcome_of(case.text), relevant(case.instruction, doc, model), prepare_document(doc, model, 0.3), 0.5)
         feedback = render_feedback(finding)
         if finding.offending_name is not None:
             assert finding.offending_name in feedback
@@ -595,7 +595,7 @@ def test_index_lookups_equal_linear_scans(raw, data, threshold):
 
     outcome = ParseOutcome.parsed(request)
     finding = detect(
-        outcome, RelevantSet(((truth.name, 1.0),)), prepare_document(doc, model), threshold
+        outcome, RelevantSet(((truth.name, 1.0),)), prepare_document(doc, model, 0.3), threshold
     )
     assert (finding.error_type.value, finding.offending_name, finding.suggested_name) == (
         in_detect[0], probe, in_detect[1],
@@ -630,24 +630,24 @@ def test_scan_cost_does_not_grow_with_the_doc(doc, monkeypatch):
     per_doc = []
     for scanned in (doc, _renamed_copies(doc, 10)):
         model = default_similarity(scanned)
-        prepared = prepare_document(scanned, model)
+        prepared = prepare_document(scanned, model, 0.3)
         scores = []
         score = model.score
         model.score = lambda a, b: scores.append((a, b)) or score(a, b)
 
-        finding = detect(wrong_name, RelevantSet(((truth.name, 1.0),)), prepared)
+        finding = detect(wrong_name, RelevantSet(((truth.name, 1.0),)), prepared, 0.5)
         assert finding.error_type is ErrorType.E2_3
         assert finding.suggested_name == "list_medicines"
         assert scores == []
         medicines = valid_request('list_medicines(name="aspirin")')
-        assert classify_against_truth(wrong_name, medicines, scanned, model) is ErrorType.E2_3
+        assert classify_against_truth(wrong_name, medicines, scanned, model, 0.5) is ErrorType.E2_3
         assert len(scores) == 1
 
         counts = []
         for outcome, label in ((foreign_key, ErrorType.E3_1), (styled_key, ErrorType.E3_2)):
-            classify_against_truth(outcome, truth, scanned, model)  # builds the indices
+            classify_against_truth(outcome, truth, scanned, model, 0.5)  # builds the indices
             normalized.clear()
-            assert classify_against_truth(outcome, truth, scanned, model) is label
+            assert classify_against_truth(outcome, truth, scanned, model, 0.5) is label
             counts.append(sum(normalized.values()))
         per_doc.append(counts)
     assert per_doc[0] == per_doc[1]
