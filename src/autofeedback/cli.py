@@ -224,10 +224,14 @@ def _load_dataset(values: dict, base_doc: ApiDocument | None) -> list[BenchTask]
             continue
         try:
             raw = json.loads(line)
-            task_id = str(raw["id"])
-            instruction = str(raw["instruction"])
+            task_id = raw["id"]
+            instruction = raw["instruction"]
         except (json.JSONDecodeError, KeyError, TypeError) as exc:
             raise ConfigError(f"malformed dataset line {line_no}: {exc}") from exc
+        if not isinstance(task_id, str):
+            raise ConfigError(f"dataset line {line_no}: id must be a string")
+        if not isinstance(instruction, str):
+            raise ConfigError(f"dataset line {line_no}: instruction must be a string")
         doc_ref = raw.get("doc")
         ground_truth = raw.get("ground_truth")
         script = raw.get("script")
@@ -433,10 +437,13 @@ def _cmd_report(args: argparse.Namespace) -> int:
     verdicts: dict[str, bool] = {}
     if summary_path.exists():
         try:
-            summary = json.loads(summary_path.read_text(encoding="utf-8"))
-            for entry in summary.get("tasks", []):
-                verdicts[str(entry.get("task_id"))] = bool(entry.get("satisfied"))
+            entries = json.loads(summary_path.read_text(encoding="utf-8")).get("tasks", [])
         except (json.JSONDecodeError, AttributeError):
+            entries = None
+        if isinstance(entries, list) and all(isinstance(e, dict) for e in entries):
+            for entry in entries:
+                verdicts[str(entry.get("task_id"))] = bool(entry.get("satisfied"))
+        else:
             print(f"warning: unreadable summary {summary_path}", file=sys.stderr)
 
     sessions: dict[str, list[dict]] = {}
@@ -451,7 +458,8 @@ def _cmd_report(args: argparse.Namespace) -> int:
                 event = json.loads(line)
             except json.JSONDecodeError:
                 event = None
-            if isinstance(event, dict):
+            # Static events carry a null observation, dynamic ones an object.
+            if isinstance(event, dict) and isinstance(event.get("observation") or {}, dict):
                 events.append(event)
             else:
                 print(f"warning: skipping {path.name}:{line_no}", file=sys.stderr)

@@ -38,7 +38,6 @@ class FeedbackRecord:
 @dataclass(frozen=True)
 class DynamicOutcome:
     final_response: ApiResponse
-    records: tuple[FeedbackRecord, ...]
     satisfied: bool
 
 
@@ -186,4 +185,4 @@ def run_dynamic_loop(
         request = new_request
         response = _execute(request)
         satisfied = judge.accepts(request, response)
-    return DynamicOutcome(response, tuple(records), satisfied)
+    return DynamicOutcome(response, satisfied)

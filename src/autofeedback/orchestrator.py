@@ -279,9 +279,8 @@ def run_task(
             is ErrorType.NONE,
             records=log.dynamic_records,
         )
-        final_request = (
-            outcome_dyn.records[-1].new_action if outcome_dyn.records else request
-        )
+        records = log.dynamic_records
+        final_request = records[-1].new_action if records else request
         return _finish(outcome_dyn.satisfied, final_request, outcome_dyn.final_response)
     except ExecutorUnavailableError as exc:
         log.executor_failed = True

@@ -250,11 +250,13 @@ REGENERATE_SENTENCE = (
 )
 
 _LOCATE = {
+    "E1": "No parseable API request was found in your output.",
     "E2": "The error is in the API name: you used '{offending}'.",
     "E3": "The error is in the parameter name '{offending}'.",
     "E4": "The error is in the parameter value {offending}.",
 }
 
+# E1 has no earlier stage to rule out.
 _EXCLUDE = {
     ErrorType.E2_1: "The request format itself is correct.",
     ErrorType.E2_2: "The API name is not a selection error.",
@@ -278,66 +280,53 @@ _EXCLUDE = {
     ),
 }
 
+# In the E4 family the description of the documented parameter guides the fix.
+_SUGGEST_VALUE = (
+    "The value {offending} does not match the documented parameter type."
+    " Parameter description: {description}"
+)
+_SUGGEST = {
+    ErrorType.E1: (
+        "Your output did not contain a parseable API request in the format"
+        " APINAME(key1=value1, key2=value2, ...)."
+    ),
+    ErrorType.E2_1: (
+        "'{offending}' exists in the documentation but does not match the"
+        " user instruction; you selected the wrong API."
+    ),
+    ErrorType.E2_2: (
+        "'{offending}' uses the wrong naming format; the documented API"
+        " is named '{suggested}'."
+    ),
+    ErrorType.E2_3: (
+        "'{offending}' does not exist; the semantically closest documented"
+        " API is '{suggested}'."
+    ),
+    ErrorType.E2_OTHER: "'{offending}' does not appear in the API documentation.",
+    ErrorType.E3_1: (
+        "'{offending}' is a parameter of a different API, not of the API"
+        " you called."
+    ),
+    ErrorType.E3_2: (
+        "'{offending}' uses the wrong naming format; the documented"
+        " parameter is named '{suggested}'."
+    ),
+    ErrorType.E3_3: (
+        "'{offending}' is not documented; the semantically closest"
+        " documented parameter is '{suggested}'."
+    ),
+    ErrorType.E3_OTHER: (
+        "No documented parameter of the called API matches '{offending}'."
+        " If the documentation lists '{offending}' as required, include"
+        " it; otherwise remove or replace it."
+    ),
+    ErrorType.E4_1: _SUGGEST_VALUE,
+    ErrorType.E4_OTHER: _SUGGEST_VALUE,
+}
 
-def _suggest_sentence(finding: DetectionFinding) -> str:
-    e = finding.error_type
-    offending = finding.offending_name
-    suggested = finding.suggested_name
-    top = finding.relevant_apis.names[0] if finding.relevant_apis.names else None
-    if e is ErrorType.E1:
-        return (
-            "Your output did not contain a parseable API request in the format"
-            " APINAME(key1=value1, key2=value2, ...)."
-        )
-    if e is ErrorType.E2_1:
-        text = (
-            f"'{offending}' exists in the documentation but does not match the"
-            " user instruction; you selected the wrong API."
-        )
-        if top is not None and top != offending:
-            text += f" The API most relevant to the instruction is '{top}'."
-        return text
-    if e is ErrorType.E2_2:
-        return (
-            f"'{offending}' uses the wrong naming format; the documented API"
-            f" is named '{suggested}'."
-        )
-    if e is ErrorType.E2_3:
-        return (
-            f"'{offending}' does not exist; the semantically closest documented"
-            f" API is '{suggested}'."
-        )
-    if e is ErrorType.E2_OTHER:
-        text = f"'{offending}' does not appear in the API documentation."
-        if top is not None:
-            text += f" The API most relevant to the instruction is '{top}'."
-        return text
-    if e is ErrorType.E3_1:
-        return (
-            f"'{offending}' is a parameter of a different API, not of the API"
-            " you called."
-        )
-    if e is ErrorType.E3_2:
-        return (
-            f"'{offending}' uses the wrong naming format; the documented"
-            f" parameter is named '{suggested}'."
-        )
-    if e is ErrorType.E3_3:
-        return (
-            f"'{offending}' is not documented; the semantically closest"
-            f" documented parameter is '{suggested}'."
-        )
-    if e is ErrorType.E3_OTHER:
-        return (
-            f"No documented parameter of the called API matches '{offending}'."
-            f" If the documentation lists '{offending}' as required, include"
-            " it; otherwise remove or replace it."
-        )
-    # E4 family: the description of the documented parameter guides the fix.
-    return (
-        f"The value {offending} does not match the documented parameter type."
-        f" Parameter description: {finding.param_description}"
-    )
+# Follows the Suggest part of a wrong or unknown API name when the API most
+# relevant to the instruction is another one.
+_MOST_RELEVANT = " The API most relevant to the instruction is '{}'."
 
 
 def render_feedback(finding: DetectionFinding) -> str:
@@ -347,19 +336,22 @@ def render_feedback(finding: DetectionFinding) -> str:
     Declare and Regenerate are always present; Exclude is omitted for the
     parse error, which has no earlier stage to rule out.
     """
-    if finding.error_type is ErrorType.NONE:
+    e = finding.error_type
+    if e is ErrorType.NONE:
         raise NoErrorFindingError("cannot render feedback for a clean request")
 
-    parts: list[str] = [DECLARE_SENTENCE]
-
-    if finding.error_type is ErrorType.E1:
-        parts.append("No parseable API request was found in your output.")
-    else:
-        parts.append(
-            _LOCATE[finding.error_type.family].format(offending=finding.offending_name)
-        )
-        parts.append(_EXCLUDE[finding.error_type])
-
-    parts.append(_suggest_sentence(finding))
+    offending = finding.offending_name
+    parts = [DECLARE_SENTENCE, _LOCATE[e.family].format(offending=offending)]
+    if e in _EXCLUDE:
+        parts.append(_EXCLUDE[e])
+    suggest = _SUGGEST[e].format(
+        offending=offending,
+        suggested=finding.suggested_name,
+        description=finding.param_description,
+    )
+    top = finding.relevant_apis.names[0] if finding.relevant_apis.names else None
+    if e in (ErrorType.E2_1, ErrorType.E2_OTHER) and top not in (None, offending):
+        suggest += _MOST_RELEVANT.format(top)
+    parts.append(suggest)
     parts.append(REGENERATE_SENTENCE)
     return " ".join(parts)

@@ -168,13 +168,14 @@ def test_criterion_08_dynamic_convergence(prepared):
     executor = MockApiServer({"route_planning": route_planning_handler})
     llm = ScriptedLlm([f"Thought: swap the coordinate order.\n<<API>>{correct}<</API>>"])
     judge = ExactMatchJudge(ground_truth=parse_request(correct).request)
+    records = []
     outcome = run_dynamic_loop(
         reversed_req, prepared, executor, llm, judge, n_max=2,
-        static_check=lambda request: True, records=[],
+        static_check=lambda request: True, records=records,
     )
     assert outcome.satisfied
-    assert len(outcome.records) == 1
-    record = outcome.records[0]
+    assert len(records) == 1
+    record = records[0]
     assert "info_code:20000" in record.response.body
     assert record.error_message is not None
     assert "Longitude precedes latitude" in record.error_message.text

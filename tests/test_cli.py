@@ -165,8 +165,13 @@ def test_bench_malformed_line_names_line_number(tmp_path, capsys):
         ("ground_truth", 5, "ground_truth must be a string"),
         ("ground_truth", [TRUTH, None], "ground_truth must be a string"),
         ("doc", 5, "doc must be a string"),
+        ("id", 5, "id must be a string"),
+        ("instruction", None, "instruction must be a string"),
     ],
-    ids=["script-int", "script-string", "script-mixed", "truth-int", "truth-mixed", "doc-int"],
+    ids=[
+        "script-int", "script-string", "script-mixed", "truth-int", "truth-mixed", "doc-int",
+        "id-int", "instruction-null",
+    ],
 )
 def test_dataset_field_of_the_wrong_type_exits_2(tmp_path, capsys, field, value, message):
     dataset = tmp_path / "tasks.jsonl"
@@ -372,6 +377,36 @@ def test_report_skips_lines_that_are_not_objects(tmp_path, capsys):
     assert "skipping ok-0.jsonl:2" in captured.err
     assert "skipping ok-0.jsonl:3" in captured.err
     assert "static #0: clean" in captured.out
+
+
+def test_report_skips_events_whose_observation_is_not_an_object(tmp_path, capsys):
+    log_dir = tmp_path / "logs"
+    log_dir.mkdir()
+    event = {"task_id": "a", "phase": "dynamic", "iteration": 0, "observation": "x"}
+    (log_dir / "a.jsonl").write_text(
+        json.dumps({**event, "observation": {"status": 200}}) + "\n" + json.dumps(event) + "\n",
+        encoding="utf-8",
+    )
+    assert run_cli("report", "--log-dir", str(log_dir)) == 0
+    captured = capsys.readouterr()
+    assert "skipping a.jsonl:2" in captured.err
+    assert "dynamic #0: None -> status=200" in captured.out
+
+
+@pytest.mark.parametrize(
+    "summary", [{"tasks": 5}, {"tasks": [5]}, [1]], ids=["tasks-int", "entry-int", "list"]
+)
+def test_report_warns_on_a_summary_of_the_wrong_shape(tmp_path, capsys, summary):
+    dataset = tmp_path / "tasks.jsonl"
+    write_dataset(dataset, dataset_lines(1, 0))
+    log_dir = tmp_path / "logs"
+    run_cli("bench", "--dataset", str(dataset), "--log-dir", str(log_dir))
+    (log_dir / "summary.json").write_text(json.dumps(summary), encoding="utf-8")
+    capsys.readouterr()
+    assert run_cli("report", "--log-dir", str(log_dir)) == 0
+    captured = capsys.readouterr()
+    assert "warning: unreadable summary" in captured.err
+    assert "== ok-0 [unknown]" in captured.out
 
 
 # -- flags and config file --------------------------------------------------------

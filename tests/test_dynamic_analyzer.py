@@ -42,12 +42,13 @@ def judge():
 
 def test_accepted_first_try_enters_no_loop(doc, prepared, executor, judge):
     llm = ScriptedLlm(["should never be called"])
+    records = []
     outcome = run_dynamic_loop(
         req(CORRECT), prepared, executor, llm, judge, n_max=2,
-        static_check=accept_all, records=[],
+        static_check=accept_all, records=records,
     )
     assert outcome.satisfied
-    assert outcome.records == ()
+    assert records == []
     assert llm.calls == 0
     assert len(executor.executed) == 1
 
@@ -59,13 +60,14 @@ def test_route_planning_correction_converges(doc, prepared, executor, judge):
             f" order.\n<<API>>{CORRECT}<</API>>"
         ]
     )
+    records = []
     outcome = run_dynamic_loop(
         req(REVERSED), prepared, executor, llm, judge, n_max=2,
-        static_check=accept_all, records=[],
+        static_check=accept_all, records=records,
     )
     assert outcome.satisfied
-    assert len(outcome.records) == 1
-    record = outcome.records[0]
+    assert len(records) == 1
+    record = records[0]
     assert record.error_message is not None
     assert "Longitude precedes latitude" in record.error_message.text
     assert "info_code:20000" in record.response.body
@@ -79,12 +81,13 @@ def test_route_planning_correction_converges(doc, prepared, executor, judge):
 
 def test_budget_exhaustion_is_unsatisfied(doc, prepared, executor, judge):
     llm = ScriptedLlm([f"Thought: retrying as-is.\n<<API>>{REVERSED}<</API>>"])
+    records = []
     outcome = run_dynamic_loop(
         req(REVERSED), prepared, executor, llm, judge, n_max=2,
-        static_check=accept_all, records=[],
+        static_check=accept_all, records=records,
     )
     assert not outcome.satisfied
-    assert len(outcome.records) == 2
+    assert len(records) == 2
     assert len(executor.executed) == 3  # n_max + 1
 
 
@@ -95,25 +98,27 @@ def test_records_chain_action_to_new_action(doc, prepared, executor, judge):
             f"Thought: second try.\n<<API>>{CORRECT}<</API>>",
         ]
     )
+    records = []
     outcome = run_dynamic_loop(
         req(REVERSED), prepared, executor, llm, judge, n_max=3,
-        static_check=accept_all, records=[],
+        static_check=accept_all, records=records,
     )
     assert outcome.satisfied
-    assert len(outcome.records) == 2
-    for earlier, later in zip(outcome.records, outcome.records[1:]):
+    assert len(records) == 2
+    for earlier, later in zip(records, records[1:]):
         assert earlier.new_action == later.action
-    assert [r.iteration for r in outcome.records] == [0, 1]
+    assert [r.iteration for r in records] == [0, 1]
 
 
 def test_n_max_zero_means_one_execution_no_llm(doc, prepared, executor, judge):
     llm = ScriptedLlm(["unused"])
+    records = []
     outcome = run_dynamic_loop(
         req(REVERSED), prepared, executor, llm, judge, n_max=0,
-        static_check=accept_all, records=[],
+        static_check=accept_all, records=records,
     )
     assert not outcome.satisfied
-    assert outcome.records == ()
+    assert records == []
     assert llm.calls == 0
     assert len(executor.executed) == 1
 
@@ -125,12 +130,13 @@ def test_unparseable_correction_reasked_once(doc, prepared, executor, judge):
             f"Thought: sorry.\n<<API>>{CORRECT}<</API>>",
         ]
     )
+    records = []
     outcome = run_dynamic_loop(
         req(REVERSED), prepared, executor, llm, judge, n_max=2,
-        static_check=accept_all, records=[],
+        static_check=accept_all, records=records,
     )
     assert outcome.satisfied
-    assert len(outcome.records) == 1
+    assert len(records) == 1
     assert llm.calls == 2  # first attempt plus one re-ask
     reask = llm.received_prompts[1][-1].content
     assert "did not contain a parseable API request" in reask
@@ -140,13 +146,14 @@ def test_twice_unparseable_burns_iteration_keeps_request(
     doc, prepared, executor, judge
 ):
     llm = ScriptedLlm(["no request here", "still no request"])
+    records = []
     outcome = run_dynamic_loop(
         req(REVERSED), prepared, executor, llm, judge, n_max=1,
-        static_check=accept_all, records=[],
+        static_check=accept_all, records=records,
     )
     assert not outcome.satisfied
-    assert len(outcome.records) == 1
-    assert outcome.records[0].new_action == outcome.records[0].action
+    assert len(records) == 1
+    assert records[0].new_action == records[0].action
     assert llm.calls == 2
     assert len(executor.executed) == 2
 
@@ -154,9 +161,10 @@ def test_twice_unparseable_burns_iteration_keeps_request(
 def test_llm_calls_bounded_by_twice_budget(doc, prepared, executor, judge):
     llm = ScriptedLlm(["never a request"])
     n_max = 3
+    records = []
     outcome = run_dynamic_loop(
         req(REVERSED), prepared, executor, llm, judge, n_max=n_max,
-        static_check=accept_all, records=[],
+        static_check=accept_all, records=records,
     )
     assert not outcome.satisfied
     assert llm.calls <= 2 * n_max
@@ -165,6 +173,7 @@ def test_llm_calls_bounded_by_twice_budget(doc, prepared, executor, judge):
 
 def test_static_check_rejection_burns_iteration(doc, prepared, executor, judge):
     llm = ScriptedLlm([f"Thought: using a fake api.\n<<API>>fake_api(x=1)<</API>>"])
+    records = []
     outcome = run_dynamic_loop(
         req(REVERSED),
         prepared,
@@ -173,10 +182,10 @@ def test_static_check_rejection_burns_iteration(doc, prepared, executor, judge):
         judge,
         n_max=1,
         static_check=lambda r: r.name in doc.api_names,
-        records=[],
+        records=records,
     )
     assert not outcome.satisfied
-    assert outcome.records[0].new_action == outcome.records[0].action
+    assert records[0].new_action == records[0].action
 
 
 # -- judges ---------------------------------------------------------------------

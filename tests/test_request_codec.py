@@ -120,6 +120,53 @@ def test_bad_syntax_rejected(text):
     assert outcome.failure is ParseFailure.BAD_SYNTAX
 
 
+@pytest.mark.parametrize(
+    "text, expected",
+    [
+        # A duplicate key is reported as soon as its value parses.
+        ("f(a=1, a=2 $", ParseFailure.DUPLICATE_KEY),
+        ("f(a=1, a=2, b=", ParseFailure.DUPLICATE_KEY),
+        ("f(a=1, a=[", ParseFailure.BAD_SYNTAX),
+        ('f(a=[1, 2,], b={"k": 1,},)', (("a", [1, 2]), ("b", {"k": 1}))),
+        ("f(t=(1))", (("t", (1,)),)),
+        (r'f(s="\d\'\n\t\r")', (("s", "d'\n\t\r"),)),
+        ("f\t(\n a =\xa01 ,\x1cb=2 )  ", (("a", 1), ("b", 2))),
+        ("f(a=tRuE, true=False)", (("a", True), ("true", False))),
+        ('f(a={"k": 1, "k": 2})', (("a", {"k": 2}),)),
+        ("f(a=1., b=.5, c=-2E-1, d=\u0663)", (("a", 1.0), ("b", 0.5), ("c", -0.2), ("d", 3))),
+        *[
+            (f"f(a={value})", ParseFailure.BAD_SYNTAX)
+            for value in ["truex", "1e", "- 1", "--1", "1.2.3", "{1: 2}", '"abc', '"abc\\', "\xb2"]
+        ],
+    ],
+)
+def test_parse_edge_behaviour(text, expected):
+    outcome = parse_request(text)
+    if isinstance(expected, ParseFailure):
+        assert outcome.failure is expected
+    else:
+        # repr tells 1 from 1.0 and True from 1.
+        assert outcome.ok and repr(outcome.request.args) == repr(expected)
+
+
+@pytest.mark.parametrize("unit", ['\\"', '"\\', "'x", " "])
+def test_parse_time_grows_linearly(unit):
+    # Were a backslash outside a string a token of its own, text like
+    # "\"\"\"... would be rescanned from every quote to its end: 1 s for
+    # 10 KB on a 2-core Xeon.
+    def best_time(size):
+        text = 'f(a="' + unit * (size // len(unit))
+        times = []
+        for _ in range(3):
+            started = time.perf_counter()
+            parse_request(text)
+            times.append(time.perf_counter() - started)
+        return min(times)
+
+    small, large = best_time(8_000), best_time(16_000)
+    assert large < 3.0 * small + 0.002, (small, large)
+
+
 def test_parse_literals():
     outcome = parse_request(
         'f(a=1, b=-2.5, c=TRUE, d=false, e=[1, "x"], g=(1,), h={"k": [true]}, i=1e-09)'
