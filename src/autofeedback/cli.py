@@ -22,24 +22,18 @@ from dataclasses import fields
 from pathlib import Path
 
 from .doc_model import ApiDocument, load_document
-from .dynamic_analyzer import ExactMatchJudge
 from .errors import AutoFeedbackError, SchemaError, TransportError
-from .gateways import ChatMessage, HttpApiExecutor, HttpLlmClient, ScriptedLlm
-from .metrics import error_distribution, error_distribution_percentages
+from .gateways import ChatMessage, HttpApiExecutor, HttpLlmClient
+from .metrics import BenchmarkReport, error_distribution, error_distribution_percentages
 from .orchestrator import (
     BenchTask,
     PipelineConfig,
-    _check_log_name,
-    echo_executor,
+    TaskResult,
     opening_messages,
-    prepare_document,
     run_benchmark,
-    run_task,
     system_message,
-    write_session_log,
-    write_summary,
 )
-from .request_codec import parse_llm_output, parse_request, serialize_request
+from .request_codec import parse_llm_output, serialize_request
 from .retrieval import RemoteEmbeddingSimilarity, default_similarity
 from .static_scanner import ErrorType, classify_against_truth
 
@@ -192,16 +186,16 @@ def _http_llm(values: dict) -> HttpLlmClient:
     return HttpLlmClient(base_url, values["model"], key)
 
 
-def _executor_for(values: dict, task: BenchTask):
-    if values["executor"] == "http":
-        base_url = values["executor_base_url"]
-        if not base_url:
-            raise ConfigError("--executor http requires --executor-base-url")
-        route_map = {
-            api.name: ("POST", f"/{api.name}") for api in task.doc.apis
-        }
-        return HttpApiExecutor(base_url, route_map)
-    return echo_executor(task.doc)
+def _executor_factory(values: dict):
+    """The factory of the http executor, or ``None`` for the echo double."""
+    if values["executor"] != "http":
+        return None
+    base_url = values["executor_base_url"]
+    if not base_url:
+        raise ConfigError("--executor http requires --executor-base-url")
+    return lambda task: HttpApiExecutor(
+        base_url, {api.name: ("POST", f"/{api.name}") for api in task.doc.apis}
+    )
 
 
 def _is_strings(value: object) -> bool:
@@ -271,15 +265,34 @@ def _load_dataset(values: dict, base_doc: ApiDocument | None) -> list[BenchTask]
     return tasks
 
 
-def _cmd_run(args: argparse.Namespace) -> int:
+def _run_tasks(
+    values: dict, config: PipelineConfig, tasks: list[BenchTask]
+) -> tuple[BenchmarkReport, list[TaskResult]]:
+    """``run_benchmark`` over *tasks* with the command's gateways, log
+    directory and worker count."""
+    llm_factory = None
+    if values["llm"] == "http":
+        client = _http_llm(values)
+        llm_factory = lambda task: client  # noqa: E731 - shared stateless client
     try:
-        _check_log_name(args.task_id)
-    except ValueError as exc:
-        raise ConfigError(str(exc)) from exc
+        return run_benchmark(
+            tasks,
+            config,
+            llm_factory=llm_factory,
+            executor_factory=_executor_factory(values),
+            model_factory=_similarity_factory(values),
+            log_dir=values["log_dir"],
+            jobs=values.get("jobs", 1),
+        )
+    except ValueError as exc:  # a task id or a ground truth the batch cannot use
+        where = f"dataset {values['dataset']}: " if "dataset" in values else ""
+        raise ConfigError(where + str(exc)) from exc
+
+
+def _cmd_run(args: argparse.Namespace) -> int:
     values = _merge_config(args)
     config = _pipeline_config(values)
     doc = _load_doc(values)
-    model = _similarity_factory(values)(doc)
 
     script = list(args.script or [])
     if args.script_file:
@@ -290,32 +303,13 @@ def _cmd_run(args: argparse.Namespace) -> int:
         if not _is_strings(replies):
             raise ConfigError("script file must hold a JSON list of strings")
         script.extend(replies)
-    if values["llm"] == "http":
-        llm = _http_llm(values)
-    else:
-        if not script:
-            raise ConfigError("scripted LLM needs --script or --script-file")
-        llm = ScriptedLlm(script)
+    if values["llm"] != "http" and not script:
+        raise ConfigError("scripted LLM needs --script or --script-file")
 
-    truth_request = None
-    if args.ground_truth:
-        outcome = parse_request(args.ground_truth)
-        if not outcome.ok:
-            raise ConfigError(f"--ground-truth does not parse: {args.ground_truth!r}")
-        truth_request = outcome.request
-    judge = ExactMatchJudge(ground_truth=truth_request)
-
-    task = BenchTask(args.task_id, args.instruction, doc)
-    executor = _executor_for(values, task)
-    prepared = prepare_document(doc, model, config.chunk_threshold)
-    result = run_task(
-        args.instruction, prepared, llm, executor, judge, config, task_id=args.task_id
+    task = BenchTask(
+        args.task_id, args.instruction, doc, args.ground_truth or None, tuple(script)
     )
-
-    log_dir = Path(values["log_dir"])
-    log_dir.mkdir(parents=True, exist_ok=True)
-    write_session_log(result.log, log_dir / f"{args.task_id}.jsonl")
-    write_summary([result], log_dir / "summary.json")
+    _report, [result] = _run_tasks(values, config, [task])
 
     status = "satisfied" if result.satisfied else "unsatisfied"
     print(f"task {args.task_id}: {status}")
@@ -326,7 +320,9 @@ def _cmd_run(args: argparse.Namespace) -> int:
         print(f"  final request: {serialize_request(result.request)}")
     if result.response is not None:
         print(f"  final response: status={result.response.status}")
-    print(f"  log: {log_dir / (args.task_id + '.jsonl')}")
+    if result.error is not None:
+        print(f"  error: {result.error}")
+    print(f"  log: {Path(values['log_dir']) / (args.task_id + '.jsonl')}")
     return EXIT_OK if result.satisfied else EXIT_UNSATISFIED
 
 
@@ -335,24 +331,7 @@ def _cmd_bench(args: argparse.Namespace) -> int:
     config = _pipeline_config(values)
     base_doc = _load_doc(values) if values["doc"] else None
     tasks = _load_dataset(values, base_doc)
-
-    llm_factory = None
-    if values["llm"] == "http":
-        client = _http_llm(values)
-        llm_factory = lambda task: client  # noqa: E731 - shared stateless client
-
-    try:
-        report, _results = run_benchmark(
-            tasks,
-            config,
-            llm_factory=llm_factory,
-            executor_factory=lambda task: _executor_for(values, task),
-            model_factory=_similarity_factory(values),
-            log_dir=values["log_dir"],
-            jobs=values["jobs"],
-        )
-    except ValueError as exc:  # a task id that cannot name its log file
-        raise ConfigError(f"dataset {values['dataset']}: {exc}") from exc
+    report, _results = _run_tasks(values, config, tasks)
     print(report.to_table())
     print(f"report: {Path(values['log_dir']) / 'report.json'}")
     return EXIT_OK
@@ -367,19 +346,18 @@ def _cmd_classify(args: argparse.Namespace) -> int:
     # Every sample is checked before the first LLM call or model build.
     truths = []
     for task in tasks:
-        if not task.truth_sequence:
+        try:
+            truth = task.truth_requests()
+        except ValueError as exc:
+            raise ConfigError(f"dataset {values['dataset']}: {exc}") from exc
+        if not truth:
             raise ConfigError(f"dataset sample {task.task_id!r} has no ground truth")
-        truth_outcome = parse_request(task.truth_sequence[0])
-        if not truth_outcome.ok:
-            raise ConfigError(
-                f"dataset sample {task.task_id!r}: ground truth does not parse"
-            )
         if not task.script and not http:
             raise ConfigError(
                 f"dataset sample {task.task_id!r} has no recorded output (script)"
                 " and the LLM is scripted"
             )
-        truths.append(truth_outcome.request)
+        truths.append(truth[0])
     llm = None if all(task.script for task in tasks) else _http_llm(values)
     similarity_factory = _similarity_factory(values)
 

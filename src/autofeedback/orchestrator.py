@@ -322,6 +322,21 @@ class BenchTask:
             return (self.ground_truth,)
         return self.ground_truth
 
+    def truth_requests(self) -> tuple[ApiRequest, ...] | None:
+        """The parsed ground truth, or ``None`` when the task has none.
+        Raises ``ValueError`` naming the task when a truth does not parse."""
+        if self.truth_sequence is None:
+            return None
+        requests = []
+        for text in self.truth_sequence:
+            outcome = parse_request(text)
+            if not outcome.ok:
+                raise ValueError(
+                    f"task {self.task_id!r}: ground truth does not parse: {text!r}"
+                )
+            requests.append(outcome.request)
+        return tuple(requests)
+
 
 def echo_executor(doc: ApiDocument) -> MockApiServer:
     """Success-echo double: known APIs answer 200 with the argument dict."""
@@ -343,28 +358,6 @@ def _default_llm(task: BenchTask) -> LlmClient:
     return ScriptedLlm(["I cannot call any API."])
 
 
-def _default_judge(task: BenchTask) -> ExactMatchJudge:
-    truth = task.truth_sequence
-    if truth:
-        outcome = parse_request(truth[0])
-        if outcome.ok:
-            return ExactMatchJudge(ground_truth=outcome.request)
-    return ExactMatchJudge()
-
-
-def _canonical_truth(task: BenchTask) -> tuple[str, ...] | None:
-    truth = task.truth_sequence
-    if truth is None:
-        return None
-    canonical = []
-    for text in truth:
-        outcome = parse_request(text)
-        canonical.append(
-            serialize_request(outcome.request) if outcome.ok else text
-        )
-    return tuple(canonical)
-
-
 def run_benchmark(
     tasks: Sequence[BenchTask],
     config: PipelineConfig = PipelineConfig(),
@@ -378,43 +371,40 @@ def run_benchmark(
 ) -> tuple[BenchmarkReport, list[TaskResult]]:
     """Run every task and aggregate a report.
 
-    Each distinct document is prepared once, before any task runs. A task
-    that raises, or whose document failed to prepare, is recorded as
-    unsatisfied with the error noted, never aborting the batch. With
-    *log_dir* set, task ids name the log files, so a duplicate id or one
-    that is not a plain file name raises ``ValueError`` before any task
-    runs. Logs are written through a single writer in task order, so reruns
-    with deterministic gateways are byte-identical apart from timestamps.
+    Whatever fails before the first task raises: an empty batch, with
+    *log_dir* set a task id that is duplicated or not a plain file name
+    (``ValueError``; ids name the log files), a ground truth that does not
+    parse (``ValueError``), or a document that fails to prepare. Each
+    distinct document is prepared once, before any task runs. Whatever
+    fails inside a task is recorded on its :class:`TaskResult`, which is
+    then unsatisfied with the error noted; the batch goes on. Logs are
+    written through a single writer in task order, so reruns with
+    deterministic gateways are byte-identical apart from timestamps.
     """
     if not tasks:
         raise EmptyDatasetError("no tasks to run")
     if log_dir is not None:
         _check_log_names(tasks)
+    truths = [task.truth_requests() for task in tasks]
     llm_factory = llm_factory or _default_llm
     executor_factory = executor_factory or (lambda task: echo_executor(task.doc))
     model_factory = model_factory or default_similarity
 
-    prepared: dict[int, PreparedDoc | Exception] = {}
+    prepared: dict[int, PreparedDoc] = {}
     for task in tasks:
         if id(task.doc) not in prepared:
-            try:
-                prepared[id(task.doc)] = prepare_document(
-                    task.doc, model_factory(task.doc), config.chunk_threshold
-                )
-            except Exception as exc:  # noqa: BLE001 - reported by its tasks
-                prepared[id(task.doc)] = exc
+            prepared[id(task.doc)] = prepare_document(
+                task.doc, model_factory(task.doc), config.chunk_threshold
+            )
 
-    def _run_one(task: BenchTask) -> TaskResult:
+    def _run_one(task: BenchTask, truth: tuple[ApiRequest, ...] | None) -> TaskResult:
         try:
-            doc_state = prepared[id(task.doc)]
-            if isinstance(doc_state, Exception):
-                raise doc_state
             return run_task(
                 task.instruction,
-                doc_state,
+                prepared[id(task.doc)],
                 llm_factory(task),
                 executor_factory(task),
-                _default_judge(task),
+                ExactMatchJudge(truth[0] if truth else None),
                 config,
                 task_id=task.task_id,
             )
@@ -424,9 +414,9 @@ def run_benchmark(
 
     if jobs > 1:
         with ThreadPoolExecutor(max_workers=jobs) as pool:
-            results = list(pool.map(_run_one, tasks))
+            results = list(pool.map(_run_one, tasks, truths))
     else:
-        results = [_run_one(task) for task in tasks]
+        results = [_run_one(task, truth) for task, truth in zip(tasks, truths)]
 
     acc = accuracy(results)
     token_sums = [sum(r.log.token_totals) for r in results]
@@ -434,10 +424,10 @@ def run_benchmark(
     classifications = [
         e.finding.error_type for r in results for e in r.log.static_events
     ]
-    truths = [_canonical_truth(t) for t in tasks]
     if all(t is not None for t in truths):
         process_pct = process_correctness(
-            [executed_sequence(r) for r in results], truths
+            [executed_sequence(r) for r in results],
+            [[serialize_request(request) for request in t] for t in truths],
         )
     else:
         process_pct = None
@@ -462,18 +452,13 @@ def run_benchmark(
     return report, results
 
 
-def _check_log_name(task_id: str) -> None:
-    """A task id names its log file, so it must be a plain file name."""
-    if task_id in ("", ".", "..") or any(c in task_id for c in "/\\\0"):
-        raise ValueError(f"task id {task_id!r} is not a plain file name")
-
-
 def _check_log_names(tasks: Sequence[BenchTask]) -> None:
     """Task ids must be distinct plain file names: each names its log."""
     seen: set[str] = set()
     for task in tasks:
         task_id = task.task_id
-        _check_log_name(task_id)
+        if task_id in ("", ".", "..") or any(c in task_id for c in "/\\\0"):
+            raise ValueError(f"task id {task_id!r} is not a plain file name")
         if task_id in seen:
             raise ValueError(f"duplicate task id {task_id!r}")
         seen.add(task_id)

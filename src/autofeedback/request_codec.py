@@ -12,6 +12,9 @@ Identifiers are ``[A-Za-z_][A-Za-z0-9_]*``; booleans are ``true`` and
 ``\n``, ``\t`` and ``\r``; any other escaped character stands for itself.
 Numbers are ``-?(\d+(\.\d*)?|\.\d+)([eE][+-]?\d+)?``, where ``\d`` is any
 Unicode decimal digit, and are floats if they have a ``.`` or an exponent.
+A number must have a finite value (``1e999`` is an error) and an integer
+at most Python's integer-string digit limit (4,300 by default), so that
+``serialize_request`` can write back every request that parses.
 Trailing commas are allowed, and ``(x)`` is a one-element tuple. A repeated
 argument key is an error; a repeated dict key keeps its last value.
 Whitespace (whatever ``str.isspace`` accepts) may stand between any two
@@ -21,6 +24,7 @@ tokens, and containers nest at most ``MAX_NESTING`` deep.
 from __future__ import annotations
 
 import logging
+import math
 import re
 from dataclasses import dataclass
 from enum import Enum
@@ -329,7 +333,13 @@ class _Parser:
                 body = _ESCAPE.sub(lambda m: _ESCAPES.get(m[1], m[1]), body)
             return body
         if head.isdecimal() or (len(token) > 1 and head in "-."):
-            return float(token) if any(c in token for c in ".eE") else int(token)
+            try:
+                number = float(token) if any(c in token for c in ".eE") else int(token)
+            except ValueError:  # an integer past Python's digit limit
+                raise _SyntaxError(f"integer too long at token {self.pos - 1}") from None
+            if isinstance(number, float) and not math.isfinite(number):
+                raise _SyntaxError(f"number out of range at token {self.pos - 1}")
+            return number
         if token.lower() in _BOOLS:
             return _BOOLS[token.lower()]
         raise _SyntaxError(f"expected a literal at token {self.pos - 1}")

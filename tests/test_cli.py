@@ -120,6 +120,93 @@ def test_run_task_id_outside_log_dir_exits_2(
     assert list(tmp_path.iterdir()) == []  # nothing written
 
 
+def test_run_writes_the_report_of_its_one_task(tmp_path):
+    code = run_cli(
+        "run", INSTRUCTION,
+        "--doc", str(FIXTURE_DOC),
+        "--script", wrap(TRUTH),
+        "--ground-truth", TRUTH,
+        "--log-dir", str(tmp_path),
+    )
+    assert code == 0
+    report = json.loads((tmp_path / "report.json").read_text())
+    assert report["n_tasks"] == 1
+    assert report["accuracy_pct"] == 100.0
+    assert report["process_correctness_pct"] == 100.0
+
+
+def test_run_prints_why_the_session_stopped(tmp_path, capsys, monkeypatch, stub_server):
+    base_url, handler = stub_server
+    handler.default_behavior = (503, "{}")
+    monkeypatch.setenv("AUTOFEEDBACK_LLM_KEY", "k")
+    code = run_cli(
+        "run", INSTRUCTION,
+        "--doc", str(FIXTURE_DOC),
+        "--llm", "http",
+        "--llm-base-url", base_url,
+        "--log-dir", str(tmp_path),
+    )
+    assert code == 1
+    out = capsys.readouterr().out
+    assert "  error: " in out and "unreachable after 3 attempts" in out
+
+
+def _one_task_argv(command, tmp_path, **fields):
+    """argv running one task through *command*: ``run`` takes it as flags,
+    ``bench`` from a one-line dataset."""
+    line = dict(dataset_lines(1, 0)[0], **fields)
+    if command == "run":
+        argv = ["run", line["instruction"], "--doc", line["doc"], "--task-id", line["id"]]
+        argv += [a for s in line["script"] for a in ("--script", s)]
+        if line["ground_truth"] is not None:
+            argv += ["--ground-truth", line["ground_truth"]]
+    else:
+        write_dataset(tmp_path / "tasks.jsonl", [line])
+        argv = ["bench", "--dataset", str(tmp_path / "tasks.jsonl")]
+    return argv + ["--log-dir", str(tmp_path / "logs")]
+
+
+@pytest.mark.parametrize("command", ["run", "bench"])
+def test_unparseable_ground_truth_exits_2_before_any_llm_call(
+    tmp_path, capsys, monkeypatch, stub_server, command
+):
+    base_url, handler = stub_server
+    monkeypatch.setenv("AUTOFEEDBACK_LLM_KEY", "k")
+    argv = _one_task_argv(command, tmp_path, id="odd", ground_truth="this is not a request")
+    code = run_cli(*argv, "--llm", "http", "--llm-base-url", base_url)
+    assert code == 2
+    assert "task 'odd': ground truth does not parse" in capsys.readouterr().err
+    assert handler.requests_seen == []
+    assert not (tmp_path / "logs").exists()
+
+
+@pytest.mark.parametrize("command", ["run", "bench"])
+def test_embedder_failure_while_preparing_exits_3(tmp_path, capsys, stub_server, command):
+    base_url, handler = stub_server
+    handler.default_behavior = (500, "{}")
+    argv = _one_task_argv(command, tmp_path)
+    assert run_cli(*argv, "--embedder-base-url", base_url) == 3
+    assert "transport error" in capsys.readouterr().err
+    assert not (tmp_path / "logs").exists()
+
+
+@pytest.mark.parametrize("command", ["run", "bench"])
+def test_http_executor_without_base_url_exits_2(tmp_path, capsys, command):
+    argv = _one_task_argv(command, tmp_path)
+    assert run_cli(*argv, "--executor", "http") == 2
+    assert "--executor-base-url" in capsys.readouterr().err
+    assert not (tmp_path / "logs").exists()
+
+
+@pytest.mark.parametrize("command", ["run", "bench"])
+def test_an_integer_past_the_digit_limit_is_a_syntax_error(tmp_path, command):
+    reply = wrap(f'userLogin(username="kate", days={"9" * 5000})')
+    argv = _one_task_argv(command, tmp_path, id="long", script=[reply])
+    assert run_cli(*argv) == (1 if command == "run" else 0)
+    events = [json.loads(line) for line in (tmp_path / "logs" / "long.jsonl").read_text().splitlines()]
+    assert [e["error_type"] for e in events] == ["E1"] * 4
+
+
 # -- bench ---------------------------------------------------------------------
 
 def test_bench_reports_accuracy(tmp_path, capsys):
@@ -256,6 +343,17 @@ def test_classify_missing_ground_truth_exits_2(tmp_path, capsys):
     write_dataset(dataset, lines)
     assert run_cli("classify", "--dataset", str(dataset)) == 2
     assert "ground truth" in capsys.readouterr().err
+
+
+def test_classify_rejects_any_ground_truth_that_does_not_parse(tmp_path, capsys):
+    lines = [
+        {"id": "multi", "instruction": INSTRUCTION, "ground_truth": [TRUTH, "f(a="],
+         "doc": str(FIXTURE_DOC), "script": [wrap(TRUTH)]},
+    ]
+    dataset = tmp_path / "labeled.jsonl"
+    write_dataset(dataset, lines)
+    assert run_cli("classify", "--dataset", str(dataset)) == 2
+    assert "task 'multi': ground truth does not parse" in capsys.readouterr().err
 
 
 def test_classify_checks_every_sample_before_any_llm_call(

@@ -21,6 +21,7 @@ from autofeedback import (
 from autofeedback.errors import EmptyDatasetError, TransportError
 from autofeedback import orchestrator
 from autofeedback.gateways import LlmClient, MockApiServer
+from autofeedback.retrieval import SimilarityModel, default_similarity
 from autofeedback.orchestrator import (
     executed_sequence,
     session_log_lines,
@@ -382,6 +383,57 @@ def test_benchmark_rejects_duplicate_task_id_before_writing(doc, tmp_path):
     assert not (tmp_path / "logs").exists()
     report, _ = run_benchmark(tasks)  # without logs, ids name nothing
     assert report.n_tasks == 10
+
+
+class _CountingFactory:
+    """An LLM factory that counts the sessions it was asked for."""
+
+    def __init__(self):
+        self.calls = 0
+
+    def __call__(self, task):
+        self.calls += 1
+        return ScriptedLlm(list(task.script or ("no api call",)))
+
+
+@pytest.mark.parametrize("truth", ["this is not a request", (LOGIN_TRUTH, "f(a=")])
+def test_benchmark_rejects_unparseable_truth_before_any_task(doc, tmp_path, truth):
+    tasks = make_tasks(doc)
+    tasks[6] = BenchTask("odd", LOGIN_INSTRUCTION, doc, ground_truth=truth)
+    llm_factory = _CountingFactory()
+    with pytest.raises(ValueError, match="task 'odd': ground truth does not parse"):
+        run_benchmark(tasks, llm_factory=llm_factory, log_dir=tmp_path / "logs")
+    with pytest.raises(ValueError, match="task 'odd'"):
+        run_benchmark(tasks, llm_factory=llm_factory)
+    assert llm_factory.calls == 0
+    assert not (tmp_path / "logs").exists()
+
+
+def test_truth_requests_parses_every_truth(doc):
+    assert BenchTask("t", LOGIN_INSTRUCTION, doc).truth_requests() is None
+    task = BenchTask("t", LOGIN_INSTRUCTION, doc, (LOGIN_TRUTH, "userLogin( username='kate', days=3 )"))
+    assert task.truth_requests() == (req(LOGIN_TRUTH), req(LOGIN_TRUTH))
+
+
+def test_benchmark_raises_when_a_document_fails_to_prepare(doc, tmp_path):
+    class DownModel(SimilarityModel):
+        def embed(self, text):
+            raise TransportError("embedder unreachable")
+
+    other = load_document(FIXTURE_DOC)
+    tasks = make_tasks(doc) + [
+        BenchTask("other", LOGIN_INSTRUCTION, other, ground_truth=LOGIN_TRUTH)
+    ]
+    llm_factory = _CountingFactory()
+    with pytest.raises(TransportError, match="embedder unreachable"):
+        run_benchmark(
+            tasks,
+            llm_factory=llm_factory,
+            model_factory=lambda d: DownModel() if d is other else default_similarity(d),
+            log_dir=tmp_path / "logs",
+        )
+    assert llm_factory.calls == 0
+    assert not (tmp_path / "logs").exists()
 
 
 # -- session log serialization ----------------------------------------------------

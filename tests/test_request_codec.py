@@ -248,10 +248,73 @@ def test_nesting_limit_is_exact():
     assert parse_request(past_limit).failure is ParseFailure.BAD_SYNTAX
 
 
-@given(st.text(alphabet="f(x=[]{}(),:'\"1.- ", max_size=60))
+# Digit runs on both sides of Python's integer-string limit (4,300 digits)
+# and exponents up to e999, past the largest finite float (about 1.8e308).
+_LONG_NUMBER = st.one_of(
+    st.integers(min_value=4295, max_value=4305).map("9".__mul__),
+    st.integers(min_value=300, max_value=999).map("1e{}".format),
+)
+_REQUEST_SHAPED = st.lists(
+    st.one_of(st.text(alphabet="f(x=[]{}(),:'\"1.- ", max_size=10), _LONG_NUMBER),
+    max_size=8,
+).map("".join)
+
+
+@example("9" * 5000 + ")")
+@given(_REQUEST_SHAPED)
 def test_parse_is_total_on_request_shaped_text(tail):
     outcome = parse_request("f(x=" + tail)
     assert outcome.ok or outcome.failure is not None
+
+
+def _quoted(text: str, quote: str) -> str:
+    return quote + text.replace("\\", "\\\\").replace(quote, "\\" + quote) + quote
+
+
+_NUMBER_TEXT = st.one_of(
+    st.from_regex(r"-?(\d+(\.\d*)?|\.\d+)([eE][+-]?\d{1,3})?", fullmatch=True),
+    _LONG_NUMBER,
+)
+_STRING_TEXT = st.builds(_quoted, st.text(max_size=8), st.sampled_from("'\""))
+_SPACE = st.sampled_from(["", " ", "\n\t"])
+
+
+def _joined(open_, close, items):
+    return st.builds(
+        lambda parts, space: open_ + ("," + space).join(parts) + close,
+        st.lists(items, max_size=3),
+        _SPACE,
+    )
+
+
+_VALUE_TEXT = st.recursive(
+    st.one_of(_NUMBER_TEXT, _STRING_TEXT, st.sampled_from(["true", "False", "TRUE"])),
+    lambda inner: st.one_of(
+        _joined("[", "]", inner),
+        _joined("(", ")", inner),
+        _joined("{", "}", st.builds(lambda k, v: f"{k}: {v}", _STRING_TEXT, inner)),
+    ),
+    max_leaves=8,
+)
+_REQUEST_TEXT = st.builds(
+    lambda name, keys, values, space: f"{name}({space}"
+    + ", ".join(f"{k}{space}={v}" for k, v in zip(keys, values))
+    + ")",
+    st.from_regex(r"[A-Za-z_][A-Za-z0-9_]{0,8}", fullmatch=True),
+    st.lists(st.from_regex(r"[a-z_][a-z0-9_]{0,5}", fullmatch=True), max_size=4, unique=True),
+    st.lists(_VALUE_TEXT, min_size=4, max_size=4),
+    _SPACE,
+)
+
+
+@example("f(a=1e999)")
+@example("f(a=-1e999, b=[1.5e400])")
+@given(_REQUEST_TEXT)
+def test_serialize_inverts_every_parse(text):
+    outcome = parse_request(text)
+    if outcome.ok:
+        again = parse_request(serialize_request(outcome.request))
+        assert again.ok and repr(again.request) == repr(outcome.request)
 
 
 @given(
