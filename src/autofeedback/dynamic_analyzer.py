@@ -10,7 +10,13 @@ from typing import Callable, Sequence
 
 from .errors import ExecutorUnavailableError, TransportError
 from .gateways import ApiExecutor, ApiResponse, ChatMessage, LlmClient
-from .request_codec import ApiRequest, parse_llm_output, serialize_request
+from .request_codec import (
+    CLOSE_MARKER,
+    OPEN_MARKER,
+    ApiRequest,
+    parse_llm_output,
+    serialize_request,
+)
 from .retrieval import PreparedDoc, RetrievedMessage, retrieve_error_message
 
 __all__ = [
@@ -66,7 +72,7 @@ def _observation_line(response: ApiResponse, message: RetrievedMessage | None) -
 
 _REACT_INSTRUCTIONS = (
     'Respond with a line starting with "Thought:" that explains the'
-    " correction, then the corrected API request between <<API>> and <</API>>."
+    f" correction, then the corrected API request between {OPEN_MARKER} and {CLOSE_MARKER}."
 )
 
 
@@ -95,8 +101,7 @@ def _split_thought(reply_text: str) -> str:
         stripped = line.strip()
         if stripped.lower().startswith("thought:"):
             return stripped[len("thought:") :].strip()
-    head = reply_text.split("<<API>>", 1)[0].strip()
-    return head
+    return reply_text.split(OPEN_MARKER, 1)[0].strip()
 
 
 _REASK_MESSAGE = (

@@ -36,6 +36,8 @@ from .metrics import (
     process_correctness,
 )
 from .request_codec import (
+    CLOSE_MARKER,
+    OPEN_MARKER,
     ApiRequest,
     ParseOutcome,
     parse_llm_output,
@@ -147,12 +149,10 @@ class _CountingLlm(LlmClient):
 SYSTEM_PREAMBLE = (
     "You complete the user's task by calling exactly one API from the"
     " documentation below. Reply with the API request in the format"
-    " APINAME(key1=value1, key2=value2) between <<API>> and <</API>>."
+    f" APINAME(key1=value1, key2=value2) between {OPEN_MARKER} and {CLOSE_MARKER}."
 )
 
-_GENERATE_INSTRUCTION = (
-    "Generate the API request between <<API>> and <</API>>."
-)
+_GENERATE_INSTRUCTION = f"Generate the API request between {OPEN_MARKER} and {CLOSE_MARKER}."
 
 
 def render_doc_prompt(doc: ApiDocument) -> str:
@@ -354,7 +354,7 @@ def _default_llm(task: BenchTask) -> LlmClient:
     if task.script:
         return ScriptedLlm(list(task.script))
     if task.truth_sequence:
-        return ScriptedLlm([f"<<API>>{t}<</API>>" for t in task.truth_sequence])
+        return ScriptedLlm([f"{OPEN_MARKER}{t}{CLOSE_MARKER}" for t in task.truth_sequence])
     return ScriptedLlm(["I cannot call any API."])
 
 

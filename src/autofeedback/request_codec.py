@@ -111,23 +111,9 @@ class ParseOutcome:
 _CALL_START = re.compile(r"[A-Za-z_][A-Za-z0-9_]*\(")
 
 
-# The characters a balanced-call scan acts on; every other one is skipped.
-_SCAN_STOP = re.compile(r"[()'\"\\]")
-
-
-class _Scans:
-    """The candidate scans that are in one quote state, and so see every
-    later character alike: one paren level for all of them, and for each
-    level the leftmost start of the scans that close on reaching it."""
-
-    __slots__ = ("quote", "skip", "level", "closes")
-
-    def __init__(self, start: int):
-        """A group of one scan, just past the paren of the call at *start*."""
-        self.quote: str | None = None  # the open quote character, if any
-        self.skip = -1  # index of the character an escape consumes
-        self.level = 1
-        self.closes: dict[int, int] = {0: start}
+# The characters a balanced-call scan acts on; every other one is skipped. A
+# backslash takes the next character with it, as in ``_TOKEN``.
+_SCAN_STOP = re.compile(r"[()'\"\\](?:(?<=\\).)?", re.DOTALL)
 
 
 def _first_balanced_call(text: str) -> str | None:
@@ -135,90 +121,74 @@ def _first_balanced_call(text: str) -> str | None:
     balance, in one pass.
 
     Each candidate ``name(`` starts a scan outside quotes: a quote opens
-    or closes a string, a backslash in a string skips the next character,
-    and parens outside strings count depth. Scans started at different
-    points can disagree on quote state, but there are few states (outside
-    quotes, in ``'`` or ``"``, either with an escape pending), so the
-    scans are kept as one group per state, and groups that reach the same
-    state are merged, smaller into larger.
+    or closes a string, parens outside strings count depth, and a backslash
+    takes the next character with it (in a string the pair is skipped,
+    outside only its second character acts). Scans started at different
+    points can disagree on quote state, but there are only three states, so
+    the scans are kept as one track per state, ``[quote, depth, closes]``:
+    one depth for all of them, and for each depth the leftmost start of the
+    scans that close on reaching it. Tracks that reach the same state are
+    merged, smaller into larger.
     """
     calls = _CALL_START.finditer(text)
     call = next(calls, None)
     if call is None:
         return None
+    first = call.start()
     next_open = call.end() - 1  # the paren of the next candidate to start
-    groups: list[_Scans] = []
-    starts: list[int] = []  # every candidate started, leftmost first
+    tracks: list[list] = []
     ends: dict[int, int] = {}  # candidate start -> index of its closing paren
-    unclosed = 0  # index into starts of the leftmost candidate still open
-    best = -1  # start of the leftmost candidate closed so far
     for stop in _SCAN_STOP.finditer(text, next_open):
-        i = stop.start()
         c = stop.group()
-        for group in groups:
-            if group.skip >= 0:
-                escaped = group.skip == i
-                group.skip = -1
-                if escaped:
-                    continue
-            if group.quote is not None:
-                if c == "\\":
-                    group.skip = i + 1
-                elif c == group.quote:
-                    group.quote = None
-            elif c == "(":
-                group.level += 1
-            elif c == ")":
-                group.level -= 1
-                closed = group.closes.pop(group.level, None)
+        act = c[-1]  # outside a string, what a backslash pair stands for
+        for track in tracks:
+            quote, depth, closes = track
+            if quote is not None:
+                if c == quote:
+                    track[0] = None
+            elif act == "(":
+                track[1] = depth + 1
+            elif act == ")":
+                track[1] = depth - 1
+                closed = closes.pop(depth - 1, None)
                 if closed is not None:
-                    ends[closed] = i
-                    best = closed if best < 0 else min(best, closed)
-            elif c != "\\":
-                group.quote = c
-        if i == next_open:
+                    ends[closed] = stop.end() - 1
+            elif act in "'\"":
+                track[0] = act
+        # The leftmost candidate has closed, so no other can be the answer.
+        if first in ends:
+            break
+        if stop.start() == next_open and not ends:
             # Once a candidate has closed, no later one can be the answer.
-            if best < 0:
-                start = call.start()
-                for group in groups:
-                    if group.quote is None:
-                        group.closes[group.level - 1] = start
-                        break
-                else:
-                    groups.append(_Scans(start))
-                starts.append(start)
-                call = next(calls, None)
-                next_open = -1 if call is None else call.end() - 1
-        elif best >= 0:
-            while unclosed < len(starts) and starts[unclosed] in ends:
-                unclosed += 1
-            if unclosed == len(starts) or starts[unclosed] > best:
-                return text[best : ends[best] + 1]
-        if len(groups) > 1:
-            groups = _merge_scans(groups)
-    return text[best : ends[best] + 1] if best >= 0 else None
+            for track in tracks:
+                if track[0] is None:
+                    track[2][track[1] - 1] = call.start()
+                    break
+            else:
+                tracks.append([None, 1, {0: call.start()}])
+            call = next(calls, None)
+            next_open = -1 if call is None else call.end() - 1
+        if len(tracks) > 1:
+            tracks = _merge_tracks(tracks)
+    best = min(ends, default=-1)
+    return text[best : ends[best] + 1] if ends else None
 
 
-def _merge_scans(groups: list[_Scans]) -> list[_Scans]:
-    """Merge the groups in one state and drop those with no open scan."""
-    by_state: dict[tuple[str | None, int], _Scans] = {}
-    for group in groups:
-        if not group.closes:
+def _merge_tracks(tracks: list[list]) -> list[list]:
+    """Merge the tracks in one quote state and drop those with no open scan."""
+    by_quote: dict[str | None, list] = {}
+    for track in tracks:
+        if not track[2]:
             continue
-        state = (group.quote, group.skip)
-        other = by_state.get(state)
-        if other is None:
-            by_state[state] = group
-            continue
-        big, small = (
-            (other, group) if len(other.closes) >= len(group.closes) else (group, other)
-        )
-        shift = big.level - small.level
-        for level, start in small.closes.items():
-            level += shift
-            big.closes[level] = min(big.closes.get(level, start), start)
-        by_state[state] = big
-    return list(by_state.values())
+        other = by_quote.setdefault(track[0], track)
+        if other is not track:
+            big, small = (other, track) if len(other[2]) >= len(track[2]) else (track, other)
+            shift = big[1] - small[1]
+            for depth, start in small[2].items():
+                depth += shift
+                big[2][depth] = min(big[2].get(depth, start), start)
+            by_quote[track[0]] = big
+    return list(by_quote.values())
 
 
 def extract_request_block(llm_output: str) -> str | None:
@@ -442,13 +412,17 @@ def type_matches(value: Value, expected: ValueType) -> bool:
 
 def values_equal(a: Value, b: Value) -> bool:
     """Type-aware equality: bools never equal ints, and an int equals a
-    float when both convert to the same float (so 3 == 3.0)."""
+    float when both convert to the same float (so 3 == 3.0). An int past
+    the float range equals no float, as parsed floats are finite."""
     if isinstance(a, bool) or isinstance(b, bool):
         return isinstance(a, bool) and isinstance(b, bool) and a == b
     if isinstance(a, (int, float)) and isinstance(b, (int, float)):
         if type(a) is type(b):
             return a == b
-        return float(a) == float(b)
+        try:
+            return float(a) == float(b)
+        except OverflowError:
+            return False
     if type(a) is not type(b):
         return False
     if isinstance(a, (list, tuple)):

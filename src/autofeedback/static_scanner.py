@@ -14,6 +14,8 @@ from typing import Callable, Mapping, Sequence
 from .doc_model import ApiDocument, ApiSpec, lookup_api, normalize_name
 from .errors import NoErrorFindingError, UnknownTruthApiError
 from .request_codec import (
+    CLOSE_MARKER,
+    OPEN_MARKER,
     ApiRequest,
     ParseOutcome,
     serialize_value,
@@ -246,7 +248,7 @@ def classify_against_truth(
 
 DECLARE_SENTENCE = "The API request you generated contains an error."
 REGENERATE_SENTENCE = (
-    "Please regenerate the API request between <<API>> and <</API>>."
+    f"Please regenerate the API request between {OPEN_MARKER} and {CLOSE_MARKER}."
 )
 
 _LOCATE = {

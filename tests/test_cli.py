@@ -334,6 +334,19 @@ def test_classify_all_correct(tmp_path):
     assert payload["counts"] == {"none": 1}
 
 
+def test_classify_labels_an_int_past_float_range_against_a_float(tmp_path):
+    lines = [
+        {"id": "a", "instruction": INSTRUCTION,
+         "ground_truth": 'userLogin(username="kate", days=3.0)', "doc": str(FIXTURE_DOC),
+         "script": [wrap('userLogin(username="kate", days=1' + "0" * 400 + ")")]},
+    ]
+    dataset = tmp_path / "labeled.jsonl"
+    write_dataset(dataset, lines)
+    out_file = tmp_path / "hist.json"
+    assert run_cli("classify", "--dataset", str(dataset), "--out", str(out_file)) == 0
+    assert json.loads(out_file.read_text())["counts"] == {"E4.other": 1}
+
+
 def test_classify_missing_ground_truth_exits_2(tmp_path, capsys):
     lines = [
         {"id": "a", "instruction": INSTRUCTION, "ground_truth": None,

@@ -79,6 +79,19 @@ def test_route_planning_correction_converges(doc, prepared, executor, judge):
     assert "Longitude precedes latitude" in prompt
 
 
+def test_reply_without_thought_line_keeps_text_before_block(
+    doc, prepared, executor, judge
+):
+    llm = ScriptedLlm([f"Swap the coordinate order.\n<<API>>{CORRECT}<</API>>\nDone."])
+    records = []
+    outcome = run_dynamic_loop(
+        req(REVERSED), prepared, executor, llm, judge, n_max=2,
+        static_check=accept_all, records=records,
+    )
+    assert outcome.satisfied
+    assert [r.thought for r in records] == ["Swap the coordinate order."]
+
+
 def test_budget_exhaustion_is_unsatisfied(doc, prepared, executor, judge):
     llm = ScriptedLlm([f"Thought: retrying as-is.\n<<API>>{REVERSED}<</API>>"])
     records = []
