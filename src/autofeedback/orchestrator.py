@@ -146,6 +146,20 @@ class _CountingLlm(LlmClient):
         return reply
 
 
+class _AnsweredExecutor(ApiExecutor):
+    """Wraps an executor to keep the last request it answered, with the
+    response."""
+
+    def __init__(self, inner: ApiExecutor):
+        self._inner = inner
+        self.last: tuple[ApiRequest, ApiResponse] | None = None
+
+    def execute(self, req: ApiRequest) -> ApiResponse:
+        response = self._inner.execute(req)
+        self.last = (req, response)
+        return response
+
+
 SYSTEM_PREAMBLE = (
     "You complete the user's task by calling exactly one API from the"
     " documentation below. Reply with the API request in the format"
@@ -191,7 +205,12 @@ def prepare_document(
 ) -> PreparedDoc:
     """Build the per-document state every task on *doc* shares: the chunk
     index, the relevance ranker over API descriptions, the ranker over API
-    names, and the system message with the rendered documentation."""
+    names, and the system message with the rendered documentation.
+
+    The chunk index chunks and embeds an API on its first lookup, which
+    only the dynamic loop makes, for the API it just executed. Preparing
+    makes one probe ``model.embed`` call (none for a doc without text), so
+    an embedder that cannot answer raises here, before any task runs."""
     return PreparedDoc(
         doc,
         model,
@@ -220,6 +239,11 @@ def run_task(
     is not executed. Feedback is appended to the conversation, so each
     regeneration sees the history of its own mistakes. *prepared* must be
     built with the config's ``chunk_threshold``.
+
+    A task that fails with an :class:`AutoFeedbackError` (an outage of the
+    executor, the LLM or the embedder) is unsatisfied with the error noted;
+    its ``request`` and ``response`` are then the last execution answered,
+    or the last request with no response when none was.
     """
     if prepared.chunk_threshold != config.chunk_threshold:
         raise ValueError(
@@ -227,6 +251,7 @@ def run_task(
             f" config has {config.chunk_threshold}"
         )
     counting = _CountingLlm(llm)
+    answered = _AnsweredExecutor(executor)
     log = SessionLog(task_id=task_id)
 
     relevant: RelevantSet | None = None
@@ -271,7 +296,7 @@ def run_task(
         outcome_dyn: DynamicOutcome = run_dynamic_loop(
             request,
             prepared,
-            executor,
+            answered,
             counting,
             judge,
             config.max_dynamic,
@@ -282,11 +307,12 @@ def run_task(
         records = log.dynamic_records
         final_request = records[-1].new_action if records else request
         return _finish(outcome_dyn.satisfied, final_request, outcome_dyn.final_response)
-    except ExecutorUnavailableError as exc:
-        log.executor_failed = True
-        return _finish(False, request, None, error=str(exc))
     except AutoFeedbackError as exc:
-        return _finish(False, request, None, error=str(exc))
+        log.executor_failed = isinstance(exc, ExecutorUnavailableError)
+        response = None
+        if answered.last is not None:
+            request, response = answered.last
+        return _finish(False, request, response, error=str(exc))
 
 
 def executed_sequence(result: TaskResult) -> list[str]:

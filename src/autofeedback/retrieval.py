@@ -8,6 +8,7 @@ implementing :class:`SimilarityModel`.
 
 from __future__ import annotations
 
+import functools
 import heapq
 import math
 import re
@@ -168,13 +169,19 @@ def _cosine(dot: float, norm_a: float, norm_b: float) -> float:
     return min(1.0, max(0.0, dot / (norm_a * norm_b)))
 
 
+EMBED_CACHE_SIZE = 1024  # texts whose vectors a remote embedder keeps
+
+
 class RemoteEmbeddingSimilarity(SimilarityModel):
     """Drop-in embedding service adapter.
 
     Sends ``{"input": [text], "model": name}`` and reads
     ``data[0].embedding``, which must be a non-empty flat list of numbers;
-    vectors are L2-normalized and cached per text, and scoring is the
-    inherited clamped cosine. The first response pins the vector length;
+    vectors are L2-normalized, and scoring is the inherited clamped cosine.
+    The vectors of the last ``EMBED_CACHE_SIZE`` texts used are cached, so
+    chunking, which embeds a sentence again in each similarity it takes
+    part in, asks for it once, while the dynamic loop's queries, nearly
+    all new, do not pile up. The first response pins the vector length;
     any later deviation is a protocol error.
     """
 
@@ -182,13 +189,13 @@ class RemoteEmbeddingSimilarity(SimilarityModel):
         self._url = base_url.rstrip("/") + "/embeddings"
         self._model_name = model_name
         self._api_key = api_key
-        self._cache: dict[str, np.ndarray] = {}
         self._dim: int | None = None
+        self._cached_embed = functools.lru_cache(maxsize=EMBED_CACHE_SIZE)(self._fetch)
 
     def embed(self, text: str) -> np.ndarray:
-        cached = self._cache.get(text)
-        if cached is not None:
-            return cached
+        return self._cached_embed(text)
+
+    def _fetch(self, text: str) -> np.ndarray:
         payload = {"input": [text], "model": self._model_name}
         response = post_json(self._url, payload, self._api_key, HTTP_TIMEOUT)
         try:
@@ -214,7 +221,6 @@ class RemoteEmbeddingSimilarity(SimilarityModel):
         norm = np.linalg.norm(vector)
         if norm > 0:
             vector = vector / norm
-        self._cache[text] = vector
         return vector
 
 
@@ -288,49 +294,88 @@ class Chunk:
     vector: np.ndarray
 
 
-@dataclass(frozen=True)
 class ChunkIndex:
-    """Immutable per-API chunk store; vectors are the chunk-text embeddings."""
+    """Per-API chunk store of one document; vectors are the chunk-text
+    embeddings.
 
-    chunks: dict[str, tuple[Chunk, ...]]
+    ``for_api(name)`` chunks and embeds that API's documentation on its
+    first lookup, caches the tuple and returns it; later lookups return the
+    cached tuple. A name the document does not document gives ``()`` and
+    stores nothing. Threads (``run_benchmark(jobs=...)``) may race to fill
+    the same entry. The chunks are a deterministic function of the API,
+    the model and the threshold, so each racer computes the same value, and
+    ``dict.setdefault`` keeps the first one stored: every caller gets that
+    same tuple.
+    """
+
+    def __init__(self, doc: ApiDocument, model: SimilarityModel, chunk_threshold: float):
+        self._doc = doc
+        self._model = model
+        self._chunk_threshold = chunk_threshold
+        self._chunks: dict[str, tuple[Chunk, ...]] = {}
 
     def for_api(self, api_name: str) -> tuple[Chunk, ...]:
-        return self.chunks.get(api_name, ())
+        chunks = self._chunks.get(api_name)
+        if chunks is not None:
+            return chunks
+        api = self._doc.by_name.get(api_name)
+        if api is None:
+            return ()
+        chunks = _chunk_api(api, self._model, self._chunk_threshold)
+        return self._chunks.setdefault(api_name, chunks)
 
 
-def build_chunk_index(
-    doc: ApiDocument, model: SimilarityModel, chunk_threshold: float
-) -> ChunkIndex:
-    """Sentence-split each API's documentation and chunk greedily.
+def _chunk_api(
+    api: ApiSpec, model: SimilarityModel, chunk_threshold: float
+) -> tuple[Chunk, ...]:
+    """Sentence-split one API's documentation and chunk greedily.
 
     A sentence joins the current chunk while its similarity to the chunk's
     joined text stays at or above *chunk_threshold*; otherwise it starts a
     new chunk. Every sentence lands in exactly one chunk of its API.
     """
+    groups: list[list[str]] = []
+    for sentence in split_sentences(api_documentation_text(api)):
+        if groups and model.score(sentence, " ".join(groups[-1])) >= chunk_threshold:
+            groups[-1].append(sentence)
+        else:
+            groups.append([sentence])
+    chunks = []
+    for group in groups:
+        text = " ".join(group)
+        chunks.append(Chunk(api.name, tuple(group), text, model.embed(text)))
+    return tuple(chunks)
+
+
+def build_chunk_index(
+    doc: ApiDocument, model: SimilarityModel, chunk_threshold: float
+) -> ChunkIndex:
+    """The chunk index of *doc*, which chunks each API on its first lookup
+    (see :class:`ChunkIndex`).
+
+    Chunking is deferred, but an embedder that cannot answer still fails
+    here, before any task runs: one probe ``model.embed`` call embeds the
+    doc's first sentence, which chunking that API embeds again, so a
+    caching embedder reuses the result. A doc without any sentence (an
+    empty doc among them) makes no call.
+    """
     if not 0.0 < chunk_threshold < 1.0:
         raise ValueError("chunk_threshold must be in (0, 1)")
-    index: dict[str, tuple[Chunk, ...]] = {}
-    for api in doc.apis:
-        sentences = split_sentences(api_documentation_text(api))
-        groups: list[list[str]] = []
-        for sentence in sentences:
-            if groups and model.score(sentence, " ".join(groups[-1])) >= chunk_threshold:
-                groups[-1].append(sentence)
-            else:
-                groups.append([sentence])
-        chunks = []
-        for group in groups:
-            text = " ".join(group)
-            chunks.append(Chunk(api.name, tuple(group), text, model.embed(text)))
-        index[api.name] = tuple(chunks)
-    return ChunkIndex(index)
+    probe = next(
+        (s for api in doc.apis for s in split_sentences(api_documentation_text(api))),
+        None,
+    )
+    if probe is not None:
+        model.embed(probe)
+    return ChunkIndex(doc, model, chunk_threshold)
 
 
 @dataclass(frozen=True, eq=False)
 class PreparedDoc:
     """Everything derived from one document and its similarity model, built
     once by ``orchestrator.prepare_document`` and shared by every task on
-    the document: the chunk index for error retrieval, the relevance ranker
+    the document: the chunk index for error retrieval (filled per API on
+    its first lookup, see :class:`ChunkIndex`), the relevance ranker
     over the API descriptions (``rank(query)`` gives one score per API, in
     doc order), the ranker over the API names that the name cascade
     matches a wrong name against (``rank_names``, also in doc order), and

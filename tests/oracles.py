@@ -3,7 +3,10 @@ results. These deliberately share no code with the package: TF-IDF cosine
 is computed over plain dicts, rank correlation uses the classic d-squared
 formula, the finding-arity table is written out literally, the name and
 parameter cascades walk the raw doc JSON, and the fallback request
-extractor is the first, rescanning version.
+extractor is the first, rescanning version. The one exception is the eager
+chunk index, the loop that chunked every API up front: it checks that
+chunking on first lookup changes nothing, so it shares the sentence
+splitter and the similarity model with the package.
 """
 
 from __future__ import annotations
@@ -12,6 +15,7 @@ import math
 import re
 
 from autofeedback import DetectionFinding, ErrorType
+from autofeedback.retrieval import Chunk, api_documentation_text, split_sentences
 
 _TOKEN = re.compile(r"[^a-z0-9]+")
 
@@ -157,6 +161,26 @@ def oracle_match_param(key, named, raw_doc, score, threshold):
 #
 # It rescans from every ``name(`` and so takes time quadratic in the reply;
 # kept as the reference for the one-pass extractor.
+def oracle_eager_chunk_index(doc, model, chunk_threshold: float) -> dict[str, tuple]:
+    """Every API's chunks, built up front: a sentence joins the current
+    chunk while its score against the chunk's joined text stays at or above
+    *chunk_threshold*, and each chunk's vector embeds its text."""
+    index = {}
+    for api in doc.apis:
+        sentences = split_sentences(api_documentation_text(api))
+        groups: list[list[str]] = []
+        for sentence in sentences:
+            if groups and model.score(sentence, " ".join(groups[-1])) >= chunk_threshold:
+                groups[-1].append(sentence)
+            else:
+                groups.append([sentence])
+        chunks = []
+        for group in groups:
+            text = " ".join(group)
+            chunks.append(Chunk(api.name, tuple(group), text, model.embed(text)))
+        index[api.name] = tuple(chunks)
+    return index
+
 
 _ORACLE_CALL_START = re.compile(r"[A-Za-z_][A-Za-z0-9_]*\(")
 _ORACLE_OPEN = "<<API>>"

@@ -177,6 +177,62 @@ def test_llm_outage_after_a_correction_keeps_it_executed(prepared):
     assert executed_sequence(result) == [ROUTE_REVERSED, ROUTE_REVERSED]
 
 
+class _CountingModel(SimilarityModel):
+    """Delegates to TF-IDF and counts ``embed`` and ``score`` calls; with
+    ``down`` set, ``embed`` raises as an unreachable embedder does."""
+
+    def __init__(self, inner):
+        self._inner = inner
+        self.calls = Counter()
+        self.down = False
+
+    def embed(self, text):
+        self.calls["embed"] += 1
+        if self.down:
+            raise TransportError("embedder down")
+        return self._inner.embed(text)
+
+    def score(self, text_a, text_b):
+        self.calls["score"] += 1
+        return self._inner.score(text_a, text_b)
+
+
+@pytest.mark.parametrize("down", ["embedder", "llm"])
+def test_outage_in_the_dynamic_loop_keeps_the_executed_request(doc, down):
+    model = _CountingModel(default_similarity(doc))
+    prepared = prepare_document(doc, model, 0.3)
+    model.down = down == "embedder"
+    script = ScriptedLlm([wrap(ROUTE_REVERSED), f"Thought: swap.\n{wrap(ROUTE_CORRECT)}"])
+
+    class Llm(LlmClient):
+        def complete(self, messages):
+            if down == "llm" and script.calls == 1:
+                raise TransportError("llm down")
+            return script.complete(messages)
+
+    server = MockApiServer({"route_planning": route_planning_handler})
+    judge = ExactMatchJudge(ground_truth=req(ROUTE_CORRECT))
+    result = run_task(ROUTE_INSTRUCTION, prepared, Llm(), server, judge)
+    assert result.error == f"{down} down"
+    assert not result.satisfied
+    assert len(server.executed) == 1
+    assert serialize_request(result.request) == ROUTE_REVERSED
+    assert result.response is not None and result.response.body == "info_code:20000"
+    assert executed_sequence(result) == [ROUTE_REVERSED]
+
+
+def test_prepare_defers_chunking_to_the_executed_api(doc, executor):
+    model = _CountingModel(default_similarity(doc))
+    prepared = prepare_document(doc, model, 0.3)
+    assert model.calls == {"embed": 1}
+    assert prepared.index._chunks == {}
+    llm = ScriptedLlm([wrap(ROUTE_REVERSED), f"Thought: swap.\n{wrap(ROUTE_CORRECT)}"])
+    judge = ExactMatchJudge(ground_truth=req(ROUTE_CORRECT))
+    result = run_task(ROUTE_INSTRUCTION, prepared, llm, executor, judge)
+    assert result.satisfied
+    assert list(prepared.index._chunks) == ["route_planning"]
+
+
 def test_run_task_rejects_doc_prepared_for_other_chunk_threshold(doc, model):
     prepared = prepare_document(doc, model, 0.4)
     with pytest.raises(ValueError, match="chunk_threshold"):
@@ -325,6 +381,40 @@ def test_benchmark_parallel_matches_sequential(doc):
     sequential, _ = run_benchmark(make_tasks(doc), jobs=1)
     parallel, _ = run_benchmark(make_tasks(doc), jobs=4)
     assert sequential == parallel
+
+
+def test_benchmark_parallel_dynamic_fixes_match_sequential(doc):
+    tasks = [
+        BenchTask(
+            f"route-{i}", ROUTE_INSTRUCTION, doc, ground_truth=ROUTE_CORRECT,
+            script=(wrap(ROUTE_REVERSED), f"Thought: swap.\n{wrap(ROUTE_CORRECT)}"),
+        )
+        for i in range(12)
+    ] + make_tasks(doc)
+
+    def run(jobs):
+        report, results = run_benchmark(
+            tasks,
+            executor_factory=lambda task: MockApiServer(
+                {"route_planning": route_planning_handler,
+                 "userLogin": lambda args: ApiResponse(200, '{"session": "ok"}')}
+            ),
+            jobs=jobs,
+        )
+        verdicts = [
+            (
+                r.satisfied,
+                executed_sequence(r),
+                [rec.error_message.text for rec in r.log.dynamic_records],
+                session_log_lines(r.log, clock=lambda: "t"),
+            )
+            for r in results
+        ]
+        return report, verdicts
+
+    sequential, parallel = run(1), run(4)
+    assert sequential == parallel
+    assert sum(len(v[2]) for v in sequential[1]) == 12
 
 
 def test_benchmark_task_error_is_contained(doc):

@@ -1,5 +1,8 @@
 import json
 import random
+import sys
+import threading
+import time
 
 import numpy as np
 import pytest
@@ -14,15 +17,17 @@ from autofeedback import (
     retrieve_error_message,
     retrieve_relevant_apis,
 )
+from autofeedback import retrieval
 from autofeedback.errors import EmptyDocumentError, ProtocolError, TransportError
 from autofeedback.retrieval import (
     RemoteEmbeddingSimilarity,
+    SimilarityModel,
     TfidfSimilarity,
     api_documentation_text,
     split_sentences,
 )
 
-from oracles import oracle_corpus_from_raw, oracle_tfidf_score
+from oracles import oracle_corpus_from_raw, oracle_eager_chunk_index, oracle_tfidf_score
 
 FROZEN_CORPUS = [
     "List remaining medicines in the cabinet and their stock.",
@@ -258,6 +263,77 @@ def test_retrieve_single_chunk_api_returns_it(doc, model):
         assert got is not None and got.text == chunks[0].text
 
 
+def _renamed_copies(raw_doc, copies):
+    """A doc of *copies* renamed copies of every API of *raw_doc*."""
+    apis = [
+        dict(api, name=f"{api['name']}_{i}")
+        for i in range(copies)
+        for api in raw_doc["apis"]
+    ]
+    return load_document(json.dumps({"apis": apis}))
+
+
+@pytest.mark.parametrize("copies", [1, 30], ids=["fixture", "360-apis"])
+def test_lazy_chunks_equal_eager_chunks(raw_doc, copies):
+    doc = _renamed_copies(raw_doc, copies)
+    model = default_similarity(doc)
+    eager = oracle_eager_chunk_index(doc, model, 0.3)
+    index = build_chunk_index(doc, model, 0.3)
+    assert len(eager) == len(doc.apis)
+    for api in doc.apis:
+        got, want = index.for_api(api.name), eager[api.name]
+        assert [(c.api_name, c.sentences, c.text) for c in got] == [
+            (c.api_name, c.sentences, c.text) for c in want
+        ]
+        assert all(np.array_equal(g.vector, w.vector) for g, w in zip(got, want))
+        assert index.for_api(api.name) is got  # cached
+
+
+def test_unknown_api_lookup_stores_nothing(doc, model):
+    index = build_chunk_index(doc, model, 0.3)
+    assert index.for_api("ghost") == ()
+    assert index._chunks == {}
+
+
+class _SlowModel(SimilarityModel):
+    """TF-IDF behind an ``embed`` that sleeps, so racing threads overlap."""
+
+    def __init__(self, inner):
+        self._inner = inner
+
+    def embed(self, text):
+        time.sleep(0.001)
+        return self._inner.embed(text)
+
+    def score(self, text_a, text_b):
+        return self._inner.score(text_a, text_b)
+
+
+def test_racing_first_lookups_get_one_tuple(doc, model):
+    index = build_chunk_index(doc, _SlowModel(model), 0.3)
+    barrier = threading.Barrier(8, timeout=10)
+    got = [None] * 8
+
+    def look(i):
+        barrier.wait()
+        got[i] = index.for_api("route_planning")
+
+    threads = [threading.Thread(target=look, args=(i,)) for i in range(8)]
+    interval = sys.getswitchinterval()
+    sys.setswitchinterval(1e-6)
+    try:
+        for thread in threads:
+            thread.start()
+        for thread in threads:
+            thread.join(timeout=10)
+    finally:
+        sys.setswitchinterval(interval)
+    assert not any(thread.is_alive() for thread in threads)
+    assert got[0]
+    assert all(chunks is got[0] for chunks in got)
+    assert index.for_api("route_planning") is got[0]
+
+
 def _embedding_body(vector):
     return json.dumps({"data": [{"embedding": vector}]})
 
@@ -273,6 +349,18 @@ def test_remote_embedder_normalizes_and_caches(stub_server):
     sent = json.loads(handler.requests_seen[0][2])
     assert sent == {"input": ["hello"], "model": "embed-1"}
     assert handler.requests_seen[0][1] == "/embeddings"
+
+
+def test_remote_embedder_cache_keeps_the_most_recently_used(stub_server, monkeypatch):
+    monkeypatch.setattr(retrieval, "EMBED_CACHE_SIZE", 2)
+    base_url, handler = stub_server
+    handler.default_behavior = (200, _embedding_body([1.0, 0.0]))
+    model = RemoteEmbeddingSimilarity(base_url, "m")
+    for text in ["a", "b", "a", "c", "a", "b"]:
+        model.embed(text)
+    # "a" was used after "b", so "c" evicts "b" and "a" stays cached.
+    sent = [json.loads(body)["input"][0] for _, _, body in handler.requests_seen]
+    assert sent == ["a", "b", "c", "b"]
 
 
 def test_remote_embedder_score_is_cosine(stub_server):
