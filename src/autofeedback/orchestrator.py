@@ -146,18 +146,19 @@ class _CountingLlm(LlmClient):
         return reply
 
 
-class _AnsweredExecutor(ApiExecutor):
-    """Wraps an executor to keep the last request it answered, with the
-    response."""
+class _LastExecution(ApiExecutor):
+    """Wraps an executor to keep the last request sent to it and the
+    response, ``None`` until one arrives."""
 
     def __init__(self, inner: ApiExecutor):
         self._inner = inner
-        self.last: tuple[ApiRequest, ApiResponse] | None = None
+        self.request: ApiRequest | None = None
+        self.response: ApiResponse | None = None
 
     def execute(self, req: ApiRequest) -> ApiResponse:
-        response = self._inner.execute(req)
-        self.last = (req, response)
-        return response
+        self.request, self.response = req, None
+        self.response = self._inner.execute(req)
+        return self.response
 
 
 SYSTEM_PREAMBLE = (
@@ -241,9 +242,11 @@ def run_task(
     built with the config's ``chunk_threshold``.
 
     A task that fails with an :class:`AutoFeedbackError` (an outage of the
-    executor, the LLM or the embedder) is unsatisfied with the error noted;
-    its ``request`` and ``response`` are then the last execution answered,
-    or the last request with no response when none was.
+    executor, the LLM or the embedder) is unsatisfied with the error noted.
+    Its ``request`` is then the last request sent to the executor, which
+    the session ended on, and ``response`` that request's response, or
+    ``None`` when the executor failed on it; both are ``None`` when the
+    task failed before its first execution.
     """
     if prepared.chunk_threshold != config.chunk_threshold:
         raise ValueError(
@@ -251,7 +254,7 @@ def run_task(
             f" config has {config.chunk_threshold}"
         )
     counting = _CountingLlm(llm)
-    answered = _AnsweredExecutor(executor)
+    last = _LastExecution(executor)
     log = SessionLog(task_id=task_id)
 
     relevant: RelevantSet | None = None
@@ -296,7 +299,7 @@ def run_task(
         outcome_dyn: DynamicOutcome = run_dynamic_loop(
             request,
             prepared,
-            answered,
+            last,
             counting,
             judge,
             config.max_dynamic,
@@ -309,10 +312,7 @@ def run_task(
         return _finish(outcome_dyn.satisfied, final_request, outcome_dyn.final_response)
     except AutoFeedbackError as exc:
         log.executor_failed = isinstance(exc, ExecutorUnavailableError)
-        response = None
-        if answered.last is not None:
-            request, response = answered.last
-        return _finish(False, request, response, error=str(exc))
+        return _finish(False, last.request, last.response, error=str(exc))
 
 
 def executed_sequence(result: TaskResult) -> list[str]:

@@ -12,6 +12,7 @@ import functools
 import heapq
 import math
 import re
+import threading
 from abc import ABC, abstractmethod
 from dataclasses import dataclass
 from typing import Callable, Iterable, Sequence
@@ -178,11 +179,15 @@ class RemoteEmbeddingSimilarity(SimilarityModel):
     Sends ``{"input": [text], "model": name}`` and reads
     ``data[0].embedding``, which must be a non-empty flat list of numbers;
     vectors are L2-normalized, and scoring is the inherited clamped cosine.
-    The vectors of the last ``EMBED_CACHE_SIZE`` texts used are cached, so
-    chunking, which embeds a sentence again in each similarity it takes
-    part in, asks for it once, while the dynamic loop's queries, nearly
-    all new, do not pile up. The first response pins the vector length;
-    any later deviation is a protocol error.
+    The first response pins the vector length; any later deviation is a
+    protocol error.
+
+    A ranker holds the vectors of its texts (a prepared doc's descriptions
+    and names) from its first query on. Every other text goes through a
+    cache of the last ``EMBED_CACHE_SIZE`` texts used: chunking an API,
+    which embeds a sentence again in each similarity it takes part in,
+    asks for it once, and the queries of the dynamic loop, nearly all new,
+    do not pile up.
     """
 
     def __init__(self, base_url: str, model_name: str, api_key: str = ""):
@@ -194,6 +199,24 @@ class RemoteEmbeddingSimilarity(SimilarityModel):
 
     def embed(self, text: str) -> np.ndarray:
         return self._cached_embed(text)
+
+    def ranker(self, texts: Sequence[str]) -> Callable[[str], list[float]]:
+        """Scorer equal to ``score`` bit for bit that embeds *texts* on its
+        first query and keeps their vectors, so no later query, however
+        many pass through the cache, makes it ask for them again. A lock
+        makes threads racing on the first query embed them once."""
+        texts = tuple(texts)
+        vectors: list[np.ndarray] = []
+        lock = threading.Lock()
+
+        def rank(query: str) -> list[float]:
+            with lock:
+                if not vectors:
+                    vectors.extend([self.embed(text) for text in texts])
+            query_vec = self.embed(query)
+            return [min(1.0, max(0.0, float(np.dot(query_vec, v)))) for v in vectors]
+
+        return rank
 
     def _fetch(self, text: str) -> np.ndarray:
         payload = {"input": [text], "model": self._model_name}
@@ -353,11 +376,10 @@ def build_chunk_index(
     """The chunk index of *doc*, which chunks each API on its first lookup
     (see :class:`ChunkIndex`).
 
-    Chunking is deferred, but an embedder that cannot answer still fails
-    here, before any task runs: one probe ``model.embed`` call embeds the
-    doc's first sentence, which chunking that API embeds again, so a
-    caching embedder reuses the result. A doc without any sentence (an
-    empty doc among them) makes no call.
+    Chunking is deferred, but one probe ``model.embed`` call on the doc's
+    first sentence makes an embedder that cannot answer fail here, before
+    any task runs. A doc without any sentence (an empty doc among them)
+    makes no call.
     """
     if not 0.0 < chunk_threshold < 1.0:
         raise ValueError("chunk_threshold must be in (0, 1)")

@@ -3,10 +3,9 @@ results. These deliberately share no code with the package: TF-IDF cosine
 is computed over plain dicts, rank correlation uses the classic d-squared
 formula, the finding-arity table is written out literally, the name and
 parameter cascades walk the raw doc JSON, and the fallback request
-extractor is the first, rescanning version. The one exception is the eager
-chunk index, the loop that chunked every API up front: it checks that
-chunking on first lookup changes nothing, so it shares the sentence
-splitter and the similarity model with the package.
+extractor is the first, rescanning version. The eager chunk index takes
+the package's similarity model, whose vectors it must reproduce bit for
+bit, but reads the raw doc JSON and splits sentences itself.
 """
 
 from __future__ import annotations
@@ -15,7 +14,6 @@ import math
 import re
 
 from autofeedback import DetectionFinding, ErrorType
-from autofeedback.retrieval import Chunk, api_documentation_text, split_sentences
 
 _TOKEN = re.compile(r"[^a-z0-9]+")
 
@@ -157,31 +155,45 @@ def oracle_match_param(key, named, raw_doc, score, threshold):
     return "E3.other", None
 
 
-# -- the fallback request extractor as it was first written -----------------
+# -- the chunk index as it was built before chunking was deferred ----------
 #
-# It rescans from every ``name(`` and so takes time quadratic in the reply;
-# kept as the reference for the one-pass extractor.
-def oracle_eager_chunk_index(doc, model, chunk_threshold: float) -> dict[str, tuple]:
-    """Every API's chunks, built up front: a sentence joins the current
-    chunk while its score against the chunk's joined text stays at or above
-    *chunk_threshold*, and each chunk's vector embeds its text."""
+# Every API is chunked up front, in doc order, from the raw doc JSON; kept
+# as the reference for the index that chunks an API on its first lookup.
+# Chunks are plain ``(api_name, sentences, text, vector)`` tuples.
+
+_ORACLE_SENTENCE_END = re.compile(r"(?<=[.?!])\s+|\n+")
+
+
+def oracle_eager_chunk_index(raw_doc, model, chunk_threshold: float) -> dict[str, tuple]:
+    """Every API's chunks: its description, parameter descriptions and
+    ``Error code: message`` lines, split after sentence-final punctuation
+    and at newlines; a sentence joins the current chunk while its score
+    against the chunk's joined text stays at or above *chunk_threshold*,
+    and each chunk's vector embeds its text."""
     index = {}
-    for api in doc.apis:
-        sentences = split_sentences(api_documentation_text(api))
+    for api in raw_doc["apis"]:
+        parts = [api.get("description", "")]
+        parts += [p.get("description", "") for p in api.get("parameters", [])]
+        parts += [f"Error {e['code']}: {e['message']}" for e in api.get("exceptions", [])]
+        text = "\n".join(part for part in parts if part)
+        sentences = [s.strip() for s in _ORACLE_SENTENCE_END.split(text) if s.strip()]
         groups: list[list[str]] = []
         for sentence in sentences:
             if groups and model.score(sentence, " ".join(groups[-1])) >= chunk_threshold:
                 groups[-1].append(sentence)
             else:
                 groups.append([sentence])
-        chunks = []
-        for group in groups:
-            text = " ".join(group)
-            chunks.append(Chunk(api.name, tuple(group), text, model.embed(text)))
-        index[api.name] = tuple(chunks)
+        index[api["name"]] = tuple(
+            (api["name"], tuple(group), " ".join(group), model.embed(" ".join(group)))
+            for group in groups
+        )
     return index
 
 
+# -- the fallback request extractor as it was first written -----------------
+#
+# It rescans from every ``name(`` and so takes time quadratic in the reply;
+# kept as the reference for the one-pass extractor.
 _ORACLE_CALL_START = re.compile(r"[A-Za-z_][A-Za-z0-9_]*\(")
 _ORACLE_OPEN = "<<API>>"
 _ORACLE_CLOSE = "<</API>>"

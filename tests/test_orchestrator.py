@@ -221,6 +221,22 @@ def test_outage_in_the_dynamic_loop_keeps_the_executed_request(doc, down):
     assert executed_sequence(result) == [ROUTE_REVERSED]
 
 
+def test_executor_outage_after_a_correction_ends_on_the_unanswered_request(prepared):
+    def flaky(args):
+        if args["origin"] == "39.9,116.4":
+            raise TransportError("executor down")
+        return route_planning_handler(args)
+
+    server = MockApiServer({"route_planning": flaky})
+    llm = ScriptedLlm([wrap(ROUTE_REVERSED), f"Thought: swap.\n{wrap(ROUTE_CORRECT)}"])
+    judge = ExactMatchJudge(ground_truth=req(ROUTE_CORRECT))
+    result = run_task(ROUTE_INSTRUCTION, prepared, llm, server, judge)
+    assert result.error == "executor down"
+    assert serialize_request(result.request) == ROUTE_CORRECT
+    assert result.response is None
+    assert executed_sequence(result) == [ROUTE_REVERSED]
+
+
 def test_prepare_defers_chunking_to_the_executed_api(doc, executor):
     model = _CountingModel(default_similarity(doc))
     prepared = prepare_document(doc, model, 0.3)

@@ -264,28 +264,30 @@ def test_retrieve_single_chunk_api_returns_it(doc, model):
 
 
 def _renamed_copies(raw_doc, copies):
-    """A doc of *copies* renamed copies of every API of *raw_doc*."""
-    apis = [
-        dict(api, name=f"{api['name']}_{i}")
-        for i in range(copies)
-        for api in raw_doc["apis"]
-    ]
-    return load_document(json.dumps({"apis": apis}))
+    """Raw JSON of a doc of *copies* renamed copies of every API of *raw_doc*."""
+    return {
+        "apis": [
+            dict(api, name=f"{api['name']}_{i}")
+            for i in range(copies)
+            for api in raw_doc["apis"]
+        ]
+    }
 
 
 @pytest.mark.parametrize("copies", [1, 30], ids=["fixture", "360-apis"])
 def test_lazy_chunks_equal_eager_chunks(raw_doc, copies):
-    doc = _renamed_copies(raw_doc, copies)
+    raw = _renamed_copies(raw_doc, copies)
+    doc = load_document(json.dumps(raw))
     model = default_similarity(doc)
-    eager = oracle_eager_chunk_index(doc, model, 0.3)
+    eager = oracle_eager_chunk_index(raw, model, 0.3)
     index = build_chunk_index(doc, model, 0.3)
     assert len(eager) == len(doc.apis)
     for api in doc.apis:
         got, want = index.for_api(api.name), eager[api.name]
         assert [(c.api_name, c.sentences, c.text) for c in got] == [
-            (c.api_name, c.sentences, c.text) for c in want
+            (name, sentences, text) for name, sentences, text, _ in want
         ]
-        assert all(np.array_equal(g.vector, w.vector) for g, w in zip(got, want))
+        assert all(np.array_equal(g.vector, w[3]) for g, w in zip(got, want))
         assert index.for_api(api.name) is got  # cached
 
 
@@ -361,6 +363,62 @@ def test_remote_embedder_cache_keeps_the_most_recently_used(stub_server, monkeyp
     # "a" was used after "b", so "c" evicts "b" and "a" stays cached.
     sent = [json.loads(body)["input"][0] for _, _, body in handler.requests_seen]
     assert sent == ["a", "b", "c", "b"]
+
+
+def _letter_band_embedding(path, body):
+    """Stub embedder: counts of a text's letters in four alphabet bands."""
+    text = json.loads(body)["input"][0]
+    vector = [1.0, 0.0, 0.0, 0.0]
+    for c in text:
+        if "a" <= c <= "z":
+            vector[(ord(c) - ord("a")) * 4 // 26] += 1.0
+    return 200, _embedding_body(vector)
+
+
+def test_remote_ranker_keeps_its_vectors_out_of_the_cache(stub_server, monkeypatch):
+    monkeypatch.setattr(retrieval, "EMBED_CACHE_SIZE", 2)
+    base_url, handler = stub_server
+    handler.default_behavior = _letter_band_embedding
+    model = RemoteEmbeddingSimilarity(base_url, "m")
+    texts = ["alpha beta", "gamma", "zeta", "gamma"]
+    rank = model.ranker(texts)
+    assert handler.requests_seen == []
+    queries = ["find alpha", "route", "stay", "quiz", "find alpha"]
+    got = [rank(query) for query in queries]
+    sent = [json.loads(body)["input"][0] for _, _, body in handler.requests_seen]
+    # Each text is embedded once, on the first query; the queries alone
+    # then cycle through the two cache slots.
+    assert sent == ["alpha beta", "gamma", "zeta"] + queries
+    assert got == [[model.score(query, text) for text in texts] for query in queries]
+
+
+def test_remote_ranker_racing_first_queries_embed_its_texts_once(stub_server):
+    base_url, handler = stub_server
+    handler.default_behavior = _letter_band_embedding
+    model = RemoteEmbeddingSimilarity(base_url, "m")
+    texts = ["alpha beta", "gamma", "zeta"]
+    rank = model.ranker(texts)
+    barrier = threading.Barrier(8, timeout=10)
+    got = [None] * 8
+
+    def query(i):
+        barrier.wait()
+        got[i] = rank(f"query {i}")
+
+    threads = [threading.Thread(target=query, args=(i,)) for i in range(8)]
+    interval = sys.getswitchinterval()
+    sys.setswitchinterval(1e-6)
+    try:
+        for thread in threads:
+            thread.start()
+        for thread in threads:
+            thread.join(timeout=10)
+    finally:
+        sys.setswitchinterval(interval)
+    assert not any(thread.is_alive() for thread in threads)
+    sent = [json.loads(body)["input"][0] for _, _, body in handler.requests_seen]
+    assert sorted(sent) == sorted(texts + [f"query {i}" for i in range(8)])
+    assert got == [[model.score(f"query {i}", text) for text in texts] for i in range(8)]
 
 
 def test_remote_embedder_score_is_cosine(stub_server):
