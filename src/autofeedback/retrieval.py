@@ -40,12 +40,13 @@ __all__ = [
     "split_sentences",
 ]
 
-_TOKEN_SPLIT = re.compile(r"[^a-z0-9]+")
+_TOKEN = re.compile(r"[a-z0-9]+")
 
 
 def tokenize(text: str) -> list[str]:
-    """Lowercase and split on non-alphanumerics."""
-    return [t for t in _TOKEN_SPLIT.split(text.lower()) if t]
+    """The maximal runs of ``[a-z0-9]`` in ``text.lower()``, in order:
+    every other character separates tokens."""
+    return _TOKEN.findall(text.lower())
 
 
 class SimilarityModel(ABC):
@@ -124,15 +125,27 @@ class TfidfSimilarity(SimilarityModel):
             # Equal token multisets (including reorderings) score exactly 1.
             return 1.0 if wa else 0.0
         dot = sum(w * wb.get(t, 0.0) for t, w in wa.items())
-        return _cosine(dot, _norm(wa), _norm(wb))
+        norm_a, norm_b = _norm(wa), _norm(wb)
+        if norm_a == 0.0 or norm_b == 0.0:
+            return 0.0
+        return min(1.0, max(0.0, dot / (norm_a * norm_b)))
 
     def ranker(self, texts: Sequence[str]) -> Callable[[str], list[float]]:
         """Inverted-index scorer, equal to ``score`` bit for bit.
 
         Each text's weights and norm are computed once, and each token lists
         the texts holding it with their weights, so a query visits only the
-        texts that share a token with it. Dot products accumulate in the
-        query's token order, as ``score`` sums them.
+        texts that share a token with it. The floats are ``score``'s:
+
+        - a dot product starts from ``0.0`` and adds the query's products in
+          the query's token order, as ``score`` sums them; the ``0.0`` terms
+          ``score`` adds for tokens the text lacks change no sum;
+        - every idf is at least 1, so a norm is 0.0 only for an empty text,
+          which shares no token; a text sharing none keeps 0.0, as ``score``
+          gives for a zero norm, a disjoint pair and an empty equal pair;
+        - a text whose weights equal the query's scores 1.0, as ``score``
+          overrides; any other is ``dot / (norm_a * norm_b)`` capped at
+          1.0, positive so that the clamp at 0.0 never acts.
         """
         weights = [self._weights(text) for text in texts]
         norms = [_norm(w) for w in weights]
@@ -153,7 +166,8 @@ class TfidfSimilarity(SimilarityModel):
                 if weights[i] == wa:
                     scores[i] = 1.0
                 else:
-                    scores[i] = _cosine(dot, norm_a, norms[i])
+                    cos = dot / (norm_a * norms[i])
+                    scores[i] = cos if cos < 1.0 else 1.0
             return scores
 
         return rank
@@ -161,13 +175,6 @@ class TfidfSimilarity(SimilarityModel):
 
 def _norm(weights: dict[str, float]) -> float:
     return math.sqrt(sum(w * w for w in weights.values()))
-
-
-def _cosine(dot: float, norm_a: float, norm_b: float) -> float:
-    """The clamped cosine shared by ``score`` and its ranker."""
-    if norm_a == 0.0 or norm_b == 0.0:
-        return 0.0
-    return min(1.0, max(0.0, dot / (norm_a * norm_b)))
 
 
 EMBED_CACHE_SIZE = 1024  # texts whose vectors a remote embedder keeps

@@ -6,7 +6,7 @@ import time
 
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from autofeedback import (
@@ -25,9 +25,15 @@ from autofeedback.retrieval import (
     TfidfSimilarity,
     api_documentation_text,
     split_sentences,
+    tokenize,
 )
 
-from oracles import oracle_corpus_from_raw, oracle_eager_chunk_index, oracle_tfidf_score
+from oracles import (
+    oracle_corpus_from_raw,
+    oracle_eager_chunk_index,
+    oracle_tfidf_score,
+    oracle_tokens,
+)
 
 FROZEN_CORPUS = [
     "List remaining medicines in the cabinet and their stock.",
@@ -139,6 +145,16 @@ def test_retrieve_tie_breaks_by_doc_order():
     assert result.names == ("later_twin",)
 
 
+@settings(max_examples=500, deadline=None)
+@given(st.text())
+@example("\u0130stanbul \u212aelvin \ufb01le Stra\u00dfe \u017fo x2_Y3")
+def test_tokenize_equals_split_and_filter(text):
+    # lower() may turn one character into several ("\u0130" into "i" and
+    # a combining dot) or into ASCII (the Kelvin sign into "k"), and keeps
+    # others that match [a-z] only under re.IGNORECASE (the long s).
+    assert tokenize(text) == oracle_tokens(text)
+
+
 _WORDS = ("route", "plan", "driving", "Weather", "city", "alarm", "stock", "a", "2")
 _UNSEEN = ("zzq", "xylo", "qq7")
 
@@ -147,39 +163,72 @@ _UNSEEN = ("zzq", "xylo", "qq7")
 def _doc_and_queries(draw):
     words = st.lists(st.sampled_from(_WORDS), max_size=6).map(" ".join)
     descriptions = draw(st.lists(words, min_size=1, max_size=8))
+    # Names may repeat another name's tokens in another order or count
+    # ("a_plan", "plan_a", "a_plan_a"), or hold none ("?!").
+    name = st.lists(st.sampled_from(_WORDS + ("?!",)), min_size=1, max_size=4).map(
+        "_".join
+    )
+    names = draw(
+        st.lists(name, min_size=len(descriptions), max_size=len(descriptions), unique=True)
+    )
     doc = load_document(
         json.dumps(
             {
                 "apis": [
-                    {"name": f"api{i}", "description": d, "parameters": [],
-                     "exceptions": []}
-                    for i, d in enumerate(descriptions)
+                    {"name": n, "description": d, "parameters": [], "exceptions": []}
+                    for n, d in zip(names, descriptions)
                 ]
             }
         )
     )
     query = st.one_of(
         st.lists(st.sampled_from(_WORDS + _UNSEEN), max_size=8).map(" ".join),
-        st.sampled_from(descriptions),
+        st.sampled_from(descriptions + names),
         st.sampled_from(descriptions).flatmap(
             lambda d: st.permutations(d.split()).map(" ".join)
+        ),
+        st.sampled_from(names).flatmap(
+            lambda n: st.permutations(n.split("_")).map(" ".join)
         ),
         st.sampled_from(["", "?!", "zzq xylo"]),
     )
     return doc, draw(st.lists(query, min_size=1, max_size=6))
 
 
+# Fitted, "city plan" and the first description have proportional, unequal
+# weights whose cosine rounds to 1.0000000000000002.
+_PROPORTIONAL = load_document(
+    json.dumps(
+        {
+            "apis": [
+                {"name": n, "description": d, "parameters": [], "exceptions": []}
+                for n, d in [
+                    ("plan_city", "plan city plan city"),
+                    ("city_plan", "a"),
+                    ("alarm", "stock"),
+                ]
+            ]
+        }
+    )
+)
+
+
 @settings(max_examples=150, deadline=None)
 @given(_doc_and_queries(), st.booleans())
+@example((_PROPORTIONAL, ["city plan"]), True)
 def test_prepared_ranking_equals_scoring_every_api(case, fitted):
-    # The inverted-index ranker must give score()'s floats exactly, and the
-    # same order, ties in doc order.
+    # Both inverted-index rankers must give score()'s floats exactly, and
+    # the relevant set the same order, ties in doc order.
     doc, queries = case
     model = default_similarity(doc) if fitted else TfidfSimilarity(())
     prepared = prepare_document(doc, model, 0.3)
     for query in queries:
-        scored = [(a.name, model.score(query, a.description)) for a in doc.apis]
-        expected = sorted(scored, key=lambda pair: -pair[1])
+        scores = [model.score(query, a.description) for a in doc.apis]
+        assert prepared.rank(query) == scores
+        assert prepared.rank_names(query) == [
+            model.score(query, name) for name in doc.api_names
+        ]
+        expected = sorted(zip(doc.api_names, scores), key=lambda pair: -pair[1])
         for k in (1, len(doc.apis)):
             got = retrieve_relevant_apis(query, prepared, k)
             assert got.entries == tuple(expected[:k])
