@@ -8,7 +8,6 @@ from __future__ import annotations
 from dataclasses import dataclass
 from typing import Callable, Sequence
 
-from .errors import ExecutorUnavailableError, TransportError
 from .gateways import ApiExecutor, ApiResponse, ChatMessage, LlmClient
 from .request_codec import (
     CLOSE_MARKER,
@@ -153,20 +152,14 @@ def run_dynamic_loop(
     LLM call happens.
 
     *records*, empty on entry, receives each record as it completes, so a
-    transport failure mid-loop still leaves the earlier records with the
-    caller. The prepared doc's system message opens every correction
+    failure mid-loop still leaves the earlier records with the caller. An
+    error the executor, the LLM or the retrieval raises propagates as
+    raised. The prepared doc's system message opens every correction
     exchange.
     """
     if n_max < 0:
         raise ValueError("n_max must be >= 0")
-
-    def _execute(req: ApiRequest) -> ApiResponse:
-        try:
-            return executor.execute(req)
-        except TransportError as exc:
-            raise ExecutorUnavailableError(str(exc)) from exc
-
-    response = _execute(request)
+    response = executor.execute(request)
     satisfied = judge.accepts(request, response)
     while not satisfied and len(records) < n_max:
         query = f"{serialize_request(request)}\n{response.body}"
@@ -188,6 +181,6 @@ def run_dynamic_loop(
             )
         )
         request = new_request
-        response = _execute(request)
+        response = executor.execute(request)
         satisfied = judge.accepts(request, response)
     return DynamicOutcome(response, satisfied)

@@ -36,10 +36,6 @@ class TransportError(AutoFeedbackError):
     """An HTTP gateway failed after exhausting its retries."""
 
 
-class ExecutorUnavailableError(TransportError):
-    """The API executor could not be reached during a dynamic loop."""
-
-
 class ProtocolError(AutoFeedbackError):
     """A remote endpoint answered with a body we cannot interpret."""
 

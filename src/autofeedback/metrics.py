@@ -106,10 +106,8 @@ def _average_ranks(xs: Sequence[float]) -> list[float]:
 
 
 def spearman(xs: Sequence[float], ys: Sequence[float]) -> float:
-    """Rank correlation with average ranks for ties, clamped to [-1, 1].
-
-    Tie-free inputs use the exact d-squared formula; ties fall back to the
-    Pearson correlation of the rank vectors. Degenerate constant inputs
+    """Rank correlation with average ranks for ties, clamped to [-1, 1]:
+    the Pearson correlation of the rank vectors. Degenerate constant inputs
     yield 0.0.
     """
     if len(xs) != len(ys):
@@ -119,20 +117,14 @@ def spearman(xs: Sequence[float], ys: Sequence[float]) -> float:
         raise TooShortError("need at least two observations")
     rx = _average_ranks(xs)
     ry = _average_ranks(ys)
-    tie_free = len(set(xs)) == n and len(set(ys)) == n
-    if tie_free:
-        d_squared = sum((a - b) ** 2 for a, b in zip(rx, ry))
-        rho = 1.0 - 6.0 * d_squared / (n * (n * n - 1))
-    else:
-        mean_x = sum(rx) / n
-        mean_y = sum(ry) / n
-        cov = sum((a - mean_x) * (b - mean_y) for a, b in zip(rx, ry))
-        var_x = sum((a - mean_x) ** 2 for a in rx)
-        var_y = sum((b - mean_y) ** 2 for b in ry)
-        if var_x == 0 or var_y == 0:
-            return 0.0
-        rho = cov / (var_x * var_y) ** 0.5
-    return min(1.0, max(-1.0, rho))
+    mean_x = sum(rx) / n
+    mean_y = sum(ry) / n
+    cov = sum((a - mean_x) * (b - mean_y) for a, b in zip(rx, ry))
+    var_x = sum((a - mean_x) ** 2 for a in rx)
+    var_y = sum((b - mean_y) ** 2 for b in ry)
+    if var_x == 0 or var_y == 0:
+        return 0.0
+    return min(1.0, max(-1.0, cov / (var_x * var_y) ** 0.5))
 
 
 def population_variance(scores: Sequence[float]) -> float:

@@ -12,13 +12,8 @@ from pathlib import Path
 from typing import Callable, Sequence
 
 from .doc_model import ApiDocument
-from .dynamic_analyzer import (
-    DynamicOutcome,
-    ExactMatchJudge,
-    FeedbackRecord,
-    run_dynamic_loop,
-)
-from .errors import AutoFeedbackError, EmptyDatasetError, ExecutorUnavailableError
+from .dynamic_analyzer import ExactMatchJudge, FeedbackRecord, run_dynamic_loop
+from .errors import AutoFeedbackError, EmptyDatasetError
 from .gateways import (
     ApiExecutor,
     ApiResponse,
@@ -110,13 +105,17 @@ class StaticEvent:
 @dataclass
 class SessionLog:
     """The trace of one task session, append-only while running; its
-    verdict is on the :class:`TaskResult`."""
+    verdict is on the :class:`TaskResult`.
+
+    ``executions`` holds every request sent to the executor, in the order
+    sent, with its response; the response is ``None`` while the request
+    is in flight and stays ``None`` when the executor raised on it."""
 
     task_id: str
     static_events: list[StaticEvent] = field(default_factory=list)
     dynamic_records: list[FeedbackRecord] = field(default_factory=list)
+    executions: list[tuple[ApiRequest, ApiResponse | None]] = field(default_factory=list)
     token_totals: tuple[int, int] = (0, 0)
-    executor_failed: bool = False  # the last execution raised, unanswered
 
 
 @dataclass
@@ -146,19 +145,19 @@ class _CountingLlm(LlmClient):
         return reply
 
 
-class _LastExecution(ApiExecutor):
-    """Wraps an executor to keep the last request sent to it and the
-    response, ``None`` until one arrives."""
+class _RecordingExecutor(ApiExecutor):
+    """Wraps an executor to record each request in the log's
+    ``executions`` before it is sent, and its response once that arrives."""
 
-    def __init__(self, inner: ApiExecutor):
+    def __init__(self, inner: ApiExecutor, log: SessionLog):
         self._inner = inner
-        self.request: ApiRequest | None = None
-        self.response: ApiResponse | None = None
+        self._executions = log.executions
 
     def execute(self, req: ApiRequest) -> ApiResponse:
-        self.request, self.response = req, None
-        self.response = self._inner.execute(req)
-        return self.response
+        self._executions.append((req, None))
+        response = self._inner.execute(req)
+        self._executions[-1] = (req, response)
+        return response
 
 
 SYSTEM_PREAMBLE = (
@@ -241,12 +240,14 @@ def run_task(
     regeneration sees the history of its own mistakes. *prepared* must be
     built with the config's ``chunk_threshold``.
 
-    A task that fails with an :class:`AutoFeedbackError` (an outage of the
-    executor, the LLM or the embedder) is unsatisfied with the error noted.
-    Its ``request`` is then the last request sent to the executor, which
-    the session ended on, and ``response`` that request's response, or
-    ``None`` when the executor failed on it; both are ``None`` when the
-    task failed before its first execution.
+    Every request sent to the executor is recorded in the log's
+    ``executions`` as it is sent. A task that reaches the executor ends on
+    the last of them: ``request`` is that request and ``response`` its
+    response. A task that fails with an :class:`AutoFeedbackError` (an
+    outage of the executor, the LLM or the embedder) is unsatisfied with
+    the error noted; its ``response`` is ``None`` when the executor raised
+    on the last request, and both are ``None`` when the task failed before
+    its first execution.
     """
     if prepared.chunk_threshold != config.chunk_threshold:
         raise ValueError(
@@ -254,7 +255,6 @@ def run_task(
             f" config has {config.chunk_threshold}"
         )
     counting = _CountingLlm(llm)
-    last = _LastExecution(executor)
     log = SessionLog(task_id=task_id)
 
     relevant: RelevantSet | None = None
@@ -279,6 +279,7 @@ def run_task(
     messages = opening_messages(prepared.system, instruction)
 
     request: ApiRequest | None = None
+    error: str | None = None
     try:
         for attempt in range(config.max_static + 1):
             reply = counting.complete(messages)
@@ -296,38 +297,31 @@ def run_task(
             messages.append(ChatMessage("user", event.feedback_text))
         assert request is not None
 
-        outcome_dyn: DynamicOutcome = run_dynamic_loop(
+        satisfied = run_dynamic_loop(
             request,
             prepared,
-            last,
+            _RecordingExecutor(executor, log),
             counting,
             judge,
             config.max_dynamic,
             static_check=lambda req: _detect(ParseOutcome.parsed(req)).error_type
             is ErrorType.NONE,
             records=log.dynamic_records,
-        )
-        records = log.dynamic_records
-        final_request = records[-1].new_action if records else request
-        return _finish(outcome_dyn.satisfied, final_request, outcome_dyn.final_response)
+        ).satisfied
     except AutoFeedbackError as exc:
-        log.executor_failed = isinstance(exc, ExecutorUnavailableError)
-        return _finish(False, last.request, last.response, error=str(exc))
+        satisfied, error = False, str(exc)
+    request, response = log.executions[-1] if log.executions else (None, None)
+    return _finish(satisfied, request, response, error)
 
 
 def executed_sequence(result: TaskResult) -> list[str]:
     """Canonical serializations of every request actually executed, that
-    is, answered by the executor."""
-    log = result.log
-    if log.dynamic_records:
-        executed = [r.action for r in log.dynamic_records]
-        # An executor failure after a record can only be on its new action.
-        if not log.executor_failed:
-            executed.append(log.dynamic_records[-1].new_action)
-        return [serialize_request(r) for r in executed]
-    if result.request is not None and result.response is not None:
-        return [serialize_request(result.request)]
-    return []
+    is, answered by the executor, in the order sent."""
+    return [
+        serialize_request(request)
+        for request, response in result.log.executions
+        if response is not None
+    ]
 
 
 @dataclass(frozen=True)

@@ -170,6 +170,17 @@ def test_spearman_bounded(xs, ys):
     assert -1.0 <= rho <= 1.0
 
 
+@given(st.data())
+def test_spearman_equals_the_d_squared_oracle_without_ties(data):
+    n = data.draw(st.integers(min_value=2, max_value=60))
+    distinct = st.lists(
+        st.floats(min_value=-1e6, max_value=1e6, allow_nan=False),
+        min_size=n, max_size=n, unique=True,
+    )
+    xs, ys = data.draw(distinct), data.draw(distinct)
+    assert spearman(xs, ys) == pytest.approx(oracle_spearman(xs, ys), abs=1e-12)
+
+
 def test_population_variance_reported_values():
     assert population_variance([1, 0, 0]) == pytest.approx(0.2222, abs=1e-4)
     assert population_variance([1, 1, 0]) == pytest.approx(0.2222, abs=1e-4)

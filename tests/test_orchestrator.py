@@ -2,6 +2,8 @@ import json
 from collections import Counter
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from autofeedback import (
     ApiResponse,
@@ -18,7 +20,7 @@ from autofeedback import (
     run_task,
     serialize_request,
 )
-from autofeedback.errors import EmptyDatasetError, TransportError
+from autofeedback.errors import EmptyDatasetError, ProtocolError, TransportError
 from autofeedback import orchestrator
 from autofeedback.gateways import LlmClient, MockApiServer
 from autofeedback.retrieval import SimilarityModel, default_similarity
@@ -221,10 +223,13 @@ def test_outage_in_the_dynamic_loop_keeps_the_executed_request(doc, down):
     assert executed_sequence(result) == [ROUTE_REVERSED]
 
 
-def test_executor_outage_after_a_correction_ends_on_the_unanswered_request(prepared):
+@pytest.mark.parametrize("error", [TransportError, ProtocolError])
+def test_executor_outage_after_a_correction_ends_on_the_unanswered_request(
+    prepared, error
+):
     def flaky(args):
         if args["origin"] == "39.9,116.4":
-            raise TransportError("executor down")
+            raise error("executor down")
         return route_planning_handler(args)
 
     server = MockApiServer({"route_planning": flaky})
@@ -235,6 +240,64 @@ def test_executor_outage_after_a_correction_ends_on_the_unanswered_request(prepa
     assert serialize_request(result.request) == ROUTE_CORRECT
     assert result.response is None
     assert executed_sequence(result) == [ROUTE_REVERSED]
+
+
+_REPLIES = {
+    "reversed": wrap(ROUTE_REVERSED),
+    "correct": f"Thought: swap.\n{wrap(ROUTE_CORRECT)}",
+    "unparseable": "no api call here",
+    "wrong name": wrap('routePlanning(origin="116.4,39.9", dest="121.5,31.2")'),
+}
+
+
+@settings(max_examples=300, deadline=None)
+@given(
+    script=st.lists(st.sampled_from(sorted(_REPLIES)), min_size=1, max_size=4),
+    max_static=st.integers(0, 2),
+    max_dynamic=st.integers(0, 2),
+    fault=st.one_of(
+        st.none(),
+        st.tuples(st.just("llm"), st.integers(0, 6), st.just(TransportError)),
+        st.tuples(
+            st.just("executor"),
+            st.integers(0, 2),
+            st.sampled_from([TransportError, ProtocolError]),
+        ),
+    ),
+)
+def test_the_log_records_every_execution_as_sent_and_answered(
+    prepared, script, max_static, max_dynamic, fault
+):
+    where, at, error = fault or (None, None, None)
+    answers = []  # per execution, the handler's response; None when it raised
+
+    def handler(args):
+        answers.append(None)
+        if where == "executor" and len(answers) - 1 == at:
+            raise error("executor down")
+        answers[-1] = route_planning_handler(args)
+        return answers[-1]
+
+    scripted = ScriptedLlm([_REPLIES[name] for name in script])
+
+    class Llm(LlmClient):
+        def complete(self, messages):
+            if where == "llm" and scripted.calls == at:
+                raise error("llm down")
+            return scripted.complete(messages)
+
+    server = MockApiServer({"route_planning": handler})
+    config = PipelineConfig(max_static=max_static, max_dynamic=max_dynamic)
+    judge = ExactMatchJudge(ground_truth=req(ROUTE_CORRECT))
+    result = run_task(ROUTE_INSTRUCTION, prepared, Llm(), server, judge, config)
+    sent = list(zip(server.executed, answers))
+    assert result.log.executions == sent
+    assert executed_sequence(result) == [
+        serialize_request(request) for request, answer in sent if answer is not None
+    ]
+    if sent:
+        assert (result.request, result.response) == sent[-1]
+    assert len(sent) <= 1 + max_dynamic
 
 
 def test_prepare_defers_chunking_to_the_executed_api(doc, executor):
