@@ -71,6 +71,7 @@ _SETTINGS = {
     "log_dir": (str, "logs", "session log directory"),
 }
 _CHOICES = {"llm": ("scripted", "http"), "executor": ("mock", "http")}
+_JSON_TYPES = {str: "string", int: "integer", float: "number"}
 
 _MODELS = ("llm", "llm_base_url", "model", "embedder_base_url", "embedder_model")
 _EXECUTOR = ("executor", "executor_base_url")
@@ -124,7 +125,7 @@ def _merge_config(args: argparse.Namespace) -> dict:
     if args.config:
         try:
             loaded = json.loads(Path(args.config).read_text(encoding="utf-8"))
-        except (OSError, json.JSONDecodeError) as exc:
+        except (OSError, ValueError) as exc:  # ValueError: bad JSON, too many digits
             raise ConfigError(f"cannot read config file {args.config}: {exc}") from exc
         if not isinstance(loaded, dict):
             raise ConfigError(f"config file {args.config} must hold one JSON object")
@@ -136,9 +137,15 @@ def _merge_config(args: argparse.Namespace) -> dict:
                 )
             if value is None:
                 continue
+            kind = _SETTINGS[key][0]
+            # A float setting takes any JSON number; no setting takes a boolean.
+            if isinstance(value, bool) or not isinstance(
+                value, (int, float) if kind is float else kind
+            ):
+                raise ConfigError(f"config key {key!r} must be a JSON {_JSON_TYPES[kind]}")
             try:
-                values[key] = _SETTINGS[key][0](value)
-            except (TypeError, ValueError) as exc:
+                values[key] = kind(value)
+            except OverflowError as exc:
                 raise ConfigError(f"config key {key!r}: {exc}") from exc
             if key in _CHOICES and values[key] not in _CHOICES[key]:
                 raise ConfigError(f"config key {key!r} must be one of {_CHOICES[key]}")
@@ -231,10 +238,12 @@ def _load_dataset(values: dict, base_doc: ApiDocument | None) -> list[BenchTask]
         script = raw.get("script")
         if not isinstance(doc_ref, (str, type(None))):
             raise ConfigError(f"dataset line {line_no}: doc must be a string")
-        if not (isinstance(ground_truth, (str, type(None))) or _is_strings(ground_truth)):
+        if _is_strings(ground_truth) and len(ground_truth) == 1:
+            ground_truth = ground_truth[0]
+        if not isinstance(ground_truth, (str, type(None))):
             raise ConfigError(
-                f"dataset line {line_no}: ground_truth must be a string,"
-                " a list of strings or null"
+                f"dataset line {line_no}: task {task_id!r}: ground_truth must be"
+                " a string, a list of one string or null"
             )
         if not (script is None or _is_strings(script)):
             raise ConfigError(f"dataset line {line_no}: script must be a list of strings")
@@ -255,8 +264,6 @@ def _load_dataset(values: dict, base_doc: ApiDocument | None) -> list[BenchTask]
             doc = base_doc
         else:
             raise ConfigError(f"dataset line {line_no}: no doc given and no --doc")
-        if isinstance(ground_truth, list):
-            ground_truth = tuple(ground_truth)
         if script is not None:
             script = tuple(script)
         tasks.append(BenchTask(task_id, instruction, doc, ground_truth, script))
@@ -347,17 +354,17 @@ def _cmd_classify(args: argparse.Namespace) -> int:
     truths = []
     for task in tasks:
         try:
-            truth = task.truth_requests()
+            truth = task.truth_request()
         except ValueError as exc:
             raise ConfigError(f"dataset {values['dataset']}: {exc}") from exc
-        if not truth:
+        if truth is None:
             raise ConfigError(f"dataset sample {task.task_id!r} has no ground truth")
         if not task.script and not http:
             raise ConfigError(
                 f"dataset sample {task.task_id!r} has no recorded output (script)"
                 " and the LLM is scripted"
             )
-        truths.append(truth[0])
+        truths.append(truth)
     llm = None if all(task.script for task in tasks) else _http_llm(values)
     similarity_factory = _similarity_factory(values)
 

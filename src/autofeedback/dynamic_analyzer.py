@@ -42,7 +42,6 @@ class FeedbackRecord:
 
 @dataclass(frozen=True)
 class DynamicOutcome:
-    final_response: ApiResponse
     satisfied: bool
 
 
@@ -183,4 +182,4 @@ def run_dynamic_loop(
         request = new_request
         response = executor.execute(request)
         satisfied = judge.accepts(request, response)
-    return DynamicOutcome(response, satisfied)
+    return DynamicOutcome(satisfied)

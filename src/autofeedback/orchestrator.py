@@ -13,7 +13,7 @@ from typing import Callable, Sequence
 
 from .doc_model import ApiDocument
 from .dynamic_analyzer import ExactMatchJudge, FeedbackRecord, run_dynamic_loop
-from .errors import AutoFeedbackError, EmptyDatasetError
+from .errors import EmptyDatasetError
 from .gateways import (
     ApiExecutor,
     ApiResponse,
@@ -243,11 +243,11 @@ def run_task(
     Every request sent to the executor is recorded in the log's
     ``executions`` as it is sent. A task that reaches the executor ends on
     the last of them: ``request`` is that request and ``response`` its
-    response. A task that fails with an :class:`AutoFeedbackError` (an
-    outage of the executor, the LLM or the embedder) is unsatisfied with
-    the error noted; its ``response`` is ``None`` when the executor raised
-    on the last request, and both are ``None`` when the task failed before
-    its first execution.
+    response. A task whose LLM, executor or embedder raises (an outage, or
+    any fault of a pluggable gateway) is unsatisfied with the error noted
+    and keeps the log of what it did; its ``response`` is ``None`` when
+    the executor raised on the last request, and both are ``None`` when
+    the task failed before its first execution.
     """
     if prepared.chunk_threshold != config.chunk_threshold:
         raise ValueError(
@@ -308,7 +308,7 @@ def run_task(
             is ErrorType.NONE,
             records=log.dynamic_records,
         ).satisfied
-    except AutoFeedbackError as exc:
+    except Exception as exc:  # noqa: BLE001 - a gateway fault ends only this session
         satisfied, error = False, str(exc)
     request, response = log.executions[-1] if log.executions else (None, None)
     return _finish(satisfied, request, response, error)
@@ -331,31 +331,20 @@ class BenchTask:
     task_id: str
     instruction: str
     doc: ApiDocument
-    ground_truth: str | tuple[str, ...] | None = None
+    ground_truth: str | None = None
     script: tuple[str, ...] | None = None
 
-    @property
-    def truth_sequence(self) -> tuple[str, ...] | None:
+    def truth_request(self) -> ApiRequest | None:
+        """The parsed ground truth, or ``None`` when the task has none.
+        Raises ``ValueError`` naming the task when the truth does not parse."""
         if self.ground_truth is None:
             return None
-        if isinstance(self.ground_truth, str):
-            return (self.ground_truth,)
-        return self.ground_truth
-
-    def truth_requests(self) -> tuple[ApiRequest, ...] | None:
-        """The parsed ground truth, or ``None`` when the task has none.
-        Raises ``ValueError`` naming the task when a truth does not parse."""
-        if self.truth_sequence is None:
-            return None
-        requests = []
-        for text in self.truth_sequence:
-            outcome = parse_request(text)
-            if not outcome.ok:
-                raise ValueError(
-                    f"task {self.task_id!r}: ground truth does not parse: {text!r}"
-                )
-            requests.append(outcome.request)
-        return tuple(requests)
+        outcome = parse_request(self.ground_truth)
+        if not outcome.ok:
+            raise ValueError(
+                f"task {self.task_id!r}: ground truth does not parse: {self.ground_truth!r}"
+            )
+        return outcome.request
 
 
 def echo_executor(doc: ApiDocument) -> MockApiServer:
@@ -373,8 +362,8 @@ def echo_executor(doc: ApiDocument) -> MockApiServer:
 def _default_llm(task: BenchTask) -> LlmClient:
     if task.script:
         return ScriptedLlm(list(task.script))
-    if task.truth_sequence:
-        return ScriptedLlm([f"{OPEN_MARKER}{t}{CLOSE_MARKER}" for t in task.truth_sequence])
+    if task.ground_truth is not None:
+        return ScriptedLlm([f"{OPEN_MARKER}{task.ground_truth}{CLOSE_MARKER}"])
     return ScriptedLlm(["I cannot call any API."])
 
 
@@ -405,7 +394,7 @@ def run_benchmark(
         raise EmptyDatasetError("no tasks to run")
     if log_dir is not None:
         _check_log_names(tasks)
-    truths = [task.truth_requests() for task in tasks]
+    truths = [task.truth_request() for task in tasks]
     llm_factory = llm_factory or _default_llm
     executor_factory = executor_factory or (lambda task: echo_executor(task.doc))
     model_factory = model_factory or default_similarity
@@ -417,18 +406,18 @@ def run_benchmark(
                 task.doc, model_factory(task.doc), config.chunk_threshold
             )
 
-    def _run_one(task: BenchTask, truth: tuple[ApiRequest, ...] | None) -> TaskResult:
+    def _run_one(task: BenchTask, truth: ApiRequest | None) -> TaskResult:
         try:
             return run_task(
                 task.instruction,
                 prepared[id(task.doc)],
                 llm_factory(task),
                 executor_factory(task),
-                ExactMatchJudge(truth[0] if truth else None),
+                ExactMatchJudge(truth),
                 config,
                 task_id=task.task_id,
             )
-        except Exception as exc:  # noqa: BLE001 - batch must survive task faults
+        except Exception as exc:  # noqa: BLE001 - a gateway factory's fault ends only this task
             log = SessionLog(task_id=task.task_id)
             return TaskResult(False, None, None, log, 0, error=str(exc))
 
@@ -447,7 +436,7 @@ def run_benchmark(
     if all(t is not None for t in truths):
         process_pct = process_correctness(
             [executed_sequence(r) for r in results],
-            [[serialize_request(request) for request in t] for t in truths],
+            [[serialize_request(truth)] for truth in truths],
         )
     else:
         process_pct = None

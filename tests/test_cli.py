@@ -5,7 +5,7 @@ from pathlib import Path
 
 import pytest
 
-from autofeedback import ExactMatchJudge, ScriptedLlm, cli, run_task
+from autofeedback import ExactMatchJudge, ScriptedLlm, cli, orchestrator, run_task
 from autofeedback.cli import main
 from autofeedback.orchestrator import echo_executor
 
@@ -272,6 +272,47 @@ def test_dataset_field_of_the_wrong_type_exits_2(tmp_path, capsys, field, value,
     assert not (tmp_path / "l").exists()
 
 
+@pytest.mark.parametrize("truth", [[], [TRUTH, TRUTH], [5]], ids=["empty", "two", "int"])
+@pytest.mark.parametrize("command", ["bench", "classify"])
+def test_a_ground_truth_list_of_other_than_one_string_exits_2(
+    tmp_path, capsys, monkeypatch, stub_server, command, truth
+):
+    base_url, handler = stub_server
+    monkeypatch.setenv("AUTOFEEDBACK_LLM_KEY", "k")
+    lines = dataset_lines(2, 0)
+    for line in lines:
+        del line["script"]  # every sample goes to the http LLM
+    lines[1].update(id="listed", ground_truth=truth)
+    write_dataset(tmp_path / "tasks.jsonl", lines)
+    out = tmp_path / "out"
+    argv = [command, "--dataset", str(tmp_path / "tasks.jsonl"), "--llm", "http",
+            "--llm-base-url", base_url, "--log-dir" if command == "bench" else "--out", str(out)]
+    assert run_cli(*argv) == 2
+    err = capsys.readouterr().err
+    assert "dataset line 2: task 'listed': ground_truth must be a string" in err
+    assert handler.requests_seen == []
+    assert not out.exists()
+
+
+def test_a_one_element_ground_truth_list_reads_as_its_string(tmp_path, capsys, monkeypatch):
+    monkeypatch.setattr(orchestrator, "_utc_now", lambda: "2024-01-01T00:00:00+00:00")
+    outputs = []
+    for name, truth in (("plain", TRUTH), ("listed", [TRUTH])):
+        work = tmp_path / name
+        work.mkdir()
+        monkeypatch.chdir(work)
+        lines = dataset_lines()
+        del lines[0]["script"]  # scripted from the truth
+        for line in lines:
+            line["ground_truth"] = truth
+        write_dataset(work / "tasks.jsonl", lines)
+        assert run_cli("bench", "--dataset", "tasks.jsonl", "--log-dir", "logs") == 0
+        files = {p.name: p.read_bytes() for p in sorted((work / "logs").iterdir())}
+        outputs.append((capsys.readouterr().out, files))
+    assert len(outputs[0][1]) == 12
+    assert outputs[0] == outputs[1]
+
+
 def _strip_ts(path: Path) -> list[str]:
     out = []
     for line in path.read_text().splitlines():
@@ -360,13 +401,13 @@ def test_classify_missing_ground_truth_exits_2(tmp_path, capsys):
 
 def test_classify_rejects_any_ground_truth_that_does_not_parse(tmp_path, capsys):
     lines = [
-        {"id": "multi", "instruction": INSTRUCTION, "ground_truth": [TRUTH, "f(a="],
+        {"id": "listed", "instruction": INSTRUCTION, "ground_truth": ["f(a="],
          "doc": str(FIXTURE_DOC), "script": [wrap(TRUTH)]},
     ]
     dataset = tmp_path / "labeled.jsonl"
     write_dataset(dataset, lines)
     assert run_cli("classify", "--dataset", str(dataset)) == 2
-    assert "task 'multi': ground truth does not parse" in capsys.readouterr().err
+    assert "task 'listed': ground truth does not parse" in capsys.readouterr().err
 
 
 def test_classify_checks_every_sample_before_any_llm_call(
@@ -557,14 +598,29 @@ def test_flag_of_another_command_exits_2(argv, capsys):
         ("classify", {"max_static": 1}, "'max_static'"),
         ("bench", {"k": "many"}, "'k'"),
         ("bench", {"llm": "oracle"}, "'llm'"),
+        ("bench", {"max_static": 2.7}, "'max_static' must be a JSON integer"),
+        ("bench", {"max_dynamic": True}, "'max_dynamic' must be a JSON integer"),
+        ("bench", {"threshold": "0.6"}, "'threshold' must be a JSON number"),
+        ("bench", {"threshold": 10**400}, "'threshold'"),
     ],
-    ids=["report-doc", "classify-max-static", "bench-k-not-int", "bench-llm-not-a-choice"],
+    ids=[
+        "report-doc", "classify-max-static", "bench-k-not-int", "bench-llm-not-a-choice",
+        "bench-max-static-float", "bench-max-dynamic-bool", "bench-threshold-string",
+        "bench-threshold-past-float-range",
+    ],
 )
 def test_config_key_the_command_cannot_take_exits_2(tmp_path, capsys, command, config, message):
     config_file = tmp_path / "cfg.json"
     config_file.write_text(json.dumps(config))
     assert run_cli(command, "--config", str(config_file)) == 2
     assert message in capsys.readouterr().err
+
+
+def test_config_file_with_an_integer_past_the_digit_limit_exits_2(tmp_path, capsys):
+    config_file = tmp_path / "cfg.json"
+    config_file.write_text('{"k": 1' + "0" * 5000 + "}")
+    assert run_cli("bench", "--config", str(config_file)) == 2
+    assert "cannot read config file" in capsys.readouterr().err
 
 
 def test_script_file_must_hold_a_list_of_strings(tmp_path, capsys):

@@ -72,7 +72,10 @@ def test_route_planning_correction_converges(doc, prepared, executor, judge):
     assert "Longitude precedes latitude" in record.error_message.text
     assert "info_code:20000" in record.response.body
     assert serialize_request(record.new_action) == CORRECT
-    assert outcome.final_response.body == '{"route": "ok"}'
+    # the executor's answer to the last request sent is the success body
+    final = executor.executed[-1]
+    assert serialize_request(final) == CORRECT
+    assert route_planning_handler(dict(final.args)).body == '{"route": "ok"}'
     # the correction prompt carried the observation and the retrieved text
     prompt = llm.received_prompts[0][-1].content
     assert "info_code:20000" in prompt

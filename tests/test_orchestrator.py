@@ -517,6 +517,29 @@ def test_benchmark_task_error_is_contained(doc):
     assert results[1].satisfied
 
 
+def test_a_fault_of_any_kind_in_a_gateway_keeps_the_session_record(doc, tmp_path):
+    def handler(args):
+        raise KeyError("session")
+
+    replies = [wrap('user_login(username="kate", days=3)'), wrap(LOGIN_TRUTH)]
+    llm = ScriptedLlm(replies)
+    report, [result] = run_benchmark(
+        [BenchTask("faulted", LOGIN_INSTRUCTION, doc, ground_truth=LOGIN_TRUTH)],
+        llm_factory=lambda task: llm,
+        executor_factory=lambda task: MockApiServer({"userLogin": handler}),
+        log_dir=tmp_path,
+    )
+    assert not result.satisfied and result.error == "'session'"
+    assert result.total_llm_calls == 2
+    events = result.log.static_events
+    assert [e.finding.error_type for e in events] == [ErrorType.E2_2, ErrorType.NONE]
+    assert result.log.executions == [(req(LOGIN_TRUTH), None)]
+    prompts = sum(len(m.content.split()) for p in llm.received_prompts for m in p)
+    assert result.log.token_totals == (prompts, sum(len(r.split()) for r in replies))
+    assert report.mean_tokens == sum(result.log.token_totals)
+    assert len((tmp_path / "faulted.jsonl").read_text(encoding="utf-8").splitlines()) == 2
+
+
 def test_benchmark_prepares_each_document_once(doc, monkeypatch):
     calls = Counter()
     for name in ("build_chunk_index", "render_doc_prompt"):
@@ -565,7 +588,7 @@ class _CountingFactory:
         return ScriptedLlm(list(task.script or ("no api call",)))
 
 
-@pytest.mark.parametrize("truth", ["this is not a request", (LOGIN_TRUTH, "f(a=")])
+@pytest.mark.parametrize("truth", ["this is not a request", "f(a="])
 def test_benchmark_rejects_unparseable_truth_before_any_task(doc, tmp_path, truth):
     tasks = make_tasks(doc)
     tasks[6] = BenchTask("odd", LOGIN_INSTRUCTION, doc, ground_truth=truth)
@@ -578,10 +601,10 @@ def test_benchmark_rejects_unparseable_truth_before_any_task(doc, tmp_path, trut
     assert not (tmp_path / "logs").exists()
 
 
-def test_truth_requests_parses_every_truth(doc):
-    assert BenchTask("t", LOGIN_INSTRUCTION, doc).truth_requests() is None
-    task = BenchTask("t", LOGIN_INSTRUCTION, doc, (LOGIN_TRUTH, "userLogin( username='kate', days=3 )"))
-    assert task.truth_requests() == (req(LOGIN_TRUTH), req(LOGIN_TRUTH))
+def test_truth_request_parses_the_truth(doc):
+    assert BenchTask("t", LOGIN_INSTRUCTION, doc).truth_request() is None
+    task = BenchTask("t", LOGIN_INSTRUCTION, doc, "userLogin( username='kate', days=3 )")
+    assert task.truth_request() == req(LOGIN_TRUTH)
 
 
 def test_benchmark_raises_when_a_document_fails_to_prepare(doc, tmp_path):
