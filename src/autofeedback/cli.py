@@ -50,6 +50,12 @@ class ConfigError(Exception):
     pass
 
 
+# What a JSON reader treats as an unreadable file or line: a file that cannot
+# be opened, text that is not UTF-8 or not JSON, an integer past Python's
+# digit limit, or nesting too deep to parse.
+_UNREADABLE = (OSError, ValueError, RecursionError)
+
+
 # One declaration per setting: (type, default, help). A setting is a flag
 # and a config-file key of each command that reads it.
 _SETTINGS = {
@@ -125,7 +131,7 @@ def _merge_config(args: argparse.Namespace) -> dict:
     if args.config:
         try:
             loaded = json.loads(Path(args.config).read_text(encoding="utf-8"))
-        except (OSError, ValueError) as exc:  # ValueError: bad JSON, too many digits
+        except _UNREADABLE as exc:
             raise ConfigError(f"cannot read config file {args.config}: {exc}") from exc
         if not isinstance(loaded, dict):
             raise ConfigError(f"config file {args.config} must hold one JSON object")
@@ -170,7 +176,7 @@ def _load_doc(values: dict) -> ApiDocument:
         raise ConfigError(f"documentation file not found: {path}")
     try:
         return load_document(Path(path))
-    except SchemaError as exc:
+    except (OSError, SchemaError) as exc:
         raise ConfigError(f"bad documentation file {path}: {exc}") from exc
 
 
@@ -216,18 +222,20 @@ def _load_dataset(values: dict, base_doc: ApiDocument | None) -> list[BenchTask]
     dataset_path = Path(path)
     if not dataset_path.exists():
         raise ConfigError(f"dataset file not found: {path}")
+    try:
+        lines = dataset_path.read_text(encoding="utf-8").splitlines()
+    except _UNREADABLE as exc:
+        raise ConfigError(f"cannot read dataset {path}: {exc}") from exc
     docs_cache: dict[str, ApiDocument] = {}
     tasks: list[BenchTask] = []
-    for line_no, line in enumerate(
-        dataset_path.read_text(encoding="utf-8").splitlines(), start=1
-    ):
+    for line_no, line in enumerate(lines, start=1):
         if not line.strip():
             continue
         try:
             raw = json.loads(line)
             task_id = raw["id"]
             instruction = raw["instruction"]
-        except (json.JSONDecodeError, KeyError, TypeError) as exc:
+        except (*_UNREADABLE, KeyError, TypeError) as exc:
             raise ConfigError(f"malformed dataset line {line_no}: {exc}") from exc
         if not isinstance(task_id, str):
             raise ConfigError(f"dataset line {line_no}: id must be a string")
@@ -305,7 +313,7 @@ def _cmd_run(args: argparse.Namespace) -> int:
     if args.script_file:
         try:
             replies = json.loads(Path(args.script_file).read_text(encoding="utf-8"))
-        except (OSError, json.JSONDecodeError) as exc:
+        except _UNREADABLE as exc:
             raise ConfigError(f"cannot read script file: {exc}") from exc
         if not _is_strings(replies):
             raise ConfigError("script file must hold a JSON list of strings")
@@ -423,7 +431,7 @@ def _cmd_report(args: argparse.Namespace) -> int:
     if summary_path.exists():
         try:
             entries = json.loads(summary_path.read_text(encoding="utf-8")).get("tasks", [])
-        except (json.JSONDecodeError, AttributeError):
+        except (*_UNREADABLE, AttributeError):
             entries = None
         if isinstance(entries, list) and all(isinstance(e, dict) for e in entries):
             for entry in entries:
@@ -434,14 +442,17 @@ def _cmd_report(args: argparse.Namespace) -> int:
     sessions: dict[str, list[dict]] = {}
     for path in sorted(log_dir.glob("*.jsonl")):
         events = []
-        for line_no, line in enumerate(
-            path.read_text(encoding="utf-8").splitlines(), start=1
-        ):
+        try:
+            text = path.read_text(encoding="utf-8", errors="replace")
+        except OSError:
+            text = ""
+            print(f"warning: skipping {path.name}", file=sys.stderr)
+        for line_no, line in enumerate(text.splitlines(), start=1):
             if not line.strip():
                 continue
             try:
                 event = json.loads(line)
-            except json.JSONDecodeError:
+            except _UNREADABLE:
                 event = None
             # Static events carry a null observation, dynamic ones an object.
             if isinstance(event, dict) and isinstance(event.get("observation") or {}, dict):

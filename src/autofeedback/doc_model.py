@@ -205,17 +205,13 @@ def load_document(source: str | Path) -> ApiDocument:
     when it starts with ``{``, otherwise as a path.
 
     Raises :class:`SchemaError` on any deviation from the documented schema,
-    naming the offending element.
+    naming the offending element, and on a file that is not UTF-8 JSON;
+    ``OSError`` when the file cannot be read.
     """
-    if isinstance(source, Path):
-        text = source.read_text(encoding="utf-8")
-    elif source.lstrip().startswith("{"):
-        text = source
-    else:
-        text = Path(source).read_text(encoding="utf-8")
+    is_text = isinstance(source, str) and source.lstrip().startswith("{")
     try:
-        raw = json.loads(text)
-    except json.JSONDecodeError as exc:
+        raw = json.loads(source if is_text else Path(source).read_text(encoding="utf-8"))
+    except (ValueError, RecursionError) as exc:  # not UTF-8, bad JSON, too many digits, too deep
         raise SchemaError(f"invalid JSON: {exc}") from exc
     if not isinstance(raw, dict):
         raise SchemaError("top level must be an object")

@@ -41,7 +41,6 @@ from .request_codec import (
 )
 from .retrieval import (
     PreparedDoc,
-    RelevantSet,
     SimilarityModel,
     build_chunk_index,
     default_similarity,
@@ -234,20 +233,20 @@ def run_task(
 ) -> TaskResult:
     """Run one task through the static loop and then the dynamic loop.
 
-    The static loop re-scans after every regeneration and never contacts
-    the executor; a request that exhausts the static budget with an error
-    is not executed. Feedback is appended to the conversation, so each
-    regeneration sees the history of its own mistakes. *prepared* must be
-    built with the config's ``chunk_threshold``.
+    The APIs relevant to the instruction are ranked once, before the first
+    generation. The static loop re-scans after every regeneration and never
+    contacts the executor; a request that exhausts the static budget with
+    an error is not executed. Feedback is appended to the conversation, so
+    each regeneration sees the history of its own mistakes. *prepared* must
+    be built with the config's ``chunk_threshold``.
 
     Every request sent to the executor is recorded in the log's
-    ``executions`` as it is sent. A task that reaches the executor ends on
-    the last of them: ``request`` is that request and ``response`` its
-    response. A task whose LLM, executor or embedder raises (an outage, or
-    any fault of a pluggable gateway) is unsatisfied with the error noted
-    and keeps the log of what it did; its ``response`` is ``None`` when
-    the executor raised on the last request, and both are ``None`` when
-    the task failed before its first execution.
+    ``executions`` as it is sent. ``request`` and ``response`` are always
+    the last of them, or both ``None`` when nothing was sent; ``response``
+    is ``None`` when the executor raised on that request. A task whose LLM,
+    executor or embedder raises (an outage, or any fault of a pluggable
+    gateway) is unsatisfied with the error, ``"<type>: <message>"``, noted,
+    and keeps the log of what it did.
     """
     if prepared.chunk_threshold != config.chunk_threshold:
         raise ValueError(
@@ -256,62 +255,40 @@ def run_task(
         )
     counting = _CountingLlm(llm)
     log = SessionLog(task_id=task_id)
-
-    relevant: RelevantSet | None = None
-
-    def _detect(outcome: ParseOutcome) -> DetectionFinding:
-        # Ranked on first use, once per task: an empty document still fails
-        # after the first reply.
-        nonlocal relevant
-        if relevant is None:
-            relevant = retrieve_relevant_apis(instruction, prepared, config.k)
-        return detect(outcome, relevant, prepared, config.threshold)
-
-    def _finish(
-        satisfied: bool,
-        request: ApiRequest | None,
-        response: ApiResponse | None,
-        error: str | None = None,
-    ) -> TaskResult:
-        log.token_totals = (counting.prompt_tokens, counting.completion_tokens)
-        return TaskResult(satisfied, request, response, log, counting.calls, error)
-
     messages = opening_messages(prepared.system, instruction)
-
-    request: ApiRequest | None = None
-    error: str | None = None
+    satisfied, error = False, None
     try:
+        relevant = retrieve_relevant_apis(instruction, prepared, config.k)
         for attempt in range(config.max_static + 1):
             reply = counting.complete(messages)
             messages.append(ChatMessage("assistant", reply.text))
             outcome = parse_llm_output(reply.text)
-            finding = _detect(outcome)
+            finding = detect(outcome, relevant, prepared, config.threshold)
             event = StaticEvent(attempt, reply.text, outcome, finding)
             log.static_events.append(event)
-            if finding.error_type is ErrorType.NONE:
-                request = outcome.request
+            if finding.error_type is ErrorType.NONE or attempt == config.max_static:
                 break
-            if attempt == config.max_static:
-                return _finish(False, outcome.request, None)
             event.feedback_text = render_feedback(finding)
             messages.append(ChatMessage("user", event.feedback_text))
-        assert request is not None
 
-        satisfied = run_dynamic_loop(
-            request,
-            prepared,
-            _RecordingExecutor(executor, log),
-            counting,
-            judge,
-            config.max_dynamic,
-            static_check=lambda req: _detect(ParseOutcome.parsed(req)).error_type
-            is ErrorType.NONE,
-            records=log.dynamic_records,
-        ).satisfied
+        if finding.error_type is ErrorType.NONE:
+            satisfied = run_dynamic_loop(
+                outcome.request,
+                prepared,
+                _RecordingExecutor(executor, log),
+                counting,
+                judge,
+                config.max_dynamic,
+                static_check=lambda req: detect(
+                    ParseOutcome.parsed(req), relevant, prepared, config.threshold
+                ).error_type is ErrorType.NONE,
+                records=log.dynamic_records,
+            ).satisfied
     except Exception as exc:  # noqa: BLE001 - a gateway fault ends only this session
-        satisfied, error = False, str(exc)
+        error = f"{type(exc).__name__}: {exc}"
+    log.token_totals = (counting.prompt_tokens, counting.completion_tokens)
     request, response = log.executions[-1] if log.executions else (None, None)
-    return _finish(satisfied, request, response, error)
+    return TaskResult(satisfied, request, response, log, counting.calls, error)
 
 
 def executed_sequence(result: TaskResult) -> list[str]:
@@ -419,7 +396,7 @@ def run_benchmark(
             )
         except Exception as exc:  # noqa: BLE001 - a gateway factory's fault ends only this task
             log = SessionLog(task_id=task.task_id)
-            return TaskResult(False, None, None, log, 0, error=str(exc))
+            return TaskResult(False, None, None, log, 0, f"{type(exc).__name__}: {exc}")
 
     if jobs > 1:
         with ThreadPoolExecutor(max_workers=jobs) as pool:

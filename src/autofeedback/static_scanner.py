@@ -130,21 +130,14 @@ def _match_param(
 
 def _cascade(
     req: ApiRequest,
-    named: ApiSpec | None,
-    match_name: Callable[[str], tuple[ErrorType, str | None]],
+    named: ApiSpec,
     doc: ApiDocument,
     model: SimilarityModel,
     threshold: float,
 ) -> DetectionFinding:
-    """The stages after parsing, in order: API name, unknown key, missing
-    required parameter, value type. *named* is the spec the request's name
-    is accepted as, or ``None`` when the name itself is wrong; *match_name*
-    then runs the name sub-cascade on it."""
-    if named is None:
-        error_type, suggested = match_name(req.name)
-        return DetectionFinding(
-            error_type, offending_name=req.name, suggested_name=suggested
-        )
+    """The stages after the API name, in order: unknown key, missing
+    required parameter, value type, for a request whose name is accepted
+    as the API *named*."""
     known = set(named.param_names)
     offender = next((key for key in req.arg_names if key not in known), None)
     if offender is not None:
@@ -188,16 +181,14 @@ def detect(
     req = outcome.request
     assert req is not None
     doc = prepared.doc
-
-    def match_name(name: str) -> tuple[ErrorType, str | None]:
-        return _match_name(
-            name, doc, doc.api_names, doc.api_by_normalized_name,
+    if req.name not in relevant:
+        error_type, suggested = _match_name(
+            req.name, doc, doc.api_names, doc.api_by_normalized_name,
             prepared.rank_names, threshold,
         )
-
+        return DetectionFinding(error_type, req.name, suggested, relevant_apis=relevant)
     # Relevant-set names come from the document, so the lookup finds them.
-    named = lookup_api(doc, req.name) if req.name in relevant else None
-    finding = _cascade(req, named, match_name, doc, prepared.model, threshold)
+    finding = _cascade(req, lookup_api(doc, req.name), doc, prepared.model, threshold)
     return replace(finding, relevant_apis=relevant)
 
 
@@ -225,14 +216,12 @@ def classify_against_truth(
     req = generated.request
     assert req is not None
 
-    def match_name(name: str) -> tuple[ErrorType, str | None]:
+    if req.name != truth.name:
         return _match_name(
-            name, doc, (truth.name,), {normalize_name(truth.name): truth.name},
+            req.name, doc, (truth.name,), {normalize_name(truth.name): truth.name},
             lambda query: (model.score(query, truth.name),), threshold,
-        )
-
-    named = truth_spec if req.name == truth.name else None
-    error_type = _cascade(req, named, match_name, doc, model, threshold).error_type
+        )[0]
+    error_type = _cascade(req, truth_spec, doc, model, threshold).error_type
     if error_type is not ErrorType.NONE:
         return error_type
 

@@ -634,6 +634,72 @@ def test_script_file_must_hold_a_list_of_strings(tmp_path, capsys):
     assert "list of strings" in capsys.readouterr().err
 
 
+_LONG_INT = "1" * 5000  # past Python's 4,300-digit limit
+_DEEP = "[" * 100_000  # past the recursion limit
+
+
+def _unreadable_input(tmp_path, case):
+    """The argv of a command reading the unreadable file of *case*."""
+    target = tmp_path / "input"
+    doc, log_dir = str(FIXTURE_DOC), str(tmp_path / "logs")
+    if case == "doc-directory":
+        target.mkdir()
+    elif case == "doc-not-utf8":
+        target.write_bytes(b'{"apis": [], "x": "\xff"}')
+    elif case.startswith("report"):
+        dataset = tmp_path / "tasks.jsonl"
+        write_dataset(dataset, dataset_lines(1, 0))
+        run_cli("bench", "--dataset", str(dataset), "--log-dir", log_dir)
+        if case == "report-summary":
+            (tmp_path / "logs" / "summary.json").write_text(f'{{"n": {_LONG_INT}}}')
+        elif case == "report-directory":
+            (tmp_path / "logs" / "a.jsonl").mkdir()
+        else:
+            line = f"[{_LONG_INT}]".encode() if case == "report-long-int" else b'"\xff"'
+            with open(tmp_path / "logs" / "ok-0.jsonl", "ab") as f:
+                f.write(line + b"\n")
+        return ["report", "--log-dir", log_dir]
+    else:
+        target.write_text(
+            {
+                "config-deep": _DEEP,
+                "dataset-long-int": f'{{"id": "a", "instruction": "x", "n": {_LONG_INT}}}',
+                "dataset-deep": _DEEP,
+                "script-long-int": f"[{_LONG_INT}]",
+                "doc-long-int": f'{{"apis": [], "n": {_LONG_INT}}}',
+            }[case],
+            encoding="utf-8",
+        )
+    if case == "config-deep":
+        return ["bench", "--config", str(target)]
+    if case.startswith("dataset"):
+        return ["bench", "--doc", doc, "--dataset", str(target), "--log-dir", log_dir]
+    if case.startswith("script"):
+        return ["run", INSTRUCTION, "--doc", doc, "--script-file", str(target),
+                "--log-dir", log_dir]
+    return ["run", INSTRUCTION, "--doc", str(target), "--script", "x", "--log-dir", log_dir]
+
+
+@pytest.mark.parametrize(
+    "case",
+    [
+        "config-deep", "dataset-long-int", "dataset-deep", "script-long-int",
+        "doc-long-int", "doc-directory", "doc-not-utf8", "report-long-int",
+        "report-not-utf8", "report-directory", "report-summary",
+    ],
+)
+def test_an_unreadable_input_file_exits_2_or_is_skipped(tmp_path, capsys, case):
+    argv = _unreadable_input(tmp_path, case)
+    capsys.readouterr()
+    if case.startswith("report"):
+        assert run_cli(*argv) == 0
+        assert "warning: " in capsys.readouterr().err
+    else:
+        assert run_cli(*argv) == 2
+        assert capsys.readouterr().err.startswith("error: ")
+        assert not (tmp_path / "logs").exists()
+
+
 # -- config file precedence --------------------------------------------------------
 
 def test_flag_beats_config_file_beats_default(tmp_path):

@@ -93,19 +93,39 @@ def test_static_convergence_user_login(prepared, executor):
 
 
 def test_static_exhaustion_never_executes(prepared, executor):
-    llm = ScriptedLlm(["there is no api call here"])
-    judge = ExactMatchJudge()
-    result = run_task(
-        LOGIN_INSTRUCTION, prepared, llm, executor, judge,
-        PipelineConfig(max_static=3),
-    )
+    # An unparseable reply, then a parseable one naming the wrong API.
+    for reply, error_type in [
+        ("there is no api call here", ErrorType.E1),
+        (wrap("userLogout()"), ErrorType.E2_1),
+    ]:
+        llm = ScriptedLlm([reply])
+        judge = ExactMatchJudge()
+        result = run_task(
+            LOGIN_INSTRUCTION, prepared, llm, executor, judge,
+            PipelineConfig(max_static=3),
+        )
+        assert not result.satisfied
+        assert result.total_llm_calls == 4  # initial + three retries
+        assert executor.executed == []
+        assert len(result.log.static_events) == 4
+        assert all(
+            e.finding.error_type is error_type for e in result.log.static_events
+        )
+        # Nothing was sent, so the task ends on no request; the rejected
+        # one stays in the log.
+        assert result.request is None and result.response is None
+        assert result.log.static_events[-1].outcome.ok == (error_type is ErrorType.E2_1)
+
+
+def test_an_empty_document_fails_before_the_first_llm_call():
+    doc = load_document('{"apis": []}')
+    empty = prepare_document(doc, default_similarity(doc), 0.3)
+    llm = ScriptedLlm([wrap(LOGIN_TRUTH)])
+    result = run_task(LOGIN_INSTRUCTION, empty, llm, MockApiServer({}), ExactMatchJudge())
     assert not result.satisfied
-    assert result.total_llm_calls == 4  # initial + three retries
-    assert executor.executed == []
-    assert len(result.log.static_events) == 4
-    assert all(
-        e.finding.error_type is ErrorType.E1 for e in result.log.static_events
-    )
+    assert result.error == "EmptyDocumentError: cannot retrieve from an empty document"
+    assert result.total_llm_calls == 0 and llm.calls == 0
+    assert result.log.static_events == [] and result.log.token_totals == (0, 0)
 
 
 def test_static_then_dynamic_combined(prepared, executor):
@@ -147,7 +167,7 @@ def test_executor_outage_keeps_dynamic_records(prepared, tmp_path):
     judge = ExactMatchJudge(ground_truth=req(ROUTE_CORRECT))
     executor = MockApiServer({"route_planning": flaky})
     result = run_task(ROUTE_INSTRUCTION, prepared, llm, executor, judge)
-    assert result.error == "down"
+    assert result.error == "TransportError: down"
     assert result.total_llm_calls == 2
     [record] = result.log.dynamic_records
     assert serialize_request(record.new_action) == ROUTE_CORRECT
@@ -174,7 +194,7 @@ def test_llm_outage_after_a_correction_keeps_it_executed(prepared):
     executor = MockApiServer({"route_planning": route_planning_handler})
     judge = ExactMatchJudge(ground_truth=req(ROUTE_CORRECT))
     result = run_task(ROUTE_INSTRUCTION, prepared, FailingThirdCall(), executor, judge)
-    assert result.error == "llm down"
+    assert result.error == "TransportError: llm down"
     assert len(executor.executed) == 2
     assert executed_sequence(result) == [ROUTE_REVERSED, ROUTE_REVERSED]
 
@@ -215,7 +235,7 @@ def test_outage_in_the_dynamic_loop_keeps_the_executed_request(doc, down):
     server = MockApiServer({"route_planning": route_planning_handler})
     judge = ExactMatchJudge(ground_truth=req(ROUTE_CORRECT))
     result = run_task(ROUTE_INSTRUCTION, prepared, Llm(), server, judge)
-    assert result.error == f"{down} down"
+    assert result.error == f"TransportError: {down} down"
     assert not result.satisfied
     assert len(server.executed) == 1
     assert serialize_request(result.request) == ROUTE_REVERSED
@@ -236,7 +256,7 @@ def test_executor_outage_after_a_correction_ends_on_the_unanswered_request(
     llm = ScriptedLlm([wrap(ROUTE_REVERSED), f"Thought: swap.\n{wrap(ROUTE_CORRECT)}"])
     judge = ExactMatchJudge(ground_truth=req(ROUTE_CORRECT))
     result = run_task(ROUTE_INSTRUCTION, prepared, llm, server, judge)
-    assert result.error == "executor down"
+    assert result.error == f"{error.__name__}: executor down"
     assert serialize_request(result.request) == ROUTE_CORRECT
     assert result.response is None
     assert executed_sequence(result) == [ROUTE_REVERSED]
@@ -517,6 +537,18 @@ def test_benchmark_task_error_is_contained(doc):
     assert results[1].satisfied
 
 
+def test_a_gateway_factory_fault_is_recorded_with_its_type(doc):
+    def executor_factory(task):
+        raise KeyError("route")
+
+    _, [result] = run_benchmark(
+        [BenchTask("t", LOGIN_INSTRUCTION, doc, ground_truth=LOGIN_TRUTH)],
+        executor_factory=executor_factory,
+    )
+    assert result.error == "KeyError: 'route'"
+    assert not result.satisfied and result.total_llm_calls == 0
+
+
 def test_a_fault_of_any_kind_in_a_gateway_keeps_the_session_record(doc, tmp_path):
     def handler(args):
         raise KeyError("session")
@@ -529,7 +561,7 @@ def test_a_fault_of_any_kind_in_a_gateway_keeps_the_session_record(doc, tmp_path
         executor_factory=lambda task: MockApiServer({"userLogin": handler}),
         log_dir=tmp_path,
     )
-    assert not result.satisfied and result.error == "'session'"
+    assert not result.satisfied and result.error == "KeyError: 'session'"
     assert result.total_llm_calls == 2
     events = result.log.static_events
     assert [e.finding.error_type for e in events] == [ErrorType.E2_2, ErrorType.NONE]
