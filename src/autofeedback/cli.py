@@ -443,15 +443,15 @@ def _cmd_report(args: argparse.Namespace) -> int:
     for path in sorted(log_dir.glob("*.jsonl")):
         events = []
         try:
-            text = path.read_text(encoding="utf-8", errors="replace")
+            lines = path.read_bytes().splitlines()
         except OSError:
-            text = ""
+            lines = []
             print(f"warning: skipping {path.name}", file=sys.stderr)
-        for line_no, line in enumerate(text.splitlines(), start=1):
+        for line_no, line in enumerate(lines, start=1):
             if not line.strip():
                 continue
             try:
-                event = json.loads(line)
+                event = json.loads(line.decode("utf-8"))
             except _UNREADABLE:
                 event = None
             # Static events carry a null observation, dynamic ones an object.

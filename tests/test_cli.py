@@ -98,6 +98,20 @@ def test_run_never_correct_exits_1(tmp_path):
     assert entry["llm_calls"] == 4  # initial + default static budget
 
 
+def test_run_prints_no_final_request_after_the_static_budget(tmp_path, capsys):
+    # The wrong-API request is rejected four times and never sent.
+    code = run_cli(
+        "run", INSTRUCTION,
+        "--doc", str(FIXTURE_DOC),
+        "--script", wrap("userLogout()"),
+        "--log-dir", str(tmp_path),
+    )
+    assert code == 1
+    out = capsys.readouterr().out
+    assert "llm calls: 4" in out
+    assert "final request" not in out
+
+
 @pytest.mark.parametrize("where", ["relative", "absolute"])
 def test_run_task_id_outside_log_dir_exits_2(
     tmp_path, capsys, monkeypatch, stub_server, where
@@ -655,7 +669,11 @@ def _unreadable_input(tmp_path, case):
         elif case == "report-directory":
             (tmp_path / "logs" / "a.jsonl").mkdir()
         else:
-            line = f"[{_LONG_INT}]".encode() if case == "report-long-int" else b'"\xff"'
+            line = {
+                "report-long-int": f"[{_LONG_INT}]".encode(),
+                "report-not-utf8": b'"\xff"',
+                "report-not-utf8-event": b'{"phase": "static", "feedback": "\xff"}',
+            }[case]
             with open(tmp_path / "logs" / "ok-0.jsonl", "ab") as f:
                 f.write(line + b"\n")
         return ["report", "--log-dir", log_dir]
@@ -685,7 +703,7 @@ def _unreadable_input(tmp_path, case):
     [
         "config-deep", "dataset-long-int", "dataset-deep", "script-long-int",
         "doc-long-int", "doc-directory", "doc-not-utf8", "report-long-int",
-        "report-not-utf8", "report-directory", "report-summary",
+        "report-not-utf8", "report-not-utf8-event", "report-directory", "report-summary",
     ],
 )
 def test_an_unreadable_input_file_exits_2_or_is_skipped(tmp_path, capsys, case):

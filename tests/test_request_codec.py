@@ -150,34 +150,21 @@ def test_parse_edge_behaviour(text, expected):
         assert outcome.ok and repr(outcome.request.args) == repr(expected)
 
 
-def _times_at_8_and_16_kb(run, text_of_size):
-    """CPU seconds of *run* on a text of 8 KB and one of 16 KB, from the
-    repeat in which the time grew least. Each repeat times the two sizes
-    back to back with the collector off, so that neither a collection nor
-    a slow spell of the host lands on one size alone."""
-    texts = [text_of_size(size) for size in (8_000, 16_000)]
-
-    def cpu_time(text):
-        started = time.process_time()
-        run(text)
-        return time.process_time() - started
-
-    gc.disable()
-    try:
-        repeats = [[cpu_time(text) for text in texts] for _ in range(3)]
-    finally:
-        gc.enable()
-    return min(repeats, key=lambda times: times[1] / times[0])
-
-
 @pytest.mark.parametrize("unit", ['\\"', '"\\', "'x", " "])
 def test_parse_time_grows_linearly(unit):
     # Were a backslash outside a string a token of its own, text like
     # "\"\"\"... would be rescanned from every quote to its end: 1 s for
     # 10 KB on a 2-core Xeon.
-    small, large = _times_at_8_and_16_kb(
-        parse_request, lambda size: 'f(a="' + unit * (size // len(unit))
-    )
+    def best_time(size):
+        text = 'f(a="' + unit * (size // len(unit))
+        times = []
+        for _ in range(3):
+            started = time.process_time()
+            parse_request(text)
+            times.append(time.process_time() - started)
+        return min(times)
+
+    small, large = best_time(8_000), best_time(16_000)
     assert large < 3.0 * small + 0.002, (small, large)
 
 
@@ -394,9 +381,21 @@ def test_extract_equals_the_rescanning_extractor(text):
 def test_extract_time_grows_linearly(unit):
     # The rescanning extractor took 0.15 s at 2 KB and 2.5 s at 8 KB on a
     # reply of "f(" repeated: four times the time per doubling.
-    small, large = _times_at_8_and_16_kb(
-        extract_request_block, lambda size: unit * (size // len(unit))
-    )
+    # The two sizes are timed back to back in each repeat, with the
+    # collector off, so that neither a collection nor a slow spell of the
+    # host lands on one size alone.
+    texts = [unit * (size // len(unit)) for size in (8_000, 16_000)]
+    times = [[], []]
+    gc.disable()
+    try:
+        for _ in range(3):
+            for text, spent in zip(texts, times):
+                started = time.process_time()
+                extract_request_block(text)
+                spent.append(time.process_time() - started)
+    finally:
+        gc.enable()
+    small, large = min(times[0]), min(times[1])
     assert large < 3.0 * small + 0.002, (small, large)
 
 

@@ -5,8 +5,8 @@
 
 Runs every session of the sessions-large-doc and sessions-many-docs
 workloads, each round through ``run_benchmark`` with a log directory and a
-fixed clock, and labels every sample of classify-large-doc, at each seed
-(1 and 41 unless ``--seeds`` says otherwise). Prints one SHA-256 per part:
+fixed clock, and labels every sample of classify-large-doc, at seeds 1
+and 41. Prints one SHA-256 per part:
 
 - ``results``: every field of each result but ``request``: the verdict,
   the response, the error, the LLM calls, the token totals and the
@@ -33,6 +33,7 @@ from pathlib import Path
 
 ROOT = Path(__file__).resolve().parent.parent
 CLOCK = "2024-01-01T00:00:00+00:00"
+SEEDS = (1, 41)
 
 
 def _sessions(workloads, orchestrator, name, seed, work, digests, counts):
@@ -98,7 +99,6 @@ def _labels(workloads, seed, work, digests):
 def main() -> int:
     parser = argparse.ArgumentParser(description=__doc__.split("\n")[0])
     parser.add_argument("--src", default=str(ROOT / "src"), help="directory holding the package")
-    parser.add_argument("--seeds", type=int, nargs="+", default=[1, 41])
     args = parser.parse_args()
     sys.path[:0] = [str(Path(args.src).resolve()), str(ROOT / "perfbench")]
     import workloads
@@ -107,7 +107,7 @@ def main() -> int:
     digests = {part: hashlib.sha256() for part in ("results", "request", "logs", "labels")}
     counts = dict.fromkeys(("sessions", "no_request", "llm_calls", "tokens"), 0)
     with tempfile.TemporaryDirectory() as tmp:
-        for seed in args.seeds:
+        for seed in SEEDS:
             for name in ("sessions-large-doc", "sessions-many-docs"):
                 work = Path(tmp) / f"{name}-{seed}"
                 _sessions(workloads, orchestrator, name, seed, work, digests, counts)
