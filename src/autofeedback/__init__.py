@@ -52,7 +52,6 @@ from .orchestrator import (
 )
 from .request_codec import (
     ApiRequest,
-    ParseFailure,
     ParseOutcome,
     extract_request_block,
     infer_value_type,
@@ -97,7 +96,6 @@ __all__ = [
     "LlmClient",
     "LlmReply",
     "ParamSpec",
-    "ParseFailure",
     "ParseOutcome",
     "PipelineConfig",
     "PreparedDoc",

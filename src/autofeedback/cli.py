@@ -72,7 +72,6 @@ _SETTINGS = {
     "threshold": (float, PipelineConfig.threshold, "similarity a name match must beat"),
     "max_static": (int, PipelineConfig.max_static, "static loop budget"),
     "max_dynamic": (int, PipelineConfig.max_dynamic, "dynamic loop budget"),
-    "chunk_threshold": (float, PipelineConfig.chunk_threshold, "chunking similarity"),
     "jobs": (int, 1, "worker threads"),
     "log_dir": (str, "logs", "session log directory"),
 }
@@ -367,6 +366,11 @@ def _cmd_classify(args: argparse.Namespace) -> int:
             raise ConfigError(f"dataset {values['dataset']}: {exc}") from exc
         if truth is None:
             raise ConfigError(f"dataset sample {task.task_id!r} has no ground truth")
+        if truth.name not in task.doc.by_name:
+            raise ConfigError(
+                f"dataset sample {task.task_id!r}: ground-truth API {truth.name!r}"
+                " is not in its document"
+            )
         if not task.script and not http:
             raise ConfigError(
                 f"dataset sample {task.task_id!r} has no recorded output (script)"

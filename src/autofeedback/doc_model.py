@@ -126,15 +126,6 @@ class ApiDocument:
         return index
 
     @cached_property
-    def param_owners(self) -> dict[str, tuple[str, ...]]:
-        """Parameter name -> the APIs that document it."""
-        index: dict[str, list[str]] = {}
-        for a in self.apis:
-            for p in a.params:
-                index.setdefault(p.name, []).append(a.name)
-        return {name: tuple(owners) for name, owners in index.items()}
-
-    @cached_property
     def params_by_normalized_name(self) -> dict[str, tuple[tuple[str, str], ...]]:
         """Normalized parameter name -> ``(owner API, parameter name)`` for
         every parameter with that form."""

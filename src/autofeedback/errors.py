@@ -40,10 +40,6 @@ class ProtocolError(AutoFeedbackError):
     """A remote endpoint answered with a body we cannot interpret."""
 
 
-class MissingGroundTruthError(AutoFeedbackError):
-    """Exact-mode process correctness needs a ground-truth sequence per task."""
-
-
 class EmptyInputError(AutoFeedbackError):
     """A metric was asked to aggregate an empty collection."""
 

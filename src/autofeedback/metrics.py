@@ -9,13 +9,7 @@ from collections import Counter
 from dataclasses import dataclass
 from typing import Iterable, Sequence
 
-from .errors import (
-    EmptyInputError,
-    LengthMismatchError,
-    MissingGroundTruthError,
-    TooShortError,
-    ZeroAccuracyError,
-)
+from .errors import EmptyInputError, LengthMismatchError, TooShortError, ZeroAccuracyError
 from .static_scanner import ErrorType
 
 __all__ = [
@@ -30,22 +24,11 @@ __all__ = [
 ]
 
 
-def _satisfied_flags(results: Iterable) -> list[bool]:
-    flags = [
-        r if isinstance(r, bool) else bool(getattr(r, "satisfied")) for r in results
-    ]
-    if not flags:
+def accuracy(satisfied: Sequence[bool]) -> float:
+    """Percentage of tasks whose result met the requirement, one flag a task."""
+    if not satisfied:
         raise EmptyInputError("no results to aggregate")
-    return flags
-
-
-def accuracy(results: Iterable) -> float:
-    """Percentage of tasks whose result met the requirement.
-
-    Accepts booleans or anything with a ``satisfied`` attribute.
-    """
-    flags = _satisfied_flags(results)
-    return 100.0 * sum(flags) / len(flags)
+    return 100.0 * sum(satisfied) / len(satisfied)
 
 
 def overhead(mean_tokens: float, accuracy_pct: float) -> float:
@@ -55,19 +38,14 @@ def overhead(mean_tokens: float, accuracy_pct: float) -> float:
     return mean_tokens / accuracy_pct
 
 
-def process_correctness(
-    executed: Sequence[Sequence[str]],
-    truth: Sequence[Sequence[str] | None],
-) -> float:
-    """Percentage of tasks whose executed request sequence was optimal: its
-    canonically serialized sequence equals the ground-truth sequence."""
+def process_correctness(executed: Sequence[Sequence[str]], truth: Sequence[str]) -> float:
+    """Percentage of tasks whose executed request sequence was optimal: the
+    task executed its canonically serialized ground truth and nothing else."""
     if len(executed) != len(truth):
         raise LengthMismatchError("executed and truth differ in length")
     if not executed:
         raise EmptyInputError("no results to aggregate")
-    if any(t is None for t in truth):
-        raise MissingGroundTruthError("every task needs a truth sequence")
-    hits = sum(1 for e, t in zip(executed, truth) if list(e) == list(t))
+    hits = sum(1 for e, t in zip(executed, truth) if list(e) == [t])
     return 100.0 * hits / len(executed)
 
 

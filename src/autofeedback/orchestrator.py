@@ -40,6 +40,7 @@ from .request_codec import (
     serialize_request,
 )
 from .retrieval import (
+    CHUNK_THRESHOLD,
     PreparedDoc,
     SimilarityModel,
     build_chunk_index,
@@ -77,13 +78,10 @@ class PipelineConfig:
     threshold: float = 0.5
     max_static: int = 3
     max_dynamic: int = 2
-    chunk_threshold: float = 0.3
 
     def __post_init__(self):
         if not 0.0 < self.threshold < 1.0:
             raise ValueError("threshold must be in (0, 1)")
-        if not 0.0 < self.chunk_threshold < 1.0:
-            raise ValueError("chunk_threshold must be in (0, 1)")
         if self.k < 1:
             raise ValueError("k must be >= 1")
         if self.max_static < 0 or self.max_dynamic < 0:
@@ -199,9 +197,7 @@ def opening_messages(system: ChatMessage, instruction: str) -> list[ChatMessage]
     return [system, ChatMessage("user", f"{instruction}\n\n{_GENERATE_INSTRUCTION}")]
 
 
-def prepare_document(
-    doc: ApiDocument, model: SimilarityModel, chunk_threshold: float
-) -> PreparedDoc:
+def prepare_document(doc: ApiDocument, model: SimilarityModel) -> PreparedDoc:
     """Build the per-document state every task on *doc* shares: the chunk
     index, the relevance ranker over API descriptions, the ranker over API
     names, and the system message with the rendered documentation.
@@ -213,8 +209,7 @@ def prepare_document(
     return PreparedDoc(
         doc,
         model,
-        chunk_threshold,
-        build_chunk_index(doc, model, chunk_threshold),
+        build_chunk_index(doc, model, CHUNK_THRESHOLD),
         model.ranker([api.description for api in doc.apis]),
         model.ranker(doc.api_names),
         system_message(doc),
@@ -237,8 +232,7 @@ def run_task(
     generation. The static loop re-scans after every regeneration and never
     contacts the executor; a request that exhausts the static budget with
     an error is not executed. Feedback is appended to the conversation, so
-    each regeneration sees the history of its own mistakes. *prepared* must
-    be built with the config's ``chunk_threshold``.
+    each regeneration sees the history of its own mistakes.
 
     Every request sent to the executor is recorded in the log's
     ``executions`` as it is sent. ``request`` and ``response`` are always
@@ -248,11 +242,6 @@ def run_task(
     gateway) is unsatisfied with the error, ``"<type>: <message>"``, noted,
     and keeps the log of what it did.
     """
-    if prepared.chunk_threshold != config.chunk_threshold:
-        raise ValueError(
-            f"document prepared with chunk_threshold={prepared.chunk_threshold},"
-            f" config has {config.chunk_threshold}"
-        )
     counting = _CountingLlm(llm)
     log = SessionLog(task_id=task_id)
     messages = opening_messages(prepared.system, instruction)
@@ -280,7 +269,7 @@ def run_task(
                 judge,
                 config.max_dynamic,
                 static_check=lambda req: detect(
-                    ParseOutcome.parsed(req), relevant, prepared, config.threshold
+                    ParseOutcome(req), relevant, prepared, config.threshold
                 ).error_type is ErrorType.NONE,
                 records=log.dynamic_records,
             ).satisfied
@@ -357,18 +346,21 @@ def run_benchmark(
 ) -> tuple[BenchmarkReport, list[TaskResult]]:
     """Run every task and aggregate a report.
 
-    Whatever fails before the first task raises: an empty batch, with
-    *log_dir* set a task id that is duplicated or not a plain file name
-    (``ValueError``; ids name the log files), a ground truth that does not
-    parse (``ValueError``), or a document that fails to prepare. Each
-    distinct document is prepared once, before any task runs. Whatever
-    fails inside a task is recorded on its :class:`TaskResult`, which is
-    then unsatisfied with the error noted; the batch goes on. Logs are
-    written through a single writer in task order, so reruns with
-    deterministic gateways are byte-identical apart from timestamps.
+    Whatever fails before the first task raises: an empty batch, *jobs*
+    below 1 (``ValueError``), with *log_dir* set a task id that is
+    duplicated or not a plain file name (``ValueError``; ids name the log
+    files), a ground truth that does not parse (``ValueError``), or a
+    document that fails to prepare. Each distinct document is prepared
+    once, before any task runs. Whatever fails inside a task is recorded on
+    its :class:`TaskResult`, which is then unsatisfied with the error
+    noted; the batch goes on. Logs are written through a single writer in
+    task order, so reruns with deterministic gateways are byte-identical
+    apart from timestamps.
     """
     if not tasks:
         raise EmptyDatasetError("no tasks to run")
+    if jobs < 1:
+        raise ValueError(f"jobs must be >= 1, got {jobs}")
     if log_dir is not None:
         _check_log_names(tasks)
     truths = [task.truth_request() for task in tasks]
@@ -379,9 +371,7 @@ def run_benchmark(
     prepared: dict[int, PreparedDoc] = {}
     for task in tasks:
         if id(task.doc) not in prepared:
-            prepared[id(task.doc)] = prepare_document(
-                task.doc, model_factory(task.doc), config.chunk_threshold
-            )
+            prepared[id(task.doc)] = prepare_document(task.doc, model_factory(task.doc))
 
     def _run_one(task: BenchTask, truth: ApiRequest | None) -> TaskResult:
         try:
@@ -404,7 +394,7 @@ def run_benchmark(
     else:
         results = [_run_one(task, truth) for task, truth in zip(tasks, truths)]
 
-    acc = accuracy(results)
+    acc = accuracy([r.satisfied for r in results])
     token_sums = [sum(r.log.token_totals) for r in results]
     mean_tokens = sum(token_sums) / len(token_sums)
     classifications = [
@@ -413,7 +403,7 @@ def run_benchmark(
     if all(t is not None for t in truths):
         process_pct = process_correctness(
             [executed_sequence(r) for r in results],
-            [[serialize_request(truth)] for truth in truths],
+            [serialize_request(truth) for truth in truths],
         )
     else:
         process_pct = None

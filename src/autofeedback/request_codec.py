@@ -27,7 +27,6 @@ import logging
 import math
 import re
 from dataclasses import dataclass
-from enum import Enum
 from typing import Union
 
 from .doc_model import ValueType
@@ -35,7 +34,6 @@ from .doc_model import ValueType
 __all__ = [
     "Value",
     "ApiRequest",
-    "ParseFailure",
     "ParseOutcome",
     "MAX_NESTING",
     "OPEN_MARKER",
@@ -80,30 +78,16 @@ class ApiRequest:
         return tuple(k for k, _ in self.args)
 
 
-class ParseFailure(Enum):
-    NO_BLOCK = "no_block"
-    BAD_SYNTAX = "bad_syntax"
-    DUPLICATE_KEY = "duplicate_key"
-
-
 @dataclass(frozen=True)
 class ParseOutcome:
-    """Result of parsing: either a request or a failure."""
+    """Result of parsing: the request, or ``None`` when the output holds no
+    request that parses."""
 
     request: ApiRequest | None
-    failure: ParseFailure | None = None
 
     @property
     def ok(self) -> bool:
         return self.request is not None
-
-    @classmethod
-    def parsed(cls, request: ApiRequest) -> "ParseOutcome":
-        return cls(request=request)
-
-    @classmethod
-    def unparseable(cls, failure: ParseFailure) -> "ParseOutcome":
-        return cls(request=None, failure=failure)
 
 
 # Fallback extraction wants a call-shaped candidate: name directly against
@@ -214,10 +198,6 @@ class _SyntaxError(Exception):
     pass
 
 
-class _DuplicateKey(Exception):
-    pass
-
-
 # One token: optional whitespace, then a quoted string, a number, an
 # identifier or any other single character, where a backslash takes the next
 # one with it: else text like "\"\"\"... is rescanned from every quote to its
@@ -323,7 +303,7 @@ class _Parser:
             self._expect("=")
             value = self._value()
             if key in args:
-                raise _DuplicateKey(key)
+                raise _SyntaxError(f"duplicate argument key {key!r}")
             args[key] = value
         self._expect("")
         return ApiRequest(name, tuple(args.items()))
@@ -332,18 +312,16 @@ class _Parser:
 def parse_request(block: str) -> ParseOutcome:
     """Parse one request block. Total: never raises on bad input."""
     try:
-        return ParseOutcome.parsed(_Parser(block).request())
-    except _DuplicateKey:
-        return ParseOutcome.unparseable(ParseFailure.DUPLICATE_KEY)
+        return ParseOutcome(_Parser(block).request())
     except _SyntaxError:
-        return ParseOutcome.unparseable(ParseFailure.BAD_SYNTAX)
+        return ParseOutcome(None)
 
 
 def parse_llm_output(text: str) -> ParseOutcome:
     """Extract and parse the request block of raw LLM output."""
     block = extract_request_block(text)
     if block is None:
-        return ParseOutcome.unparseable(ParseFailure.NO_BLOCK)
+        return ParseOutcome(None)
     return parse_request(block)
 
 

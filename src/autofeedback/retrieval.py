@@ -377,11 +377,15 @@ def _chunk_api(
     return tuple(chunks)
 
 
+# The similarity at which a sentence joins the chunk before it.
+CHUNK_THRESHOLD = 0.3
+
+
 def build_chunk_index(
     doc: ApiDocument, model: SimilarityModel, chunk_threshold: float
 ) -> ChunkIndex:
     """The chunk index of *doc*, which chunks each API on its first lookup
-    (see :class:`ChunkIndex`).
+    (see :class:`ChunkIndex`); the pipeline passes ``CHUNK_THRESHOLD``.
 
     Chunking is deferred, but one probe ``model.embed`` call on the doc's
     first sentence makes an embedder that cannot answer fail here, before
@@ -412,7 +416,6 @@ class PreparedDoc:
 
     doc: ApiDocument
     model: SimilarityModel
-    chunk_threshold: float
     index: ChunkIndex
     rank: Callable[[str], list[float]]
     rank_names: Callable[[str], list[float]]

@@ -108,16 +108,21 @@ def _match_param(
     """Parameter sub-cascade: selection against other APIs, literal match
     against other APIs, semantic match against the named API's own params.
 
-    Selection and literal match read the doc's parameter indices, whose
-    entries are in doc order, so the literal match is the first parameter
-    of another API a scan of the doc would find.
+    Selection and literal match read the other APIs' parameters whose
+    normalized name is the key's, in doc order. A parameter named as the
+    key is among them, so the key is a selection error when it is one of
+    them, and otherwise the first of them is the literal match, the one a
+    scan of the doc would find first.
     """
-    if any(owner != named.name for owner in doc.param_owners.get(key, ())):
+    others = [
+        param_name
+        for owner, param_name in doc.params_by_normalized_name.get(normalize_name(key), ())
+        if owner != named.name
+    ]
+    if key in others:
         return ErrorType.E3_1, None
-    pairs = doc.params_by_normalized_name.get(normalize_name(key), ())
-    for owner, param_name in pairs:
-        if owner != named.name:
-            return ErrorType.E3_2, param_name
+    if others:
+        return ErrorType.E3_2, others[0]
     best_name, best_score = None, threshold
     for p in named.params:
         score = model.score(key, p.name)

@@ -109,4 +109,4 @@ def chunk_index(doc, model):
 
 @pytest.fixture(scope="session")
 def prepared(doc, model):
-    return prepare_document(doc, model, 0.3)
+    return prepare_document(doc, model)

@@ -450,6 +450,32 @@ def test_classify_checks_every_sample_before_any_llm_call(
     assert handler.requests_seen == []
 
 
+def test_classify_checks_every_truth_api_before_any_llm_call(
+    tmp_path, capsys, monkeypatch, stub_server
+):
+    base_url, handler = stub_server
+    handler.default_behavior = (200, json.dumps({
+        "choices": [{"message": {"content": wrap(TRUTH)}}],
+        "usage": {"prompt_tokens": 5, "completion_tokens": 5},
+    }))
+    monkeypatch.setenv("AUTOFEEDBACK_LLM_KEY", "k")
+    lines = [
+        {"id": f"s{i}", "instruction": INSTRUCTION, "ground_truth": truth,
+         "doc": str(FIXTURE_DOC)}
+        for i, truth in enumerate([TRUTH, "noSuchApi(a=1)", TRUTH])
+    ]
+    dataset = tmp_path / "labeled.jsonl"
+    write_dataset(dataset, lines)
+    code = run_cli(
+        "classify", "--dataset", str(dataset),
+        "--llm", "http", "--llm-base-url", base_url, "--out", str(tmp_path / "hist.json"),
+    )
+    assert code == 2
+    assert "sample 's1': ground-truth API 'noSuchApi'" in capsys.readouterr().err
+    assert handler.requests_seen == []
+    assert not (tmp_path / "hist.json").exists()
+
+
 def test_classify_http_asks_the_pipeline_question(
     tmp_path, monkeypatch, stub_server, doc, prepared
 ):
@@ -589,14 +615,18 @@ def test_each_command_registers_only_the_flags_it_reads():
         )
         for name, parser in sub.choices.items()
     }
-    assert counts == {"run": 19, "bench": 17, "classify": 10, "report": 2}
-    assert sum(counts.values()) == 48
+    assert counts == {"run": 18, "bench": 16, "classify": 10, "report": 2}
+    assert sum(counts.values()) == 46
 
 
 @pytest.mark.parametrize(
     "argv",
-    [["classify", "--dataset", "d.jsonl", "--max-static", "3"], ["report", "--doc", "x"]],
-    ids=["classify-max-static", "report-doc"],
+    [
+        ["classify", "--dataset", "d.jsonl", "--max-static", "3"],
+        ["report", "--doc", "x"],
+        ["bench", "--chunk-threshold", "0.3"],
+    ],
+    ids=["classify-max-static", "report-doc", "bench-chunk-threshold"],
 )
 def test_flag_of_another_command_exits_2(argv, capsys):
     with pytest.raises(SystemExit) as exc:
@@ -616,11 +646,12 @@ def test_flag_of_another_command_exits_2(argv, capsys):
         ("bench", {"max_dynamic": True}, "'max_dynamic' must be a JSON integer"),
         ("bench", {"threshold": "0.6"}, "'threshold' must be a JSON number"),
         ("bench", {"threshold": 10**400}, "'threshold'"),
+        ("bench", {"chunk_threshold": 0.3}, "'chunk_threshold'"),
     ],
     ids=[
         "report-doc", "classify-max-static", "bench-k-not-int", "bench-llm-not-a-choice",
         "bench-max-static-float", "bench-max-dynamic-bool", "bench-threshold-string",
-        "bench-threshold-past-float-range",
+        "bench-threshold-past-float-range", "bench-chunk-threshold",
     ],
 )
 def test_config_key_the_command_cannot_take_exits_2(tmp_path, capsys, command, config, message):

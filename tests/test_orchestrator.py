@@ -119,7 +119,7 @@ def test_static_exhaustion_never_executes(prepared, executor):
 
 def test_an_empty_document_fails_before_the_first_llm_call():
     doc = load_document('{"apis": []}')
-    empty = prepare_document(doc, default_similarity(doc), 0.3)
+    empty = prepare_document(doc, default_similarity(doc))
     llm = ScriptedLlm([wrap(LOGIN_TRUTH)])
     result = run_task(LOGIN_INSTRUCTION, empty, llm, MockApiServer({}), ExactMatchJudge())
     assert not result.satisfied
@@ -222,7 +222,7 @@ class _CountingModel(SimilarityModel):
 @pytest.mark.parametrize("down", ["embedder", "llm"])
 def test_outage_in_the_dynamic_loop_keeps_the_executed_request(doc, down):
     model = _CountingModel(default_similarity(doc))
-    prepared = prepare_document(doc, model, 0.3)
+    prepared = prepare_document(doc, model)
     model.down = down == "embedder"
     script = ScriptedLlm([wrap(ROUTE_REVERSED), f"Thought: swap.\n{wrap(ROUTE_CORRECT)}"])
 
@@ -322,7 +322,7 @@ def test_the_log_records_every_execution_as_sent_and_answered(
 
 def test_prepare_defers_chunking_to_the_executed_api(doc, executor):
     model = _CountingModel(default_similarity(doc))
-    prepared = prepare_document(doc, model, 0.3)
+    prepared = prepare_document(doc, model)
     assert model.calls == {"embed": 1}
     assert prepared.index._chunks == {}
     llm = ScriptedLlm([wrap(ROUTE_REVERSED), f"Thought: swap.\n{wrap(ROUTE_CORRECT)}"])
@@ -330,15 +330,6 @@ def test_prepare_defers_chunking_to_the_executed_api(doc, executor):
     result = run_task(ROUTE_INSTRUCTION, prepared, llm, executor, judge)
     assert result.satisfied
     assert list(prepared.index._chunks) == ["route_planning"]
-
-
-def test_run_task_rejects_doc_prepared_for_other_chunk_threshold(doc, model):
-    prepared = prepare_document(doc, model, 0.4)
-    with pytest.raises(ValueError, match="chunk_threshold"):
-        run_task(
-            LOGIN_INSTRUCTION, prepared, ScriptedLlm([wrap(LOGIN_TRUTH)]),
-            MockApiServer({}), ExactMatchJudge(), PipelineConfig(chunk_threshold=0.3),
-        )
 
 
 def test_budget_law_with_adversarial_llm(prepared, executor):
@@ -630,6 +621,22 @@ def test_benchmark_rejects_unparseable_truth_before_any_task(doc, tmp_path, trut
     with pytest.raises(ValueError, match="task 'odd'"):
         run_benchmark(tasks, llm_factory=llm_factory)
     assert llm_factory.calls == 0
+    assert not (tmp_path / "logs").exists()
+
+
+@pytest.mark.parametrize("jobs", [0, -3])
+def test_benchmark_rejects_jobs_below_one_before_any_document(doc, tmp_path, jobs):
+    models = []
+    llm_factory = _CountingFactory()
+    with pytest.raises(ValueError, match=f"jobs must be >= 1, got {jobs}"):
+        run_benchmark(
+            make_tasks(doc),
+            llm_factory=llm_factory,
+            model_factory=lambda d: models.append(d) or default_similarity(d),
+            log_dir=tmp_path / "logs",
+            jobs=jobs,
+        )
+    assert models == [] and llm_factory.calls == 0
     assert not (tmp_path / "logs").exists()
 
 

@@ -97,7 +97,7 @@ def test_embed_fixed_length_and_normalized(model):
 
 def test_retrieve_top1_self_description(doc, model):
     api = doc.apis[3]
-    result = retrieve_relevant_apis(api.description, prepare_document(doc, model, 0.3), 1)
+    result = retrieve_relevant_apis(api.description, prepare_document(doc, model), 1)
     assert result.names == (api.name,)
     assert result.entries[0][1] == 1.0
 
@@ -118,7 +118,7 @@ def test_retrieve_k_capped_by_doc_size(model):
         )
     )
     result = retrieve_relevant_apis(
-        "thing", prepare_document(small, default_similarity(small), 0.3), 5
+        "thing", prepare_document(small, default_similarity(small)), 5
     )
     assert len(result) == 3
     scores = [s for _, s in result.entries]
@@ -140,7 +140,7 @@ def test_retrieve_tie_breaks_by_doc_order():
     )
     model = default_similarity(twins)
     result = retrieve_relevant_apis(
-        "identical words here", prepare_document(twins, model, 0.3), 1
+        "identical words here", prepare_document(twins, model), 1
     )
     assert result.names == ("later_twin",)
 
@@ -221,7 +221,7 @@ def test_prepared_ranking_equals_scoring_every_api(case, fitted):
     # the relevant set the same order, ties in doc order.
     doc, queries = case
     model = default_similarity(doc) if fitted else TfidfSimilarity(())
-    prepared = prepare_document(doc, model, 0.3)
+    prepared = prepare_document(doc, model)
     for query in queries:
         scores = [model.score(query, a.description) for a in doc.apis]
         assert prepared.rank(query) == scores
@@ -237,7 +237,7 @@ def test_prepared_ranking_equals_scoring_every_api(case, fitted):
 def test_retrieve_empty_document_raises(model):
     empty = load_document(json.dumps({"apis": []}))
     with pytest.raises(EmptyDocumentError):
-        retrieve_relevant_apis("anything", prepare_document(empty, model, 0.3), 1)
+        retrieve_relevant_apis("anything", prepare_document(empty, model), 1)
 
 
 def test_single_sentence_api_single_chunk():

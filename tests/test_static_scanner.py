@@ -14,7 +14,6 @@ from autofeedback import (
     ApiDocument,
     ApiRequest,
     ErrorType,
-    ParseFailure,
     ParseOutcome,
     classify_against_truth,
     default_similarity,
@@ -54,7 +53,7 @@ def outcome_of(text: str) -> ParseOutcome:
 
 
 def relevant(instruction: str, doc, model):
-    return retrieve_relevant_apis(instruction, prepare_document(doc, model, 0.3), 1)
+    return retrieve_relevant_apis(instruction, prepare_document(doc, model), 1)
 
 
 def valid_request(text: str) -> ApiRequest:
@@ -66,10 +65,10 @@ def valid_request(text: str) -> ApiRequest:
 # -- detect: stage examples -------------------------------------------------
 
 def test_unparseable_is_e1(doc, model):
-    outcome = ParseOutcome.unparseable(ParseFailure.NO_BLOCK)
+    outcome = ParseOutcome(None)
     finding = detect(
         outcome, relevant("Log a user into the system.", doc, model),
-        prepare_document(doc, model, 0.3), 0.5,
+        prepare_document(doc, model), 0.5,
     )
     assert finding.error_type is ErrorType.E1
     assert finding.offending_name is None and finding.suggested_name is None
@@ -78,7 +77,7 @@ def test_unparseable_is_e1(doc, model):
 def test_wrong_selection_is_e2_1(doc, model):
     instruction = "Log a user into the system and start a session."
     outcome = outcome_of('userLogout(username="kate")')
-    finding = detect(outcome, relevant(instruction, doc, model), prepare_document(doc, model, 0.3), 0.5)
+    finding = detect(outcome, relevant(instruction, doc, model), prepare_document(doc, model), 0.5)
     assert finding.error_type is ErrorType.E2_1
     assert finding.offending_name == "userLogout"
     assert finding.relevant_apis.names == ("userLogin",)
@@ -87,7 +86,7 @@ def test_wrong_selection_is_e2_1(doc, model):
 def test_naming_style_is_e2_2(doc, model):
     instruction = "Log a user into the system and start a session."
     outcome = outcome_of('user_login(username="kate", days=3)')
-    finding = detect(outcome, relevant(instruction, doc, model), prepare_document(doc, model, 0.3), 0.5)
+    finding = detect(outcome, relevant(instruction, doc, model), prepare_document(doc, model), 0.5)
     assert finding.error_type is ErrorType.E2_2
     assert finding.offending_name == "user_login"
     assert finding.suggested_name == "userLogin"
@@ -98,7 +97,7 @@ def test_semantic_name_is_e2_3_tfidf(doc, model, raw_doc):
     # the corruption generator guarantees its score beats the threshold.
     instruction = "List remaining medicines in the cabinet and their stock."
     outcome = outcome_of('medicines_list(name="aspirin")')
-    finding = detect(outcome, relevant(instruction, doc, model), prepare_document(doc, model, 0.3), 0.5)
+    finding = detect(outcome, relevant(instruction, doc, model), prepare_document(doc, model), 0.5)
     assert finding.error_type is ErrorType.E2_3
     assert finding.offending_name == "medicines_list"
     assert finding.suggested_name == "list_medicines"
@@ -134,7 +133,7 @@ def test_hallucinated_name_is_e2_3_with_embedding_model(doc):
         instruction, target.description, "find_aspirin_number", "list_medicines"
     )
     outcome = outcome_of("find_aspirin_number()")
-    finding = detect(outcome, relevant(instruction, doc, model), prepare_document(doc, model, 0.3), 0.5)
+    finding = detect(outcome, relevant(instruction, doc, model), prepare_document(doc, model), 0.5)
     assert finding.error_type is ErrorType.E2_3
     assert finding.offending_name == "find_aspirin_number"
     assert finding.suggested_name == "list_medicines"
@@ -143,7 +142,7 @@ def test_hallucinated_name_is_e2_3_with_embedding_model(doc):
 def test_unknown_unrelated_name_is_e2_other(doc, model):
     instruction = "Log a user into the system and start a session."
     outcome = outcome_of("zzqqy(x=1)")
-    finding = detect(outcome, relevant(instruction, doc, model), prepare_document(doc, model, 0.3), 0.5)
+    finding = detect(outcome, relevant(instruction, doc, model), prepare_document(doc, model), 0.5)
     assert finding.error_type is ErrorType.E2_OTHER
     assert finding.offending_name == "zzqqy"
     assert finding.suggested_name is None
@@ -152,7 +151,7 @@ def test_unknown_unrelated_name_is_e2_other(doc, model):
 def test_foreign_parameter_is_e3_1(doc, model):
     instruction = "Log a user into the system and start a session."
     outcome = outcome_of('userLogin(recipient="kate", days=3)')
-    finding = detect(outcome, relevant(instruction, doc, model), prepare_document(doc, model, 0.3), 0.5)
+    finding = detect(outcome, relevant(instruction, doc, model), prepare_document(doc, model), 0.5)
     assert finding.error_type is ErrorType.E3_1
     assert finding.offending_name == "recipient"
 
@@ -161,7 +160,7 @@ def test_param_naming_style_is_e3_2(doc, model):
     # user_name normalizes to username, which another API documents.
     instruction = "Log a user into the system and start a session."
     outcome = outcome_of('userLogin(user_name="kate", days=3)')
-    finding = detect(outcome, relevant(instruction, doc, model), prepare_document(doc, model, 0.3), 0.5)
+    finding = detect(outcome, relevant(instruction, doc, model), prepare_document(doc, model), 0.5)
     assert finding.error_type is ErrorType.E3_2
     assert finding.offending_name == "user_name"
     assert finding.suggested_name == "username"
@@ -171,7 +170,7 @@ def test_param_case_variant_is_e3_3(doc, model):
     # Days matches no other API's parameters, but token-matches days.
     instruction = "Log a user into the system and start a session."
     outcome = outcome_of('userLogin(username="kate", Days=3)')
-    finding = detect(outcome, relevant(instruction, doc, model), prepare_document(doc, model, 0.3), 0.5)
+    finding = detect(outcome, relevant(instruction, doc, model), prepare_document(doc, model), 0.5)
     assert finding.error_type is ErrorType.E3_3
     assert finding.offending_name == "Days"
     assert finding.suggested_name == "days"
@@ -180,7 +179,7 @@ def test_param_case_variant_is_e3_3(doc, model):
 def test_param_token_reorder_is_e3_3(doc, model):
     instruction = "Convert an amount of money from one currency to another."
     outcome = outcome_of('currency_convert(amount=3.5, currency_from="EUR", to_currency="JPY")')
-    finding = detect(outcome, relevant(instruction, doc, model), prepare_document(doc, model, 0.3), 0.5)
+    finding = detect(outcome, relevant(instruction, doc, model), prepare_document(doc, model), 0.5)
     assert finding.error_type is ErrorType.E3_3
     assert finding.offending_name == "currency_from"
     assert finding.suggested_name == "from_currency"
@@ -189,7 +188,7 @@ def test_param_token_reorder_is_e3_3(doc, model):
 def test_missing_required_is_e3_other(doc, model):
     instruction = "Log a user into the system and start a session."
     outcome = outcome_of('userLogin(username="kate")')
-    finding = detect(outcome, relevant(instruction, doc, model), prepare_document(doc, model, 0.3), 0.5)
+    finding = detect(outcome, relevant(instruction, doc, model), prepare_document(doc, model), 0.5)
     assert finding.error_type is ErrorType.E3_OTHER
     assert finding.offending_name == "days"
 
@@ -197,7 +196,7 @@ def test_missing_required_is_e3_other(doc, model):
 def test_type_mismatch_is_e4_1(doc, model):
     instruction = "Log a user into the system and start a session."
     outcome = outcome_of('userLogin(username="kate", days="three")')
-    finding = detect(outcome, relevant(instruction, doc, model), prepare_document(doc, model, 0.3), 0.5)
+    finding = detect(outcome, relevant(instruction, doc, model), prepare_document(doc, model), 0.5)
     assert finding.error_type is ErrorType.E4_1
     assert finding.offending_name == '"three"'
     assert finding.param_description == "Number of days the login session stays valid."
@@ -206,13 +205,13 @@ def test_type_mismatch_is_e4_1(doc, model):
 def test_int_widens_to_float(doc, model):
     instruction = "Convert an amount of money from one currency to another."
     outcome = outcome_of('currency_convert(amount=3, from_currency="EUR", to_currency="JPY")')
-    assert detect(outcome, relevant(instruction, doc, model), prepare_document(doc, model, 0.3), 0.5).error_type is ErrorType.NONE
+    assert detect(outcome, relevant(instruction, doc, model), prepare_document(doc, model), 0.5).error_type is ErrorType.NONE
 
 
 def test_clean_request_is_none(doc, model):
     instruction = "Log a user into the system and start a session."
     outcome = outcome_of('userLogin(username="kate", days=3)')
-    finding = detect(outcome, relevant(instruction, doc, model), prepare_document(doc, model, 0.3), 0.5)
+    finding = detect(outcome, relevant(instruction, doc, model), prepare_document(doc, model), 0.5)
     assert finding.error_type is ErrorType.NONE
     assert finding.offending_name is None
 
@@ -221,13 +220,13 @@ def test_name_fault_masks_later_faults(doc, model):
     # Wrong name AND wrong value: the name stage fires first.
     instruction = "Log a user into the system and start a session."
     outcome = outcome_of('user_login(username="kate", days="three")')
-    finding = detect(outcome, relevant(instruction, doc, model), prepare_document(doc, model, 0.3), 0.5)
+    finding = detect(outcome, relevant(instruction, doc, model), prepare_document(doc, model), 0.5)
     assert finding.error_type is ErrorType.E2_2
 
 
 def test_corpus_sample_detects_exactly(doc, model):
     for case in build_corpus_cases(doc, per_class=3, seed=11):
-        finding = detect(outcome_of(case.text), relevant(case.instruction, doc, model), prepare_document(doc, model, 0.3), 0.5)
+        finding = detect(outcome_of(case.text), relevant(case.instruction, doc, model), prepare_document(doc, model), 0.5)
         assert finding.error_type is case.label, (case.text, finding.error_type)
         if case.expected_suggestion is not None:
             assert finding.suggested_name == case.expected_suggestion
@@ -306,7 +305,7 @@ def test_classify_identity_soundness_over_corpus(doc, model):
 
     for api in doc.apis:
         req = base_request(api, corruptor.rng)
-        outcome = ParseOutcome.parsed(req)
+        outcome = ParseOutcome(req)
         assert classify_against_truth(outcome, req, doc, model, 0.5) is ErrorType.NONE
 
 
@@ -328,7 +327,7 @@ def test_detect_and_classify_share_the_cascade(doc, model):
             args = tuple(a for a in req.args if a[0] != required[0])
             cases.append((api.name, serialize_request(ApiRequest(api.name, args))))
     labels = Counter()
-    prepared = prepare_document(doc, model, 0.3)
+    prepared = prepare_document(doc, model)
     for api_name, text in cases:
         outcome = outcome_of(text)
         if not outcome.ok or outcome.request.name != api_name:
@@ -347,14 +346,14 @@ def test_detect_and_classify_share_the_cascade(doc, model):
 # -- render_feedback ----------------------------------------------------------
 
 def _finding(doc, model, text, instruction):
-    return detect(outcome_of(text), relevant(instruction, doc, model), prepare_document(doc, model, 0.3), 0.5)
+    return detect(outcome_of(text), relevant(instruction, doc, model), prepare_document(doc, model), 0.5)
 
 
 def test_e1_feedback_has_no_exclude_part(doc, model):
     finding = detect(
-        ParseOutcome.unparseable(ParseFailure.NO_BLOCK),
+        ParseOutcome(None),
         relevant("Log a user into the system.", doc, model),
-        prepare_document(doc, model, 0.3), 0.5,
+        prepare_document(doc, model), 0.5,
     )
     feedback = render_feedback(finding)
     assert "correct" not in feedback and "selection error" not in feedback
@@ -400,7 +399,7 @@ def test_e4_1_feedback_quotes_value_and_description(doc, model):
 
 def test_feedback_always_quotes_offending_content(doc, model):
     for case in build_corpus_cases(doc, per_class=2, seed=23):
-        finding = detect(outcome_of(case.text), relevant(case.instruction, doc, model), prepare_document(doc, model, 0.3), 0.5)
+        finding = detect(outcome_of(case.text), relevant(case.instruction, doc, model), prepare_document(doc, model), 0.5)
         feedback = render_feedback(finding)
         if finding.offending_name is not None:
             assert finding.offending_name in feedback
@@ -593,9 +592,9 @@ def test_index_lookups_equal_linear_scans(raw, data, threshold):
         request = ApiRequest(truth.name, ((probe, "x"),))
         in_detect = in_classify = oracle_match_param(probe, truth.name, raw, score, threshold)
 
-    outcome = ParseOutcome.parsed(request)
+    outcome = ParseOutcome(request)
     finding = detect(
-        outcome, RelevantSet(((truth.name, 1.0),)), prepare_document(doc, model, 0.3), threshold
+        outcome, RelevantSet(((truth.name, 1.0),)), prepare_document(doc, model), threshold
     )
     assert (finding.error_type.value, finding.offending_name, finding.suggested_name) == (
         in_detect[0], probe, in_detect[1],
@@ -630,7 +629,7 @@ def test_scan_cost_does_not_grow_with_the_doc(doc, monkeypatch):
     per_doc = []
     for scanned in (doc, _renamed_copies(doc, 10)):
         model = default_similarity(scanned)
-        prepared = prepare_document(scanned, model, 0.3)
+        prepared = prepare_document(scanned, model)
         scores = []
         score = model.score
         model.score = lambda a, b: scores.append((a, b)) or score(a, b)

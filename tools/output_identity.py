@@ -17,9 +17,13 @@ and 41. Prints one SHA-256 per part:
 - ``labels``: every classify label.
 
 Then the counts of sessions, of sessions without a final request, of LLM
-calls and of tokens. Equal digests from two checkouts mean byte-identical
-outputs on these inputs. The inputs come from the generators in
-``perfbench/``, which this script only imports.
+calls and of tokens, and three figures of the package's size: its lines
+(``src_loc``, as ``wc -l`` counts them over its modules), the names in
+``autofeedback.__all__`` (``public_names``) and the options the CLI
+registers over all commands, ``--help`` aside (``cli_options``). Equal
+digests from two checkouts mean byte-identical outputs on these inputs.
+The inputs come from the generators in ``perfbench/``, which this script
+only imports.
 """
 
 from __future__ import annotations
@@ -96,6 +100,28 @@ def _labels(workloads, seed, work, digests):
             digests["labels"].update(label.value.encode() + b"\n")
 
 
+def _size() -> dict:
+    import autofeedback
+    from autofeedback import cli
+
+    [commands] = [
+        a for a in cli._build_parser()._actions if isinstance(a, argparse._SubParsersAction)
+    ]
+    return {
+        "src_loc": sum(
+            path.read_bytes().count(b"\n")
+            for path in Path(autofeedback.__file__).parent.glob("*.py")
+        ),
+        "public_names": len(autofeedback.__all__),
+        "cli_options": sum(
+            1
+            for parser in commands.choices.values()
+            for a in parser._actions
+            if a.option_strings and not isinstance(a, argparse._HelpAction)
+        ),
+    }
+
+
 def main() -> int:
     parser = argparse.ArgumentParser(description=__doc__.split("\n")[0])
     parser.add_argument("--src", default=str(ROOT / "src"), help="directory holding the package")
@@ -115,7 +141,7 @@ def main() -> int:
     print(f"package: {Path(orchestrator.__file__).parent}")
     for part, digest in digests.items():
         print(f"{part}: {digest.hexdigest()}")
-    print(json.dumps(counts))
+    print(json.dumps({**counts, **_size()}))
     return 0
 
 
