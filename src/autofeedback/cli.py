@@ -342,6 +342,8 @@ def _cmd_run(args: argparse.Namespace) -> int:
 
 def _cmd_bench(args: argparse.Namespace) -> int:
     values = _merge_config(args)
+    if values["jobs"] < 1:
+        raise ConfigError(f"--jobs must be >= 1, got {values['jobs']}")
     config = _pipeline_config(values)
     base_doc = _load_doc(values) if values["doc"] else None
     tasks = _load_dataset(values, base_doc)

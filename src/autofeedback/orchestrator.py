@@ -333,6 +333,10 @@ def _default_llm(task: BenchTask) -> LlmClient:
     return ScriptedLlm(["I cannot call any API."])
 
 
+# The prepared documents of the latest run_benchmark call to return, by id(doc).
+_kept_prepared: dict[int, PreparedDoc] = {}
+
+
 def run_benchmark(
     tasks: Sequence[BenchTask],
     config: PipelineConfig = PipelineConfig(),
@@ -351,11 +355,14 @@ def run_benchmark(
     duplicated or not a plain file name (``ValueError``; ids name the log
     files), a ground truth that does not parse (``ValueError``), or a
     document that fails to prepare. Each distinct document is prepared
-    once, before any task runs. Whatever fails inside a task is recorded on
-    its :class:`TaskResult`, which is then unsatisfied with the error
-    noted; the batch goes on. Logs are written through a single writer in
-    task order, so reruns with deterministic gateways are byte-identical
-    apart from timestamps.
+    once, before any task runs, and kept until the next call, which reuses
+    it when the document and its model are the same objects (the default
+    *model_factory* fits a new model each call) and drops the rest as it
+    returns; a reused one still makes its probe ``embed`` call. Whatever
+    fails inside a task is recorded on its :class:`TaskResult`, which is
+    then unsatisfied with the error noted; the batch goes on. Logs are
+    written through a single writer in task order, so reruns with
+    deterministic gateways are byte-identical apart from timestamps.
     """
     if not tasks:
         raise EmptyDatasetError("no tasks to run")
@@ -368,10 +375,17 @@ def run_benchmark(
     executor_factory = executor_factory or (lambda task: echo_executor(task.doc))
     model_factory = model_factory or default_similarity
 
+    global _kept_prepared
     prepared: dict[int, PreparedDoc] = {}
     for task in tasks:
         if id(task.doc) not in prepared:
-            prepared[id(task.doc)] = prepare_document(task.doc, model_factory(task.doc))
+            model = model_factory(task.doc)
+            kept = _kept_prepared.get(id(task.doc))
+            if kept is not None and kept.doc is task.doc and kept.model is model:
+                build_chunk_index(task.doc, model, CHUNK_THRESHOLD)  # probe the embedder again
+                prepared[id(task.doc)] = kept
+            else:
+                prepared[id(task.doc)] = prepare_document(task.doc, model)
 
     def _run_one(task: BenchTask, truth: ApiRequest | None) -> TaskResult:
         try:
@@ -425,6 +439,7 @@ def run_benchmark(
             )
         write_summary(results, log_path / "summary.json")
         (log_path / "report.json").write_text(report.to_json() + "\n", encoding="utf-8")
+    _kept_prepared = prepared
     return report, results
 
 

@@ -247,6 +247,25 @@ def test_bench_duplicate_task_id_exits_2(tmp_path, capsys):
     assert not log_dir.exists()
 
 
+@pytest.mark.parametrize("where", ["flag", "config"])
+def test_bench_jobs_below_one_names_the_setting_not_the_dataset(tmp_path, capsys, where):
+    dataset = tmp_path / "tasks.jsonl"
+    write_dataset(dataset, dataset_lines(n_ok=2, n_bad=0))
+    log_dir = tmp_path / "logs"
+    argv = ["bench", "--dataset", str(dataset), "--log-dir", str(log_dir)]
+    if where == "flag":
+        argv += ["--jobs", "0"]
+    else:
+        config = tmp_path / "config.json"
+        config.write_text(json.dumps({"jobs": 0}), encoding="utf-8")
+        argv += ["--config", str(config)]
+    assert run_cli(*argv) == 2
+    err = capsys.readouterr().err
+    assert "--jobs must be >= 1, got 0" in err
+    assert "dataset" not in err
+    assert not log_dir.exists()
+
+
 def test_bench_malformed_line_names_line_number(tmp_path, capsys):
     dataset = tmp_path / "tasks.jsonl"
     lines = [json.dumps(l) for l in dataset_lines(2, 0)]

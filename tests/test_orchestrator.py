@@ -1,4 +1,6 @@
+import gc
 import json
+import weakref
 from collections import Counter
 
 import pytest
@@ -661,6 +663,125 @@ def test_benchmark_raises_when_a_document_fails_to_prepare(doc, tmp_path):
             tasks,
             llm_factory=llm_factory,
             model_factory=lambda d: DownModel() if d is other else default_similarity(d),
+            log_dir=tmp_path / "logs",
+        )
+    assert llm_factory.calls == 0
+    assert not (tmp_path / "logs").exists()
+
+
+# -- prepared state kept between benchmark calls -------------------------------------
+
+class _RankerCountingModel(_CountingModel):
+    """A :class:`_CountingModel` that also counts the rankers it builds."""
+
+    def ranker(self, texts):
+        self.calls["ranker"] += 1
+        return self._inner.ranker(texts)
+
+
+def route_tasks(doc, n):
+    """*n* tasks that the dynamic loop fixes, so each chunks route_planning."""
+    return [
+        BenchTask(
+            f"route-{i}", ROUTE_INSTRUCTION, doc, ground_truth=ROUTE_CORRECT,
+            script=(wrap(ROUTE_REVERSED), f"Thought: swap.\n{wrap(ROUTE_CORRECT)}"),
+        )
+        for i in range(n)
+    ]
+
+
+def route_server(task):
+    return MockApiServer(
+        {"route_planning": route_planning_handler,
+         "userLogin": lambda args: ApiResponse(200, '{"session": "ok"}')}
+    )
+
+
+def test_benchmark_reuses_the_prepared_document_of_the_last_call(doc):
+    model = _RankerCountingModel(default_similarity(doc))
+    tasks = route_tasks(doc, 3)
+
+    def embeds_of_one_call(model_factory, tasks=tasks):
+        before = model.calls["embed"]
+        report, _ = run_benchmark(
+            tasks, executor_factory=route_server, model_factory=model_factory
+        )
+        assert report.accuracy_pct == 100.0
+        return model.calls["embed"] - before
+
+    first = embeds_of_one_call(lambda d: model)
+    kept = orchestrator._kept_prepared[id(doc)]
+    chunks = kept.index.for_api("route_planning")
+    assert model.calls["ranker"] == 2 and chunks
+    second = embeds_of_one_call(lambda d: model)
+    assert orchestrator._kept_prepared[id(doc)] is kept
+    assert kept.index.for_api("route_planning") is chunks
+    assert model.calls["ranker"] == 2
+    # The probe and one error query a task; route_planning is not chunked again.
+    assert second == 1 + len(tasks)
+    assert first == second + len(chunks)
+
+    other_model = _RankerCountingModel(default_similarity(doc))
+    embeds_of_one_call(lambda d: other_model)
+    assert other_model.calls["ranker"] == 2
+    assert orchestrator._kept_prepared[id(doc)] is not kept
+
+    other_doc = load_document(FIXTURE_DOC)
+    embeds_of_one_call(lambda d: model, route_tasks(other_doc, 3))
+    assert model.calls["ranker"] == 4
+    assert list(orchestrator._kept_prepared) == [id(other_doc)]
+
+
+def test_benchmark_keeps_the_prepared_documents_of_its_last_call_only():
+    doc_a, doc_b = load_document(FIXTURE_DOC), load_document(FIXTURE_DOC)
+    model_a = default_similarity(doc_a)
+    model_a_ref = weakref.ref(model_a)
+    run_benchmark(make_tasks(doc_a), model_factory=lambda d: model_a)
+    del model_a
+    gc.collect()
+    assert model_a_ref() is not None
+    run_benchmark(make_tasks(doc_b))
+    gc.collect()
+    assert model_a_ref() is None
+
+
+def test_reused_prepared_state_writes_what_a_fresh_model_writes(doc, tmp_path):
+    clock = lambda: "2024-01-01T00:00:00+00:00"  # noqa: E731
+    tasks = route_tasks(doc, 4) + make_tasks(doc)
+    model = default_similarity(doc)
+
+    def run(model_factory, name):
+        report, _ = run_benchmark(
+            tasks, executor_factory=route_server, model_factory=model_factory,
+            log_dir=tmp_path / name, clock=clock,
+        )
+        return report
+
+    reports = [run(lambda d: model, "first")]
+    kept = orchestrator._kept_prepared[id(doc)]
+    reports.append(run(lambda d: model, "reused"))
+    assert orchestrator._kept_prepared[id(doc)] is kept
+    reports.append(run(default_similarity, "fresh"))
+    assert reports[0] == reports[1] == reports[2]
+    names = sorted(p.name for p in (tmp_path / "fresh").iterdir())
+    assert {"summary.json", "report.json", "route-0.jsonl", "ok-0.jsonl"} <= set(names)
+    for run_name in ("first", "reused"):
+        assert sorted(p.name for p in (tmp_path / run_name).iterdir()) == names
+        for name in names:
+            expected = (tmp_path / "fresh" / name).read_bytes()
+            assert (tmp_path / run_name / name).read_bytes() == expected
+
+
+def test_an_embedder_down_since_the_last_call_raises_before_any_task(doc, tmp_path):
+    model = _CountingModel(default_similarity(doc))
+    run_benchmark(make_tasks(doc), model_factory=lambda d: model)
+    model.down = True
+    llm_factory = _CountingFactory()
+    with pytest.raises(TransportError, match="embedder down"):
+        run_benchmark(
+            make_tasks(doc),
+            llm_factory=llm_factory,
+            model_factory=lambda d: model,
             log_dir=tmp_path / "logs",
         )
     assert llm_factory.calls == 0
