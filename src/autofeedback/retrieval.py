@@ -42,6 +42,11 @@ __all__ = [
 
 _TOKEN = re.compile(r"[a-z0-9]+")
 
+# TfidfSimilarity.ranker ranks at least this many texts over numpy posting
+# arrays and fewer over dicts: below it the arrays' fixed cost per query
+# outweighs the postings they save (measured by tools/rank_crossover.py).
+ARRAY_RANKING_MIN_TEXTS = 72
+
 
 def tokenize(text: str) -> list[str]:
     """The maximal runs of ``[a-z0-9]`` in ``text.lower()``, in order:
@@ -135,7 +140,10 @@ class TfidfSimilarity(SimilarityModel):
 
         Each text's weights and norm are computed once, and each token lists
         the texts holding it with their weights, so a query visits only the
-        texts that share a token with it. The floats are ``score``'s:
+        texts that share a token with it. Below ``ARRAY_RANKING_MIN_TEXTS``
+        texts the lists are dicts walked one posting at a time; from there
+        on they are numpy arrays (see ``_array_ranker``). The floats are
+        ``score``'s:
 
         - a dot product starts from ``0.0`` and adds the query's products in
           the query's token order, as ``score`` sums them; the ``0.0`` terms
@@ -146,9 +154,26 @@ class TfidfSimilarity(SimilarityModel):
         - a text whose weights equal the query's scores 1.0, as ``score``
           overrides; any other is ``dot / (norm_a * norm_b)`` capped at
           1.0, positive so that the clamp at 0.0 never acts.
+
+        The array path keeps each of these:
+
+        - ``np.bincount`` adds its weights one by one, in input order, to
+          an output of 0.0s, and the input holds the query's tokens in the
+          query's order, so each text's dot product is the same sum in the
+          same order; every product is one float64 multiplication, as in
+          ``score``, and ``np.minimum`` caps each quotient at 1.0;
+        - an empty text, of norm 0.0, is divided by 1.0 instead, and its
+          dot product, 0.0, stays 0.0; so does every text sharing no token;
+        - a text's weights equal the query's exactly when it holds as many
+          tokens as the query and, for every query token, holds it with the
+          query's weight; a second ``np.bincount`` counts those tokens, and
+          such texts score 1.0; an empty query shares no token and keeps
+          0.0 everywhere, as ``score`` gives for an empty equal pair.
         """
         weights = [self._weights(text) for text in texts]
         norms = [_norm(w) for w in weights]
+        if len(weights) >= ARRAY_RANKING_MIN_TEXTS:
+            return self._array_ranker(weights, norms)
         postings: dict[str, list[tuple[int, float]]] = {}
         for i, wb in enumerate(weights):
             for token, w in wb.items():
@@ -169,6 +194,51 @@ class TfidfSimilarity(SimilarityModel):
                     cos = dot / (norm_a * norms[i])
                     scores[i] = cos if cos < 1.0 else 1.0
             return scores
+
+        return rank
+
+    def _array_ranker(
+        self, weights: list[dict[str, float]], norms: list[float]
+    ) -> Callable[[str], list[float]]:
+        """``ranker`` over numpy postings: per token, the indices of the
+        texts holding it and their weights. A query gathers its tokens'
+        postings and sums them with ``np.bincount``, a fixed number of
+        numpy calls in place of one Python step per posting. It holds the
+        postings, one norm and one token count a text: no weights dict."""
+        n = len(weights)
+        indices: dict[str, list[int]] = {}
+        values: dict[str, list[float]] = {}
+        for i, wb in enumerate(weights):
+            for token, w in wb.items():
+                indices.setdefault(token, []).append(i)
+                values.setdefault(token, []).append(w)
+        postings = {
+            token: (np.array(ix, dtype=np.intp), np.array(values[token]))
+            for token, ix in indices.items()
+        }
+        divisors = np.array([norm or 1.0 for norm in norms])
+        sizes = np.array([len(wb) for wb in weights])
+
+        def rank(query: str) -> list[float]:
+            wa = self._weights(query)
+            ixs, ws, qw, lengths = [], [], [], []
+            for token, w in wa.items():
+                posting = postings.get(token)
+                if posting is not None:
+                    ixs.append(posting[0])
+                    ws.append(posting[1])
+                    qw.append(w)
+                    lengths.append(len(posting[0]))
+            if not ixs:
+                return [0.0] * n
+            ix = np.concatenate(ixs)
+            wq = np.repeat(qw, lengths)
+            wb = np.concatenate(ws)
+            dots = np.bincount(ix, wq * wb, n)
+            scores = np.minimum(dots / (_norm(wa) * divisors), 1.0)
+            matched = np.bincount(ix, wq == wb, n)
+            scores[(matched == len(wa)) & (sizes == len(wa))] = 1.0
+            return scores.tolist()
 
         return rank
 

@@ -1,3 +1,4 @@
+import dataclasses
 import json
 import random
 import sys
@@ -20,6 +21,7 @@ from autofeedback import (
 from autofeedback import retrieval
 from autofeedback.errors import EmptyDocumentError, ProtocolError, TransportError
 from autofeedback.retrieval import (
+    ARRAY_RANKING_MIN_TEXTS,
     RemoteEmbeddingSimilarity,
     SimilarityModel,
     TfidfSimilarity,
@@ -159,10 +161,29 @@ _WORDS = ("route", "plan", "driving", "Weather", "city", "alarm", "stock", "a", 
 _UNSEEN = ("zzq", "xylo", "qq7")
 
 
+def _doc_of(pairs):
+    """A document of one parameterless API per (name, description) pair."""
+    return load_document(
+        json.dumps(
+            {
+                "apis": [
+                    {"name": n, "description": d, "parameters": [], "exceptions": []}
+                    for n, d in pairs
+                ]
+            }
+        )
+    )
+
+
 @st.composite
 def _doc_and_queries(draw):
     words = st.lists(st.sampled_from(_WORDS), max_size=6).map(" ".join)
-    descriptions = draw(st.lists(words, min_size=1, max_size=8))
+    # Sizes on both sides of the ranker's choice between dicts and arrays.
+    size = draw(
+        st.integers(1, 8)
+        | st.integers(ARRAY_RANKING_MIN_TEXTS, ARRAY_RANKING_MIN_TEXTS + 8)
+    )
+    descriptions = draw(st.lists(words, min_size=size, max_size=size))
     # Names may repeat another name's tokens in another order or count
     # ("a_plan", "plan_a", "a_plan_a"), or hold none ("?!").
     name = st.lists(st.sampled_from(_WORDS + ("?!",)), min_size=1, max_size=4).map(
@@ -171,16 +192,7 @@ def _doc_and_queries(draw):
     names = draw(
         st.lists(name, min_size=len(descriptions), max_size=len(descriptions), unique=True)
     )
-    doc = load_document(
-        json.dumps(
-            {
-                "apis": [
-                    {"name": n, "description": d, "parameters": [], "exceptions": []}
-                    for n, d in zip(names, descriptions)
-                ]
-            }
-        )
-    )
+    doc = _doc_of(zip(names, descriptions))
     query = st.one_of(
         st.lists(st.sampled_from(_WORDS + _UNSEEN), max_size=8).map(" ".join),
         st.sampled_from(descriptions + names),
@@ -197,41 +209,88 @@ def _doc_and_queries(draw):
 
 # Fitted, "city plan" and the first description have proportional, unequal
 # weights whose cosine rounds to 1.0000000000000002.
-_PROPORTIONAL = load_document(
-    json.dumps(
-        {
-            "apis": [
-                {"name": n, "description": d, "parameters": [], "exceptions": []}
-                for n, d in [
-                    ("plan_city", "plan city plan city"),
-                    ("city_plan", "a"),
-                    ("alarm", "stock"),
-                ]
-            ]
-        }
-    )
+_PROPORTIONAL = _doc_of(
+    [("plan_city", "plan city plan city"), ("city_plan", "a"), ("alarm", "stock")]
 )
+
+
+# The same three APIs padded with 77 others to 80, a size at which the
+# fitted idf still rounds that cosine up to 1.0000000000000002.
+_PROPORTIONAL_PADDED = _doc_of(
+    [(a.name, a.description) for a in _PROPORTIONAL.apis]
+    + [(f"pad_{i}", "stock") for i in range(77)]
+)
+
+
+def _large_doc(n: int):
+    """*n* APIs: an empty description first (norm 0.0), then two equal
+    ones, then seeded word lists, which repeat one another now and then."""
+    rng = random.Random(n)
+    descriptions = ["", "plan driving route", "plan driving route"] + [
+        " ".join(rng.choices(_WORDS, k=rng.randint(1, 4))) for _ in range(n - 3)
+    ]
+    return _doc_of((f"api_{i}", d) for i, d in enumerate(descriptions))
+
+
+_LARGE = _large_doc(ARRAY_RANKING_MIN_TEXTS)
+_LARGE_QUERIES = [
+    "route plan city",  # shares tokens with many texts, none with the empty one
+    "route driving plan",  # equal weights to the two equal descriptions
+    "zzq xylo",  # unseen tokens only
+    "",
+]
 
 
 @settings(max_examples=150, deadline=None)
 @given(_doc_and_queries(), st.booleans())
 @example((_PROPORTIONAL, ["city plan"]), True)
+@example((_PROPORTIONAL_PADDED, ["city plan"]), True)
+@example((_LARGE, _LARGE_QUERIES[:1]), True)
+@example((_LARGE, _LARGE_QUERIES[1:2]), True)
+@example((_LARGE, _LARGE_QUERIES[2:3]), False)
+@example((_LARGE, _LARGE_QUERIES), True)
 def test_prepared_ranking_equals_scoring_every_api(case, fitted):
-    # Both inverted-index rankers must give score()'s floats exactly, and
-    # the relevant set the same order, ties in doc order.
+    # Both inverted-index rankers, over dicts and over arrays, must give
+    # score()'s floats exactly, as Python floats, and the relevant set the
+    # same order, ties in doc order.
     doc, queries = case
     model = default_similarity(doc) if fitted else TfidfSimilarity(())
     prepared = prepare_document(doc, model)
     for query in queries:
         scores = [model.score(query, a.description) for a in doc.apis]
-        assert prepared.rank(query) == scores
-        assert prepared.rank_names(query) == [
-            model.score(query, name) for name in doc.api_names
-        ]
+        ranked = prepared.rank(query)
+        assert ranked == scores
+        ranked_names = prepared.rank_names(query)
+        assert ranked_names == [model.score(query, name) for name in doc.api_names]
+        assert all(type(s) is float for s in ranked + ranked_names)
         expected = sorted(zip(doc.api_names, scores), key=lambda pair: -pair[1])
         for k in (1, len(doc.apis)):
             got = retrieve_relevant_apis(query, prepared, k)
             assert got.entries == tuple(expected[:k])
+
+
+@pytest.mark.parametrize("n", [ARRAY_RANKING_MIN_TEXTS - 1, ARRAY_RANKING_MIN_TEXTS])
+def test_both_ranking_paths_agree_at_the_size_boundary(n, monkeypatch):
+    doc = _large_doc(n)
+    model = default_similarity(doc)
+    prepared = prepare_document(doc, model)
+    texts = [a.description for a in doc.apis]
+    chosen = "_array_ranker" if n >= ARRAY_RANKING_MIN_TEXTS else "ranker"
+    assert model.ranker(texts).__qualname__ == f"TfidfSimilarity.{chosen}.<locals>.rank"
+    # The padded cap example must stay on the array path.
+    assert len(_PROPORTIONAL_PADDED.apis) >= ARRAY_RANKING_MIN_TEXTS
+    monkeypatch.setattr(retrieval, "ARRAY_RANKING_MIN_TEXTS", n + 1)
+    by_dict = dataclasses.replace(prepared, rank=model.ranker(texts))
+    monkeypatch.setattr(retrieval, "ARRAY_RANKING_MIN_TEXTS", n)
+    by_array = dataclasses.replace(prepared, rank=model.ranker(texts))
+    queries = _LARGE_QUERIES + texts[3:12] + [f"please {t} now" for t in texts[12:20]]
+    for query in queries:
+        assert by_dict.rank(query) == by_array.rank(query)
+        for k in (1, n):
+            assert (
+                retrieve_relevant_apis(query, by_dict, k).entries
+                == retrieve_relevant_apis(query, by_array, k).entries
+            )
 
 
 def test_retrieve_empty_document_raises(model):
