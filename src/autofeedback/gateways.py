@@ -225,7 +225,10 @@ class MockApiServer(ApiExecutor):
     """In-process executor dispatching on the request name.
 
     Handlers receive the argument dict and may inspect values to simulate
-    semantic failures. Unknown names get a 404 with body ``unknown api``.
+    semantic failures. The dict is new, but its values are the request's
+    own lists and dicts, which a handler must not mutate: the request's
+    canonical text is serialized once and kept. Unknown names get a 404
+    with body ``unknown api``.
     """
 
     def __init__(self, routes: Mapping[str, Handler]):

@@ -5,6 +5,7 @@ dispatch to the dynamic loop, and session logging for human collaboration.
 from __future__ import annotations
 
 import json
+import os
 from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass, field
 from datetime import datetime, timezone
@@ -438,7 +439,7 @@ def run_benchmark(
                 result.log, log_path / f"{result.log.task_id}.jsonl", clock=clock
             )
         write_summary(results, log_path / "summary.json")
-        (log_path / "report.json").write_text(report.to_json() + "\n", encoding="utf-8")
+        _write_bytes(log_path / "report.json", (report.to_json() + "\n").encode())
     _kept_prepared = prepared
     return report, results
 
@@ -459,6 +460,22 @@ def _utc_now() -> str:
     return datetime.now(timezone.utc).isoformat()
 
 
+# One encoder for every log line; json.dumps with options builds a new one a call.
+_LINE_ENCODER = json.JSONEncoder(ensure_ascii=False)
+
+
+def _write_bytes(path: str | Path, data: bytes) -> None:
+    """Replace the file at *path* with *data*: truncate it in place (or
+    create it) and write every byte, with no text layer in between."""
+    fd = os.open(path, os.O_WRONLY | os.O_CREAT | os.O_TRUNC, 0o666)
+    try:
+        view = memoryview(data)
+        while view:
+            view = view[os.write(fd, view) :]
+    finally:
+        os.close(fd)
+
+
 def session_log_lines(
     log: SessionLog, clock: Callable[[], str] | None = None
 ) -> list[str]:
@@ -473,7 +490,7 @@ def session_log_lines(
             else event.llm_output_raw
         )
         lines.append(
-            json.dumps(
+            _LINE_ENCODER.encode(
                 {
                     "task_id": log.task_id,
                     "phase": "static",
@@ -489,13 +506,12 @@ def session_log_lines(
                     "feedback": event.feedback_text,
                     "new_action": None,
                     "ts": now(),
-                },
-                ensure_ascii=False,
+                }
             )
         )
     for record in log.dynamic_records:
         lines.append(
-            json.dumps(
+            _LINE_ENCODER.encode(
                 {
                     "task_id": log.task_id,
                     "phase": "dynamic",
@@ -515,8 +531,7 @@ def session_log_lines(
                     "feedback": None,
                     "new_action": serialize_request(record.new_action),
                     "ts": now(),
-                },
-                ensure_ascii=False,
+                }
             )
         )
     return lines
@@ -525,8 +540,11 @@ def session_log_lines(
 def write_session_log(
     log: SessionLog, path: str | Path, clock: Callable[[], str] | None = None
 ) -> None:
+    """Write *log* to *path* as JSONL: one JSON object per line, each line
+    ending in a newline, non-ASCII text as UTF-8 (not escaped). An existing
+    file is replaced in full; a session with no events writes an empty file."""
     lines = session_log_lines(log, clock)
-    Path(path).write_text("".join(line + "\n" for line in lines), encoding="utf-8")
+    _write_bytes(path, "\n".join([*lines, ""]).encode())
 
 
 def write_summary(results: Sequence[TaskResult], path: str | Path) -> None:
@@ -544,4 +562,4 @@ def write_summary(results: Sequence[TaskResult], path: str | Path) -> None:
             for r in results
         ]
     }
-    Path(path).write_text(json.dumps(payload, indent=2) + "\n", encoding="utf-8")
+    _write_bytes(path, (json.dumps(payload, indent=2) + "\n").encode())

@@ -27,6 +27,7 @@ from autofeedback import orchestrator
 from autofeedback.gateways import LlmClient, MockApiServer
 from autofeedback.retrieval import SimilarityModel, default_similarity
 from autofeedback.orchestrator import (
+    SessionLog,
     executed_sequence,
     session_log_lines,
     write_session_log,
@@ -832,3 +833,71 @@ def test_write_session_log_file(prepared, executor, tmp_path):
     lines = path.read_text().splitlines()
     assert len(lines) == 1
     assert json.loads(lines[0])["phase"] == "static"
+
+
+# -- log files on disk -------------------------------------------------------------
+
+FIXED_CLOCK = lambda: "2024-01-01T00:00:00+00:00"  # noqa: E731
+
+
+def _route_fix_log(prepared, executor):
+    """A session with static and dynamic lines: one faulty request, then a fix."""
+    llm = ScriptedLlm([wrap(ROUTE_REVERSED), f"Thought: swap.\n{wrap(ROUTE_CORRECT)}"])
+    judge = ExactMatchJudge(ground_truth=req(ROUTE_CORRECT))
+    return run_task(ROUTE_INSTRUCTION, prepared, llm, executor, judge, task_id="r").log
+
+
+@pytest.mark.parametrize("as_path", [str, lambda p: p], ids=["str", "Path"])
+def test_a_rewritten_log_leaves_exactly_the_new_bytes(prepared, executor, tmp_path, as_path):
+    log = _route_fix_log(prepared, executor)
+    path = tmp_path / "r.jsonl"
+    path.write_bytes(b"x" * 100_000 + b"\n")
+    write_session_log(log, as_path(path), clock=FIXED_CLOCK)
+    lines = session_log_lines(log, FIXED_CLOCK)
+    assert len(lines) == 2
+    assert path.read_bytes() == "".join(line + "\n" for line in lines).encode("utf-8")
+
+
+def test_non_ascii_text_is_written_as_utf8_not_escaped(prepared, executor, tmp_path):
+    # Long enough (about 80 KB) that a single short write would lose bytes.
+    text = f'userLogin(username="{"Zoë ☕ 東京 " * 5000}", days=3)'
+    llm = ScriptedLlm([wrap(text)])
+    log = run_task(LOGIN_INSTRUCTION, prepared, llm, executor, ExactMatchJudge()).log
+    path = tmp_path / "t.jsonl"
+    write_session_log(log, path, clock=FIXED_CLOCK)
+    data = path.read_bytes()
+    assert text.encode("utf-8") in data.replace(b'\\"', b'"')
+    assert b"\\u" not in data
+    assert json.loads(data.decode("utf-8"))["action"] == text
+
+
+def test_a_session_with_no_events_writes_an_empty_file(tmp_path):
+    path = tmp_path / "empty.jsonl"
+    path.write_bytes(b"left over from an earlier run\n")
+    write_session_log(SessionLog(task_id="empty"), path)
+    assert path.read_bytes() == b""
+    write_session_log(SessionLog(task_id="new"), tmp_path / "new.jsonl")
+    assert (tmp_path / "new.jsonl").read_bytes() == b""
+
+
+def test_summary_and_report_bytes_are_indented_json_with_a_newline(doc, tmp_path):
+    for name in ("summary.json", "report.json"):
+        (tmp_path / name).write_bytes(b"{" * 50_000)
+    report, results = run_benchmark(make_tasks(doc), log_dir=tmp_path, clock=FIXED_CLOCK)
+    summary = {
+        "tasks": [
+            {
+                "task_id": r.log.task_id,
+                "satisfied": r.satisfied,
+                "llm_calls": r.total_llm_calls,
+                "prompt_tokens": r.log.token_totals[0],
+                "completion_tokens": r.log.token_totals[1],
+                "error": r.error,
+            }
+            for r in results
+        ]
+    }
+    assert (tmp_path / "summary.json").read_bytes() == (
+        json.dumps(summary, indent=2) + "\n"
+    ).encode("utf-8")
+    assert (tmp_path / "report.json").read_bytes() == (report.to_json() + "\n").encode("utf-8")

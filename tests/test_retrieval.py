@@ -1,4 +1,5 @@
 import dataclasses
+import heapq
 import json
 import random
 import sys
@@ -145,6 +146,25 @@ def test_retrieve_tie_breaks_by_doc_order():
         "identical words here", prepare_document(twins, model), 1
     )
     assert result.names == ("later_twin",)
+
+
+# Scores drawn mostly from a few values, so that lists are full of ties.
+_TIED_SCORES = st.lists(
+    st.sampled_from([0.0, -0.0, 0.25, 0.5, 1.0]) | st.floats(), min_size=1, max_size=40
+)
+
+
+@settings(max_examples=300, deadline=None)
+@example([0.0])
+@example([0.0] * 360)
+@example([0.5, 1.0, 0.5, 1.0, 0.0])
+@given(_TIED_SCORES)
+def test_top_k_selects_what_nlargest_selects(scores):
+    n = len(scores)
+    for k in range(1, n + 1):
+        assert retrieval._top_k(scores, k) == heapq.nlargest(
+            k, range(n), key=scores.__getitem__
+        )
 
 
 @settings(max_examples=500, deadline=None)
