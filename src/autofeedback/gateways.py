@@ -226,9 +226,9 @@ class MockApiServer(ApiExecutor):
 
     Handlers receive the argument dict and may inspect values to simulate
     semantic failures. The dict is new, but its values are the request's
-    own lists and dicts, which a handler must not mutate: the request's
-    canonical text is serialized once and kept. Unknown names get a 404
-    with body ``unknown api``.
+    own lists and dicts, which a handler must not mutate: the request is
+    serialized again after it runs, for the judge and the logs. Unknown
+    names get a 404 with body ``unknown api``.
     """
 
     def __init__(self, routes: Mapping[str, Handler]):

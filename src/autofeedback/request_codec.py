@@ -65,10 +65,9 @@ CLOSE_MARKER = "<</API>>"
 class ApiRequest:
     """A parsed API call: name plus ordered keyword arguments.
 
-    ``serialize_request`` keeps the canonical text on the request the first
-    time it is asked for it, so every later reader shares that string. The
-    argument values are the request's own lists and dicts: whoever holds
-    the request, an executor's handler included, must not mutate them.
+    The argument values are the request's own lists and dicts. Whoever
+    holds the request, an executor's handler included, must not mutate
+    them: the request is serialized again for the judge and the logs.
     """
 
     name: str
@@ -358,18 +357,9 @@ def serialize_value(value: Value) -> str:
 
 
 def serialize_request(req: ApiRequest) -> str:
-    """Canonical one-line form; ``parse_request`` inverts it exactly.
-
-    Built on the first call for *req* and kept on it, so later calls
-    return the same string without serializing again."""
-    # A frozen dataclass still has a writable __dict__. Two threads that
-    # race on the first call build the same text, so either may be kept.
-    memo = req.__dict__
-    text = memo.get("_canonical")
-    if text is None:
-        args = ", ".join(f"{k}={serialize_value(v)}" for k, v in req.args)
-        text = memo["_canonical"] = f"{req.name}({args})"
-    return text
+    """Canonical one-line form; ``parse_request`` inverts it exactly."""
+    args = ", ".join(f"{k}={serialize_value(v)}" for k, v in req.args)
+    return f"{req.name}({args})"
 
 
 def infer_value_type(value: Value) -> ValueType:

@@ -371,16 +371,8 @@ def retrieve_relevant_apis(
     if k < 1:
         raise ValueError("k must be >= 1")
     scores = prepared.rank(instruction)
-    return RelevantSet(tuple((apis[i].name, scores[i]) for i in _top_k(scores, k)))
-
-
-def _top_k(scores: list[float], k: int) -> list[int]:
-    """Indices of the *k* highest scores, highest first; ties keep the lower
-    index. For ``k == 1`` that is the first index of the maximum, which
-    ``heapq.nlargest`` also picks, found without a key call per score."""
-    if k == 1:
-        return [scores.index(max(scores))]
-    return heapq.nlargest(k, range(len(scores)), key=scores.__getitem__)
+    top = heapq.nlargest(k, range(len(scores)), key=scores.__getitem__)
+    return RelevantSet(tuple((apis[i].name, scores[i]) for i in top))
 
 
 _SENTENCE_SPLIT = re.compile(r"(?<=[.?!])\s+|\n+")

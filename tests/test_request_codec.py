@@ -206,18 +206,6 @@ def test_serialize_canonical(req, expected):
     assert serialize_request(req) == expected
 
 
-@settings(max_examples=200, deadline=None)
-@given(st.randoms(use_true_random=False))
-def test_a_kept_serialization_equals_a_fresh_one(rng):
-    req = random_request(rng)
-    first = serialize_request(req)
-    fresh = ApiRequest(req.name, req.args)
-    assert serialize_request(req) is first
-    assert serialize_request(req) == serialize_request(fresh)
-    # The kept text is no field: equality and repr see name and args only.
-    assert req == fresh and repr(req) == repr(fresh)
-
-
 def test_serialize_escapes_and_reparses():
     req = ApiRequest("f", (("s", 'a "quote"\nand\\slash'),))
     text = serialize_request(req)

@@ -1,5 +1,5 @@
 import dataclasses
-import heapq
+import functools
 import json
 import random
 import sys
@@ -150,8 +150,16 @@ def test_retrieve_tie_breaks_by_doc_order():
 
 # Scores drawn mostly from a few values, so that lists are full of ties.
 _TIED_SCORES = st.lists(
-    st.sampled_from([0.0, -0.0, 0.25, 0.5, 1.0]) | st.floats(), min_size=1, max_size=40
+    st.sampled_from([0.0, -0.0, 0.25, 0.5, 1.0]) | st.floats(allow_nan=False),
+    min_size=1,
+    max_size=40,
 )
+
+
+@functools.lru_cache(maxsize=None)
+def _prepared_of_size(n):
+    doc = _doc_of((f"api_{i}", "stock") for i in range(n))
+    return prepare_document(doc, default_similarity(doc))
 
 
 @settings(max_examples=300, deadline=None)
@@ -159,12 +167,14 @@ _TIED_SCORES = st.lists(
 @example([0.0] * 360)
 @example([0.5, 1.0, 0.5, 1.0, 0.0])
 @given(_TIED_SCORES)
-def test_top_k_selects_what_nlargest_selects(scores):
+def test_top_k_keeps_the_highest_scores_first_and_ties_in_doc_order(scores):
     n = len(scores)
+    prepared = dataclasses.replace(_prepared_of_size(n), rank=lambda _query: scores)
+    # A stable sort on the negated score: the order heapq.nlargest documents.
+    ranked = sorted(range(n), key=lambda i: -scores[i])
     for k in range(1, n + 1):
-        assert retrieval._top_k(scores, k) == heapq.nlargest(
-            k, range(n), key=scores.__getitem__
-        )
+        got = retrieve_relevant_apis("any", prepared, k)
+        assert got.entries == tuple((f"api_{i}", scores[i]) for i in ranked[:k])
 
 
 @settings(max_examples=500, deadline=None)
