@@ -222,7 +222,9 @@ def _load_dataset(values: dict, base_doc: ApiDocument | None) -> list[BenchTask]
     if not dataset_path.exists():
         raise ConfigError(f"dataset file not found: {path}")
     try:
-        lines = dataset_path.read_text(encoding="utf-8").splitlines()
+        # Text mode reads "\r\n" and "\r" as "\n", so this splits at those
+        # three only: U+2028 and U+0085 may stand raw inside a JSON string.
+        lines = dataset_path.read_text(encoding="utf-8").split("\n")
     except _UNREADABLE as exc:
         raise ConfigError(f"cannot read dataset {path}: {exc}") from exc
     docs_cache: dict[str, ApiDocument] = {}

@@ -78,12 +78,14 @@ class ApiSpec:
             raise ValueError(f"duplicate parameter name in API {self.name!r}")
 
     def param(self, name: str) -> ParamSpec | None:
-        for p in self.params:
-            if p.name == name:
-                return p
-        return None
+        return self.params_by_name.get(name)
 
-    @property
+    @cached_property
+    def params_by_name(self) -> dict[str, ParamSpec]:
+        """Parameter name -> spec, in doc order; built on first use."""
+        return {p.name: p for p in self.params}
+
+    @cached_property
     def param_names(self) -> tuple[str, ...]:
         return tuple(p.name for p in self.params)
 

@@ -1,6 +1,8 @@
 r"""Extract and parse ``APINAME(key1=value1, ...)`` blocks from LLM output.
 
-Requests carry keyword arguments only. The grammar, over ``_TOKEN``::
+Requests carry keyword arguments only. ``_TOKEN`` splits a block into
+typed tokens: strings, numbers, identifiers and other characters, the end
+of the block among them. The grammar, over those tokens::
 
     request  = identifier "(" items(identifier "=" value) ")"
     value    = string | number | boolean | "[" items(value) "]"
@@ -26,8 +28,9 @@ from __future__ import annotations
 import logging
 import math
 import re
+import string
 from dataclasses import dataclass
-from typing import Union
+from typing import Iterator, Union
 
 from .doc_model import ValueType
 
@@ -95,9 +98,29 @@ class ParseOutcome:
         return self.request is not None
 
 
-# Fallback extraction wants a call-shaped candidate: name directly against
-# the open paren. (The parser itself tolerates whitespace between tokens.)
-_CALL_START = re.compile(r"[A-Za-z_][A-Za-z0-9_]*\(")
+# Fallback extraction wants a call-shaped candidate: an ASCII identifier
+# directly against the open paren. (The parser itself tolerates whitespace
+# between tokens.)
+_NAME_CHARS = string.ascii_letters + string.digits + "_"
+
+
+def _call_starts(text: str) -> Iterator[tuple[int, int]]:
+    """Yield ``(start, paren)`` for each ``name(`` of *text*, in order.
+
+    Candidates are found from their parens: the name of one is the run of
+    name characters right before its paren, less any leading digits. No
+    name holds a paren, so each run lies between two parens and every
+    character is looked at once.
+    """
+    after = 0
+    paren = text.find("(")
+    while paren != -1:
+        run = text[after:paren]
+        name = run[len(run.rstrip(_NAME_CHARS)) :].lstrip(string.digits)
+        if name:
+            yield paren - len(name), paren
+        after = paren + 1
+        paren = text.find("(", after)
 
 
 # The characters a balanced-call scan acts on; every other one is skipped. A
@@ -119,12 +142,12 @@ def _first_balanced_call(text: str) -> str | None:
     scans that close on reaching it. Tracks that reach the same state are
     merged, smaller into larger.
     """
-    calls = _CALL_START.finditer(text)
-    call = next(calls, None)
-    if call is None:
+    calls = _call_starts(text)
+    # The next candidate to start, and its paren.
+    start, next_open = next(calls, (-1, -1))
+    if start == -1:
         return None
-    first = call.start()
-    next_open = call.end() - 1  # the paren of the next candidate to start
+    first = start
     tracks: list[list] = []
     ends: dict[int, int] = {}  # candidate start -> index of its closing paren
     for stop in _SCAN_STOP.finditer(text, next_open):
@@ -151,12 +174,11 @@ def _first_balanced_call(text: str) -> str | None:
             # Once a candidate has closed, no later one can be the answer.
             for track in tracks:
                 if track[0] is None:
-                    track[2][track[1] - 1] = call.start()
+                    track[2][track[1] - 1] = start
                     break
             else:
-                tracks.append([None, 1, {0: call.start()}])
-            call = next(calls, None)
-            next_open = -1 if call is None else call.end() - 1
+                tracks.append([None, 1, {0: start}])
+            start, next_open = next(calls, (-1, -1))
         if len(tracks) > 1:
             tracks = _merge_tracks(tracks)
     best = min(ends, default=-1)
@@ -203,123 +225,100 @@ class _SyntaxError(Exception):
     pass
 
 
-# One token: optional whitespace, then a quoted string, a number, an
-# identifier or any other single character, where a backslash takes the next
-# one with it: else text like "\"\"\"... is rescanned from every quote to its
-# end (1 s for 10 KB on a 2-core Xeon). The end of the block is the token "".
+# One token: optional whitespace, then one group per kind, so that
+# ``findall`` gives each token as ``(string, number, identifier, other)``
+# with only its own kind's group non-empty. A string is quoted; other is
+# any single character, a backslash with the next one, or "" at the end of
+# the block, where every group is empty. A backslash takes the next
+# character with it: else text like "\"\"\"... is rescanned from every
+# quote to its end (1 s for 10 KB on a 2-core Xeon).
 _TOKEN = re.compile(
-    r"""\s*(
-        "[^"\\]*(?:\\.[^"\\]*)*"
-      | '[^'\\]*(?:\\.[^'\\]*)*'
-      | -?(?:\d+(?:\.\d*)?|\.\d+)(?:[eE][+-]?\d+)?
-      | [A-Za-z_][A-Za-z0-9_]*
-      | \\.
-      | \S
-      | \Z
+    r"""\s*(?:
+        ("[^"\\]*(?:\\.[^"\\]*)*"|'[^'\\]*(?:\\.[^'\\]*)*')
+      | (-?(?:\d+(?:\.\d*)?|\.\d+)(?:[eE][+-]?\d+)?)
+      | ([A-Za-z_][A-Za-z0-9_]*)
+      | (\\.|\S|\Z)
     )""",
     re.VERBOSE | re.DOTALL,
 )
+_END = ("", "", "", "")
 _ESCAPE = re.compile(r"\\(.)", re.DOTALL)
 _ESCAPES = {"n": "\n", "t": "\t", "r": "\r"}
 _CLOSERS = {"[": "]", "(": ")", "{": "}"}
 _BOOLS = {"true": True, "false": False}
 
 
-class _Parser:
-    """Recursive descent over the tokens of one block."""
+def _unescape(match: re.Match) -> str:
+    return _ESCAPES.get(match[1], match[1])
 
-    def __init__(self, block: str):
-        self.tokens = _TOKEN.findall(block)
-        self.pos = 0
-        self.depth = 0
 
-    def _next(self) -> str:
-        token = self.tokens[self.pos]
-        self.pos += 1
-        return token
-
-    def _expect(self, token: str):
-        if self._next() != token:
-            raise _SyntaxError(f"expected {token!r} at token {self.pos - 1}")
-
-    def _identifier(self) -> str:
-        token = self._next()
-        # Identifier tokens are exactly the ASCII Python identifiers.
-        if not (token.isidentifier() and token.isascii()):
-            raise _SyntaxError(f"expected an identifier at token {self.pos - 1}")
-        return token
-
-    def _items(self, close: str):
-        """Yield once per item of a comma-separated run closed by *close*."""
-        while self.tokens[self.pos] != close:
-            yield
-            if self.tokens[self.pos] != close:
-                self._expect(",")
-        self.pos += 1
-
-    def _dict_key(self) -> str:
-        key = self._value()
-        if not isinstance(key, str):
-            raise _SyntaxError(f"dict key must be a string at token {self.pos - 1}")
-        self._expect(":")
-        return key
-
-    def _container(self, opener: str) -> Value:
-        self.depth += 1
-        if self.depth > MAX_NESTING:
-            raise _SyntaxError(f"nesting deeper than {MAX_NESTING}")
-        items = self._items(_CLOSERS[opener])
-        if opener == "{":
-            value = {self._dict_key(): self._value() for _ in items}
+def _value(tokens: list, pos: int, depth: int) -> tuple[Value, int]:
+    """The value whose first token is ``tokens[pos]``, inside *depth*
+    containers, and the position of the token after it."""
+    quoted, number, name, other = tokens[pos]
+    pos += 1
+    if quoted:
+        body = quoted[1:-1]
+        return (_ESCAPE.sub(_unescape, body) if "\\" in body else body), pos
+    if number:
+        try:
+            is_float = "." in number or "e" in number or "E" in number
+            value = float(number) if is_float else int(number)
+        except ValueError:  # an integer past Python's digit limit
+            raise _SyntaxError from None
+        if is_float and not math.isfinite(value):
+            raise _SyntaxError
+        return value, pos
+    if name:
+        value = _BOOLS.get(name.lower())
+        if value is None:
+            raise _SyntaxError
+        return value, pos
+    close = _CLOSERS.get(other)
+    if close is None or depth >= MAX_NESTING:
+        raise _SyntaxError
+    items: list | dict = {} if other == "{" else []
+    while tokens[pos][3] != close:
+        if other == "{":
+            key, pos = _value(tokens, pos, depth + 1)
+            if not isinstance(key, str) or tokens[pos][3] != ":":
+                raise _SyntaxError
+            items[key], pos = _value(tokens, pos + 1, depth + 1)
         else:
-            value = [self._value() for _ in items]
-        self.depth -= 1
-        return tuple(value) if opener == "(" else value
-
-    def _value(self) -> Value:
-        token = self._next()
-        head = token[:1]
-        if head in _CLOSERS:
-            return self._container(head)
-        # A lone quote, minus or dot is a character that started no token.
-        if len(token) > 1 and head in "'\"":
-            body = token[1:-1]
-            if "\\" in body:
-                body = _ESCAPE.sub(lambda m: _ESCAPES.get(m[1], m[1]), body)
-            return body
-        if head.isdecimal() or (len(token) > 1 and head in "-."):
-            try:
-                number = float(token) if any(c in token for c in ".eE") else int(token)
-            except ValueError:  # an integer past Python's digit limit
-                raise _SyntaxError(f"integer too long at token {self.pos - 1}") from None
-            if isinstance(number, float) and not math.isfinite(number):
-                raise _SyntaxError(f"number out of range at token {self.pos - 1}")
-            return number
-        if token.lower() in _BOOLS:
-            return _BOOLS[token.lower()]
-        raise _SyntaxError(f"expected a literal at token {self.pos - 1}")
-
-    def request(self) -> ApiRequest:
-        name = self._identifier()
-        self._expect("(")
-        args: dict[str, Value] = {}
-        for _ in self._items(")"):
-            key = self._identifier()
-            self._expect("=")
-            value = self._value()
-            if key in args:
-                raise _SyntaxError(f"duplicate argument key {key!r}")
-            args[key] = value
-        self._expect("")
-        return ApiRequest(name, tuple(args.items()))
+            value, pos = _value(tokens, pos, depth + 1)
+            items.append(value)
+        if tokens[pos][3] != close:
+            if tokens[pos][3] != ",":
+                raise _SyntaxError
+            pos += 1
+    return (tuple(items) if other == "(" else items), pos + 1
 
 
 def parse_request(block: str) -> ParseOutcome:
     """Parse one request block. Total: never raises on bad input."""
+    tokens = _TOKEN.findall(block)
+    name = tokens[0][2]
+    # The end token follows every other, so a name is never the last token.
+    if not name or tokens[1][3] != "(":
+        return ParseOutcome(None)
+    args: dict[str, Value] = {}
+    pos = 2
     try:
-        return ParseOutcome(_Parser(block).request())
+        while tokens[pos][3] != ")":
+            key = tokens[pos][2]
+            if not key or key in args or tokens[pos + 1][3] != "=":
+                return ParseOutcome(None)
+            args[key], pos = _value(tokens, pos + 2, 0)
+            if tokens[pos][3] != ")":
+                if tokens[pos][3] != ",":
+                    return ParseOutcome(None)
+                pos += 1
     except _SyntaxError:
         return ParseOutcome(None)
+    # Text that ends in whitespace has two end tokens, so count none.
+    if tokens[pos + 1] != _END:
+        return ParseOutcome(None)
+    return ParseOutcome(ApiRequest(name, tuple(args.items())))
 
 
 def parse_llm_output(text: str) -> ParseOutcome:

@@ -114,15 +114,15 @@ def _match_param(
     them, and otherwise the first of them is the literal match, the one a
     scan of the doc would find first.
     """
-    others = [
-        param_name
-        for owner, param_name in doc.params_by_normalized_name.get(normalize_name(key), ())
-        if owner != named.name
-    ]
-    if key in others:
-        return ErrorType.E3_1, None
-    if others:
-        return ErrorType.E3_2, others[0]
+    literal = None
+    for owner, param_name in doc.params_by_normalized_name.get(normalize_name(key), ()):
+        if owner != named.name:
+            if param_name == key:
+                return ErrorType.E3_1, None
+            if literal is None:
+                literal = param_name
+    if literal is not None:
+        return ErrorType.E3_2, literal
     best_name, best_score = None, threshold
     for p in named.params:
         score = model.score(key, p.name)
@@ -143,20 +143,21 @@ def _cascade(
     """The stages after the API name, in order: unknown key, missing
     required parameter, value type, for a request whose name is accepted
     as the API *named*."""
-    known = set(named.param_names)
-    offender = next((key for key in req.arg_names if key not in known), None)
+    params = named.params_by_name
+    keys = req.arg_names
+    offender = next((key for key in keys if key not in params), None)
     if offender is not None:
         error_type, suggested = _match_param(offender, named, doc, model, threshold)
         return DetectionFinding(
             error_type, offending_name=offender, suggested_name=suggested
         )
-    present = set(req.arg_names)
     for p in named.params:
-        if p.required and p.name not in present:
+        if p.required and p.name not in keys:
             return DetectionFinding(ErrorType.E3_OTHER, offending_name=p.name)
+    # Every key is documented by now.
     for key, value in req.args:
-        param = named.param(key)
-        if param is not None and not type_matches(value, param.value_type):
+        param = params[key]
+        if not type_matches(value, param.value_type):
             return DetectionFinding(
                 ErrorType.E4_1,
                 offending_name=serialize_value(value),

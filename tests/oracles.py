@@ -2,8 +2,9 @@
 results. These deliberately share no code with the package: TF-IDF cosine
 is computed over plain dicts, rank correlation uses the classic d-squared
 formula, the finding-arity table is written out literally, the name and
-parameter cascades walk the raw doc JSON, and the fallback request
-extractor is the first, rescanning version. The eager chunk index takes
+parameter cascades walk the raw doc JSON, the fallback request extractor
+is the first, rescanning version, and the request parser is the class that
+read each token's kind from its first character. The eager chunk index takes
 the package's similarity model, whose vectors it must reproduce bit for
 bit, but reads the raw doc JSON and splits sentences itself.
 """
@@ -13,7 +14,8 @@ from __future__ import annotations
 import math
 import re
 
-from autofeedback import DetectionFinding, ErrorType
+from autofeedback import ApiRequest, DetectionFinding, ErrorType, ParseOutcome
+from autofeedback.request_codec import MAX_NESTING
 
 _TOKEN = re.compile(r"[^a-z0-9]+")
 
@@ -235,3 +237,122 @@ def oracle_extract_request_block(llm_output: str) -> str | None:
         if candidate is not None:
             return candidate.strip()
     return None
+
+
+# -- the request parser as a class over untyped tokens ----------------------
+#
+# The recursive descent the codec ran before its tokens carried their kind:
+# each token is the text it matched, and its kind is read back from its
+# first character. Kept as the reference for the typed-token parser.
+
+_ORACLE_TOKEN = re.compile(
+    r"""\s*(
+        "[^"\\]*(?:\\.[^"\\]*)*"
+      | '[^'\\]*(?:\\.[^'\\]*)*'
+      | -?(?:\d+(?:\.\d*)?|\.\d+)(?:[eE][+-]?\d+)?
+      | [A-Za-z_][A-Za-z0-9_]*
+      | \\.
+      | \S
+      | \Z
+    )""",
+    re.VERBOSE | re.DOTALL,
+)
+_ORACLE_ESCAPE = re.compile(r"\\(.)", re.DOTALL)
+_ORACLE_ESCAPES = {"n": "\n", "t": "\t", "r": "\r"}
+_ORACLE_CLOSERS = {"[": "]", "(": ")", "{": "}"}
+_ORACLE_BOOLS = {"true": True, "false": False}
+
+
+class _OracleSyntaxError(Exception):
+    pass
+
+
+class _OracleParser:
+    def __init__(self, block: str):
+        self.tokens = _ORACLE_TOKEN.findall(block)
+        self.pos = 0
+        self.depth = 0
+
+    def _next(self) -> str:
+        token = self.tokens[self.pos]
+        self.pos += 1
+        return token
+
+    def _expect(self, token: str):
+        if self._next() != token:
+            raise _OracleSyntaxError(f"expected {token!r} at token {self.pos - 1}")
+
+    def _identifier(self) -> str:
+        token = self._next()
+        if not (token.isidentifier() and token.isascii()):
+            raise _OracleSyntaxError(f"expected an identifier at token {self.pos - 1}")
+        return token
+
+    def _items(self, close: str):
+        while self.tokens[self.pos] != close:
+            yield
+            if self.tokens[self.pos] != close:
+                self._expect(",")
+        self.pos += 1
+
+    def _dict_key(self) -> str:
+        key = self._value()
+        if not isinstance(key, str):
+            raise _OracleSyntaxError(f"dict key must be a string at token {self.pos - 1}")
+        self._expect(":")
+        return key
+
+    def _container(self, opener: str):
+        self.depth += 1
+        if self.depth > MAX_NESTING:
+            raise _OracleSyntaxError(f"nesting deeper than {MAX_NESTING}")
+        items = self._items(_ORACLE_CLOSERS[opener])
+        if opener == "{":
+            value = {self._dict_key(): self._value() for _ in items}
+        else:
+            value = [self._value() for _ in items]
+        self.depth -= 1
+        return tuple(value) if opener == "(" else value
+
+    def _value(self):
+        token = self._next()
+        head = token[:1]
+        if head in _ORACLE_CLOSERS:
+            return self._container(head)
+        if len(token) > 1 and head in "'\"":
+            body = token[1:-1]
+            if "\\" in body:
+                body = _ORACLE_ESCAPE.sub(lambda m: _ORACLE_ESCAPES.get(m[1], m[1]), body)
+            return body
+        if head.isdecimal() or (len(token) > 1 and head in "-."):
+            try:
+                number = float(token) if any(c in token for c in ".eE") else int(token)
+            except ValueError:
+                raise _OracleSyntaxError(f"integer too long at token {self.pos - 1}") from None
+            if isinstance(number, float) and not math.isfinite(number):
+                raise _OracleSyntaxError(f"number out of range at token {self.pos - 1}")
+            return number
+        if token.lower() in _ORACLE_BOOLS:
+            return _ORACLE_BOOLS[token.lower()]
+        raise _OracleSyntaxError(f"expected a literal at token {self.pos - 1}")
+
+    def request(self) -> ApiRequest:
+        name = self._identifier()
+        self._expect("(")
+        args: dict = {}
+        for _ in self._items(")"):
+            key = self._identifier()
+            self._expect("=")
+            value = self._value()
+            if key in args:
+                raise _OracleSyntaxError(f"duplicate argument key {key!r}")
+            args[key] = value
+        self._expect("")
+        return ApiRequest(name, tuple(args.items()))
+
+
+def oracle_parse_request(block: str) -> ParseOutcome:
+    try:
+        return ParseOutcome(_OracleParser(block).request())
+    except _OracleSyntaxError:
+        return ParseOutcome(None)

@@ -276,6 +276,28 @@ def test_bench_malformed_line_names_line_number(tmp_path, capsys):
     assert "line 3" in capsys.readouterr().err
 
 
+@pytest.mark.parametrize("newline", ["\n", "\r\n", "\r"], ids=["lf", "crlf", "cr"])
+@pytest.mark.parametrize("char", ["\u2028", "\x85"], ids=["u2028", "u0085"])
+def test_a_raw_line_separator_inside_an_instruction_stays_in_its_line(
+    tmp_path, capsys, char, newline
+):
+    # JSON allows both characters raw inside a string, and
+    # json.dumps(..., ensure_ascii=False) writes them raw.
+    lines = dataset_lines(2, 1)
+    lines[0]["instruction"] = f"Log in{char}as alice."
+    dataset = tmp_path / "tasks.jsonl"
+    dataset.write_text(
+        "".join(json.dumps(line, ensure_ascii=False) + newline for line in lines),
+        encoding="utf-8", newline="",
+    )
+    assert char in dataset.read_text(encoding="utf-8")
+    log_dir = tmp_path / "logs"
+    assert run_cli("bench", "--dataset", str(dataset), "--log-dir", str(log_dir)) == 0
+    report = json.loads((log_dir / "report.json").read_text())
+    assert report["n_tasks"] == 3
+    assert "66.67" in capsys.readouterr().out
+
+
 @pytest.mark.parametrize(
     "field, value, message",
     [

@@ -19,7 +19,7 @@ from autofeedback import (
 )
 from autofeedback.request_codec import MAX_NESTING, type_matches, values_equal
 
-from oracles import oracle_extract_request_block
+from oracles import oracle_extract_request_block, oracle_parse_request
 
 
 class ParseFailure(Enum):
@@ -325,6 +325,38 @@ def test_serialize_inverts_every_parse(text):
         assert again.ok and repr(again.request) == repr(outcome.request)
 
 
+def _nested_text(depth: int, opener: str, tail: str) -> str:
+    closer = {"[": "]", "(": ")", "{": "}"}[opener]
+    if opener == "{":
+        return "f(x=" + '{"k": ' * depth + "1" + "}" * depth + tail
+    return "f(x=" + opener * depth + "1" + closer * depth + tail
+
+
+_PARSE_TEXT = st.one_of(
+    _REQUEST_TEXT,
+    _REQUEST_SHAPED.map("f(x=".__add__),
+    st.builds(
+        _nested_text,
+        st.integers(min_value=MAX_NESTING - 2, max_value=MAX_NESTING + 2),
+        st.sampled_from("[({"),
+        st.sampled_from([")", ") ", ")x", ", y=2)", ""]),
+    ),
+)
+
+
+@given(_PARSE_TEXT)
+@example("f(a=1) \n\t ")   # trailing whitespace gives two end tokens
+@example("")
+@example("f(")
+@example("f()x")
+@example("f(a=1,,)")
+@example("{[1]: 2}")
+@example("f(a={[1]: 2})")
+@example(r"""f(s="\"\n\t\r\d", d={'\'k': '\\'})""")
+def test_parse_equals_the_untyped_token_parser(text):
+    assert repr(parse_request(text)) == repr(oracle_parse_request(text))
+
+
 @given(
     st.integers(min_value=0, max_value=3000),
     st.sampled_from("[({"),
@@ -380,6 +412,17 @@ _EXTRACT_TEXT = st.one_of(
 @example("f(g('h(')')")
 # A backslash pair outside a string acts as its second character.
 @example("f(\\)")
+# Names found from their parens: leading digits are not part of a name, a
+# paren with no name before it starts no call, and the name characters are
+# ASCII only.
+@example("9abc(x=1)")
+@example("a9(x=1)")
+@example("x 12_f(a=1)")
+@example("12(x=1) f(y=2)")
+@example("((f(a=1)")
+@example("é(x=1) f(y=2)")
+@example("I will (as asked) call it: f(a=1) (done)")
+@example("(a) (b(c) d(e=1)")
 def test_extract_equals_the_rescanning_extractor(text):
     assert extract_request_block(text) == oracle_extract_request_block(text)
 
