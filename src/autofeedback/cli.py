@@ -6,7 +6,9 @@ takes only the settings it reads. A setting is a flag (``--max-static``)
 and a key of the config file (``max_static``; one flat JSON object), so a
 command's config keys mirror its setting flags; a flag beats the file, the
 file beats the default. Flags naming one invocation's inputs (``--script``,
-``--task-id``, ``--out``, ...) have no config key.
+``--task-id``, ``--out``, ...) have no config key. A base URL selects each
+remote service (LLM, executor, embedder); without one the offline double
+runs.
 
 Exit codes: 0 ok/satisfied, 1 unsatisfied, 2 configuration error,
 3 transport error.
@@ -46,8 +48,8 @@ EXIT_CONFIG = 2
 EXIT_TRANSPORT = 3
 
 
-class ConfigError(Exception):
-    pass
+class ConfigError(AutoFeedbackError):
+    """A setting or an input file the command cannot use."""
 
 
 # What a JSON reader treats as an unreadable file or line: a file that cannot
@@ -61,13 +63,11 @@ _UNREADABLE = (OSError, ValueError, RecursionError)
 _SETTINGS = {
     "doc": (str, None, "API documentation JSON file"),
     "dataset": (str, None, "JSONL dataset, one task per line"),
-    "llm": (str, "scripted", "LLM client"),
-    "llm_base_url": (str, None, "base URL of the http LLM"),
-    "model": (str, "default", "model name for the http LLM"),
+    "llm_base_url": (str, None, "remote chat-completions LLM; default is the scripted replies"),
+    "model": (str, "default", "model name for the remote LLM"),
     "embedder_base_url": (str, None, "remote embedding service; default is local TF-IDF"),
     "embedder_model": (str, "default", "model name for the remote embedder"),
-    "executor": (str, "mock", "API executor"),
-    "executor_base_url": (str, None, "base URL of the http executor"),
+    "executor_base_url": (str, None, "remote API executor; default echoes each request"),
     "k": (int, PipelineConfig.k, "relevant APIs kept per instruction"),
     "threshold": (float, PipelineConfig.threshold, "similarity a name match must beat"),
     "max_static": (int, PipelineConfig.max_static, "static loop budget"),
@@ -75,17 +75,15 @@ _SETTINGS = {
     "jobs": (int, 1, "worker threads"),
     "log_dir": (str, "logs", "session log directory"),
 }
-_CHOICES = {"llm": ("scripted", "http"), "executor": ("mock", "http")}
 _JSON_TYPES = {str: "string", int: "integer", float: "number"}
 
-_MODELS = ("llm", "llm_base_url", "model", "embedder_base_url", "embedder_model")
-_EXECUTOR = ("executor", "executor_base_url")
+_MODELS = ("llm_base_url", "model", "embedder_base_url", "embedder_model")
 _PIPELINE = tuple(f.name for f in fields(PipelineConfig))
 _COMMANDS = {  # command: (help, the settings it reads)
-    "run": ("run one task", ("doc", *_MODELS, *_EXECUTOR, *_PIPELINE, "log_dir")),
+    "run": ("run one task", ("doc", *_MODELS, "executor_base_url", *_PIPELINE, "log_dir")),
     "bench": (
         "run a JSONL dataset",
-        ("doc", "dataset", *_MODELS, *_EXECUTOR, *_PIPELINE, "jobs", "log_dir"),
+        ("doc", "dataset", *_MODELS, "executor_base_url", *_PIPELINE, "jobs", "log_dir"),
     ),
     "classify": (
         "label outputs against ground truth", ("doc", "dataset", *_MODELS, "threshold")
@@ -102,13 +100,13 @@ def _build_parser() -> argparse.ArgumentParser:
     sub = parser.add_subparsers(dest="command", required=True)
     commands = {}
     for command, (command_help, settings) in _COMMANDS.items():
-        p = commands[command] = sub.add_parser(command, help=command_help)
+        # No abbreviations: "--llm http" would otherwise read as a base URL.
+        p = commands[command] = sub.add_parser(command, help=command_help, allow_abbrev=False)
         p.add_argument("--config", help="flat JSON file of settings keyed by flag name")
         for name in settings:
             kind, _default, setting_help = _SETTINGS[name]
             p.add_argument(
-                "--" + name.replace("_", "-"), dest=name, type=kind,
-                choices=_CHOICES.get(name), help=setting_help,
+                "--" + name.replace("_", "-"), dest=name, type=kind, help=setting_help
             )
 
     run_p = commands["run"]
@@ -152,8 +150,6 @@ def _merge_config(args: argparse.Namespace) -> dict:
                 values[key] = kind(value)
             except OverflowError as exc:
                 raise ConfigError(f"config key {key!r}: {exc}") from exc
-            if key in _CHOICES and values[key] not in _CHOICES[key]:
-                raise ConfigError(f"config key {key!r} must be one of {_CHOICES[key]}")
     for name in names:
         if getattr(args, name) is not None:
             values[name] = getattr(args, name)
@@ -171,12 +167,10 @@ def _load_doc(values: dict) -> ApiDocument:
     path = values["doc"]
     if not path:
         raise ConfigError("--doc is required")
-    if not Path(path).exists():
-        raise ConfigError(f"documentation file not found: {path}")
     try:
         return load_document(Path(path))
     except (OSError, SchemaError) as exc:
-        raise ConfigError(f"bad documentation file {path}: {exc}") from exc
+        raise ConfigError(f"cannot read documentation file {path}: {exc}") from exc
 
 
 def _similarity_factory(values: dict):
@@ -189,22 +183,17 @@ def _similarity_factory(values: dict):
 
 
 def _http_llm(values: dict) -> HttpLlmClient:
-    base_url = values["llm_base_url"]
-    if not base_url:
-        raise ConfigError("--llm http requires --llm-base-url")
     key = os.environ.get(API_KEY_ENV, "")
     if not key:
-        raise ConfigError(f"--llm http requires the {API_KEY_ENV} environment variable")
-    return HttpLlmClient(base_url, values["model"], key)
+        raise ConfigError(f"--llm-base-url requires the {API_KEY_ENV} environment variable")
+    return HttpLlmClient(values["llm_base_url"], values["model"], key)
 
 
 def _executor_factory(values: dict):
     """The factory of the http executor, or ``None`` for the echo double."""
-    if values["executor"] != "http":
-        return None
     base_url = values["executor_base_url"]
     if not base_url:
-        raise ConfigError("--executor http requires --executor-base-url")
+        return None
     return lambda task: HttpApiExecutor(
         base_url, {api.name: ("POST", f"/{api.name}") for api in task.doc.apis}
     )
@@ -219,8 +208,6 @@ def _load_dataset(values: dict, base_doc: ApiDocument | None) -> list[BenchTask]
     if not path:
         raise ConfigError("--dataset is required")
     dataset_path = Path(path)
-    if not dataset_path.exists():
-        raise ConfigError(f"dataset file not found: {path}")
     try:
         # Text mode reads "\r\n" and "\r" as "\n", so this splits at those
         # three only: U+2028 and U+0085 may stand raw inside a JSON string.
@@ -287,7 +274,7 @@ def _run_tasks(
     """``run_benchmark`` over *tasks* with the command's gateways, log
     directory and worker count."""
     llm_factory = None
-    if values["llm"] == "http":
+    if values["llm_base_url"]:
         client = _http_llm(values)
         llm_factory = lambda task: client  # noqa: E731 - shared stateless client
     try:
@@ -303,6 +290,8 @@ def _run_tasks(
     except ValueError as exc:  # a task id or a ground truth the batch cannot use
         where = f"dataset {values['dataset']}: " if "dataset" in values else ""
         raise ConfigError(where + str(exc)) from exc
+    except OSError as exc:
+        raise ConfigError(f"cannot write --log-dir {values['log_dir']}: {exc}") from exc
 
 
 def _cmd_run(args: argparse.Namespace) -> int:
@@ -319,7 +308,7 @@ def _cmd_run(args: argparse.Namespace) -> int:
         if not _is_strings(replies):
             raise ConfigError("script file must hold a JSON list of strings")
         script.extend(replies)
-    if values["llm"] != "http" and not script:
+    if not values["llm_base_url"] and not script:
         raise ConfigError("scripted LLM needs --script or --script-file")
 
     task = BenchTask(
@@ -360,7 +349,6 @@ def _cmd_classify(args: argparse.Namespace) -> int:
     base_doc = _load_doc(values) if values["doc"] else None
     tasks = _load_dataset(values, base_doc)
     threshold = _pipeline_config(values).threshold
-    http = values["llm"] == "http"
     # Every sample is checked before the first LLM call or model build.
     truths = []
     for task in tasks:
@@ -375,10 +363,10 @@ def _cmd_classify(args: argparse.Namespace) -> int:
                 f"dataset sample {task.task_id!r}: ground-truth API {truth.name!r}"
                 " is not in its document"
             )
-        if not task.script and not http:
+        if not task.script and not values["llm_base_url"]:
             raise ConfigError(
                 f"dataset sample {task.task_id!r} has no recorded output (script)"
-                " and the LLM is scripted"
+                " and no --llm-base-url is set"
             )
         truths.append(truth)
     llm = None if all(task.script for task in tasks) else _http_llm(values)
@@ -423,7 +411,10 @@ def _cmd_classify(args: argparse.Namespace) -> int:
     text = json.dumps(payload, indent=2)
     print(text)
     if args.out:
-        Path(args.out).write_text(text + "\n", encoding="utf-8")
+        try:
+            Path(args.out).write_text(text + "\n", encoding="utf-8")
+        except OSError as exc:
+            raise ConfigError(f"cannot write --out {args.out}: {exc}") from exc
     return EXIT_OK
 
 
@@ -515,9 +506,6 @@ def main(argv: list[str] | None = None) -> int:
     }
     try:
         return handlers[args.command](args)
-    except ConfigError as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return EXIT_CONFIG
     except TransportError as exc:
         print(f"transport error: {exc}", file=sys.stderr)
         return EXIT_TRANSPORT

@@ -354,8 +354,10 @@ def run_benchmark(
     Whatever fails before the first task raises: an empty batch, *jobs*
     below 1 (``ValueError``), with *log_dir* set a task id that is
     duplicated or not a plain file name (``ValueError``; ids name the log
-    files), a ground truth that does not parse (``ValueError``), or a
-    document that fails to prepare. Each distinct document is prepared
+    files), a ground truth that does not parse (``ValueError``), a
+    document that fails to prepare, or a *log_dir* that cannot be made a
+    directory (``OSError``; it is made after the documents are prepared, so
+    a failed prepare leaves none behind). Each distinct document is prepared
     once, before any task runs, and kept until the next call, which reuses
     it when the document and its model are the same objects (the default
     *model_factory* fits a new model each call) and drops the rest as it
@@ -387,6 +389,9 @@ def run_benchmark(
                 prepared[id(task.doc)] = kept
             else:
                 prepared[id(task.doc)] = prepare_document(task.doc, model)
+    if log_dir is not None:
+        log_path = Path(log_dir)
+        log_path.mkdir(parents=True, exist_ok=True)
 
     def _run_one(task: BenchTask, truth: ApiRequest | None) -> TaskResult:
         try:
@@ -432,8 +437,6 @@ def run_benchmark(
     )
 
     if log_dir is not None:
-        log_path = Path(log_dir)
-        log_path.mkdir(parents=True, exist_ok=True)
         for result in results:
             write_session_log(
                 result.log, log_path / f"{result.log.task_id}.jsonl", clock=clock

@@ -80,7 +80,12 @@ def test_run_missing_doc_exits_2(tmp_path, capsys):
         "--log-dir", str(tmp_path),
     )
     assert code == 2
-    assert "nope.json" in capsys.readouterr().err
+    assert f"cannot read documentation file {tmp_path / 'nope.json'}" in capsys.readouterr().err
+    # A missing dataset takes the same path, for both commands that read one.
+    for command in ("bench", "classify"):
+        assert run_cli(command, "--dataset", str(tmp_path / "nope.jsonl")) == 2
+        assert f"cannot read dataset {tmp_path / 'nope.jsonl'}" in capsys.readouterr().err
+    assert list(tmp_path.iterdir()) == []
 
 
 def test_run_never_correct_exits_1(tmp_path):
@@ -123,7 +128,6 @@ def test_run_task_id_outside_log_dir_exits_2(
     code = run_cli(
         "run", INSTRUCTION,
         "--doc", str(FIXTURE_DOC),
-        "--llm", "http",
         "--llm-base-url", base_url,
         "--log-dir", str(log_dir),
         "--task-id", task_id,
@@ -156,7 +160,6 @@ def test_run_prints_why_the_session_stopped(tmp_path, capsys, monkeypatch, stub_
     code = run_cli(
         "run", INSTRUCTION,
         "--doc", str(FIXTURE_DOC),
-        "--llm", "http",
         "--llm-base-url", base_url,
         "--log-dir", str(tmp_path),
     )
@@ -187,7 +190,7 @@ def test_unparseable_ground_truth_exits_2_before_any_llm_call(
     base_url, handler = stub_server
     monkeypatch.setenv("AUTOFEEDBACK_LLM_KEY", "k")
     argv = _one_task_argv(command, tmp_path, id="odd", ground_truth="this is not a request")
-    code = run_cli(*argv, "--llm", "http", "--llm-base-url", base_url)
+    code = run_cli(*argv, "--llm-base-url", base_url)
     assert code == 2
     assert "task 'odd': ground truth does not parse" in capsys.readouterr().err
     assert handler.requests_seen == []
@@ -205,20 +208,26 @@ def test_embedder_failure_while_preparing_exits_3(tmp_path, capsys, stub_server,
 
 
 @pytest.mark.parametrize("command", ["run", "bench"])
-def test_http_executor_without_base_url_exits_2(tmp_path, capsys, command):
-    argv = _one_task_argv(command, tmp_path)
-    assert run_cli(*argv, "--executor", "http") == 2
-    assert "--executor-base-url" in capsys.readouterr().err
-    assert not (tmp_path / "logs").exists()
-
-
-@pytest.mark.parametrize("command", ["run", "bench"])
 def test_an_integer_past_the_digit_limit_is_a_syntax_error(tmp_path, command):
     reply = wrap(f'userLogin(username="kate", days={"9" * 5000})')
     argv = _one_task_argv(command, tmp_path, id="long", script=[reply])
     assert run_cli(*argv) == (1 if command == "run" else 0)
     events = [json.loads(line) for line in (tmp_path / "logs" / "long.jsonl").read_text().splitlines()]
     assert [e["error_type"] for e in events] == ["E1"] * 4
+
+
+@pytest.mark.parametrize("command", ["run", "bench"])
+def test_a_log_dir_that_is_a_file_exits_2_before_any_llm_call(
+    tmp_path, capsys, monkeypatch, stub_server, command
+):
+    base_url, handler = stub_server
+    monkeypatch.setenv("AUTOFEEDBACK_LLM_KEY", "k")
+    argv = _one_task_argv(command, tmp_path)
+    (tmp_path / "logs").write_text("a file, not a directory\n")
+    assert run_cli(*argv, "--llm-base-url", base_url) == 2
+    assert "cannot write --log-dir" in capsys.readouterr().err
+    assert handler.requests_seen == []
+    assert (tmp_path / "logs").read_text() == "a file, not a directory\n"
 
 
 # -- bench ---------------------------------------------------------------------
@@ -340,8 +349,8 @@ def test_a_ground_truth_list_of_other_than_one_string_exits_2(
     lines[1].update(id="listed", ground_truth=truth)
     write_dataset(tmp_path / "tasks.jsonl", lines)
     out = tmp_path / "out"
-    argv = [command, "--dataset", str(tmp_path / "tasks.jsonl"), "--llm", "http",
-            "--llm-base-url", base_url, "--log-dir" if command == "bench" else "--out", str(out)]
+    argv = [command, "--dataset", str(tmp_path / "tasks.jsonl"), "--llm-base-url", base_url,
+            "--log-dir" if command == "bench" else "--out", str(out)]
     assert run_cli(*argv) == 2
     err = capsys.readouterr().err
     assert "dataset line 2: task 'listed': ground_truth must be a string" in err
@@ -443,6 +452,15 @@ def test_classify_labels_an_int_past_float_range_against_a_float(tmp_path):
     assert json.loads(out_file.read_text())["counts"] == {"E4.other": 1}
 
 
+def test_classify_out_onto_a_directory_exits_2(tmp_path, capsys):
+    dataset = tmp_path / "labeled.jsonl"
+    write_dataset(dataset, dataset_lines(1, 0))
+    assert run_cli("classify", "--dataset", str(dataset), "--out", str(tmp_path)) == 2
+    captured = capsys.readouterr()
+    assert json.loads(captured.out)["counts"] == {"none": 1}  # the histogram is printed
+    assert captured.err.startswith(f"error: cannot write --out {tmp_path}")
+
+
 def test_classify_missing_ground_truth_exits_2(tmp_path, capsys):
     lines = [
         {"id": "a", "instruction": INSTRUCTION, "ground_truth": None,
@@ -484,7 +502,7 @@ def test_classify_checks_every_sample_before_any_llm_call(
     write_dataset(dataset, lines)
     code = run_cli(
         "classify", "--dataset", str(dataset),
-        "--llm", "http", "--llm-base-url", base_url,
+        "--llm-base-url", base_url,
     )
     assert code == 2
     assert "'last' has no ground truth" in capsys.readouterr().err
@@ -509,7 +527,7 @@ def test_classify_checks_every_truth_api_before_any_llm_call(
     write_dataset(dataset, lines)
     code = run_cli(
         "classify", "--dataset", str(dataset),
-        "--llm", "http", "--llm-base-url", base_url, "--out", str(tmp_path / "hist.json"),
+        "--llm-base-url", base_url, "--out", str(tmp_path / "hist.json"),
     )
     assert code == 2
     assert "sample 's1': ground-truth API 'noSuchApi'" in capsys.readouterr().err
@@ -545,7 +563,7 @@ def test_classify_http_asks_the_pipeline_question(
     write_dataset(dataset, lines)
     code = run_cli(
         "classify", "--dataset", str(dataset),
-        "--llm", "http", "--llm-base-url", base_url,
+        "--llm-base-url", base_url,
         "--out", str(tmp_path / "hist.json"),
     )
     assert code == 0
@@ -656,8 +674,8 @@ def test_each_command_registers_only_the_flags_it_reads():
         )
         for name, parser in sub.choices.items()
     }
-    assert counts == {"run": 18, "bench": 16, "classify": 10, "report": 2}
-    assert sum(counts.values()) == 46
+    assert counts == {"run": 16, "bench": 14, "classify": 9, "report": 2}
+    assert sum(counts.values()) == 41
 
 
 @pytest.mark.parametrize(
@@ -666,8 +684,18 @@ def test_each_command_registers_only_the_flags_it_reads():
         ["classify", "--dataset", "d.jsonl", "--max-static", "3"],
         ["report", "--doc", "x"],
         ["bench", "--chunk-threshold", "0.3"],
+        # A base URL alone selects a remote service, and no flag is
+        # abbreviated: "--llm http" must not read as "--llm-base-url http".
+        ["run", INSTRUCTION, "--llm", "http"],
+        ["run", INSTRUCTION, "--executor", "http"],
+        ["bench", "--dataset", "d.jsonl", "--llm", "http"],
+        ["bench", "--dataset", "d.jsonl", "--executor", "http"],
+        ["classify", "--dataset", "d.jsonl", "--llm", "http"],
     ],
-    ids=["classify-max-static", "report-doc", "bench-chunk-threshold"],
+    ids=[
+        "classify-max-static", "report-doc", "bench-chunk-threshold", "run-llm",
+        "run-executor", "bench-llm", "bench-executor", "classify-llm",
+    ],
 )
 def test_flag_of_another_command_exits_2(argv, capsys):
     with pytest.raises(SystemExit) as exc:
@@ -683,6 +711,7 @@ def test_flag_of_another_command_exits_2(argv, capsys):
         ("classify", {"max_static": 1}, "'max_static'"),
         ("bench", {"k": "many"}, "'k'"),
         ("bench", {"llm": "oracle"}, "'llm'"),
+        ("bench", {"executor": "http"}, "'executor'"),
         ("bench", {"max_static": 2.7}, "'max_static' must be a JSON integer"),
         ("bench", {"max_dynamic": True}, "'max_dynamic' must be a JSON integer"),
         ("bench", {"threshold": "0.6"}, "'threshold' must be a JSON number"),
@@ -690,9 +719,9 @@ def test_flag_of_another_command_exits_2(argv, capsys):
         ("bench", {"chunk_threshold": 0.3}, "'chunk_threshold'"),
     ],
     ids=[
-        "report-doc", "classify-max-static", "bench-k-not-int", "bench-llm-not-a-choice",
-        "bench-max-static-float", "bench-max-dynamic-bool", "bench-threshold-string",
-        "bench-threshold-past-float-range", "bench-chunk-threshold",
+        "report-doc", "classify-max-static", "bench-k-not-int", "bench-llm-not-a-setting",
+        "bench-executor-not-a-setting", "bench-max-static-float", "bench-max-dynamic-bool",
+        "bench-threshold-string", "bench-threshold-past-float-range", "bench-chunk-threshold",
     ],
 )
 def test_config_key_the_command_cannot_take_exits_2(tmp_path, capsys, command, config, message):
@@ -836,7 +865,6 @@ def test_http_llm_without_key_exits_2(tmp_path, capsys, monkeypatch):
     code = run_cli(
         "run", INSTRUCTION,
         "--doc", str(FIXTURE_DOC),
-        "--llm", "http",
         "--llm-base-url", "http://127.0.0.1:9",
         "--log-dir", str(tmp_path),
     )
@@ -856,7 +884,6 @@ def test_run_with_http_llm_stub(tmp_path, monkeypatch, stub_server):
     code = run_cli(
         "run", INSTRUCTION,
         "--doc", str(FIXTURE_DOC),
-        "--llm", "http",
         "--llm-base-url", base_url,
         "--ground-truth", TRUTH,
         "--log-dir", str(tmp_path),
@@ -872,7 +899,6 @@ def test_run_with_http_executor_stub(tmp_path, stub_server):
         "run", "Log a user into the system and start a session.",
         "--doc", str(FIXTURE_DOC),
         "--script", wrap(TRUTH),
-        "--executor", "http",
         "--executor-base-url", base_url,
         "--log-dir", str(tmp_path),
         "--task-id", "hx",

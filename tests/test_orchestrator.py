@@ -627,6 +627,16 @@ def test_benchmark_rejects_unparseable_truth_before_any_task(doc, tmp_path, trut
     assert not (tmp_path / "logs").exists()
 
 
+@pytest.mark.parametrize("where", ["file", "under-a-file"])
+def test_a_log_dir_that_cannot_be_made_raises_before_any_task(doc, tmp_path, where):
+    (tmp_path / "afile").write_text("x")
+    log_dir = tmp_path / "afile" if where == "file" else tmp_path / "afile" / "logs"
+    llm_factory = _CountingFactory()
+    with pytest.raises(OSError):
+        run_benchmark(make_tasks(doc), llm_factory=llm_factory, log_dir=log_dir)
+    assert llm_factory.calls == 0
+
+
 @pytest.mark.parametrize("jobs", [0, -3])
 def test_benchmark_rejects_jobs_below_one_before_any_document(doc, tmp_path, jobs):
     models = []
