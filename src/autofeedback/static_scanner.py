@@ -7,7 +7,7 @@ Within a family the sub-checks run selection -> literal -> semantic -> other.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field, replace
+from dataclasses import dataclass, field
 from enum import Enum
 from typing import Callable, Mapping, Sequence
 
@@ -139,31 +139,26 @@ def _cascade(
     doc: ApiDocument,
     model: SimilarityModel,
     threshold: float,
-) -> DetectionFinding:
+) -> tuple[ErrorType, str | None, str | None, str | None]:
     """The stages after the API name, in order: unknown key, missing
     required parameter, value type, for a request whose name is accepted
-    as the API *named*."""
+    as the API *named*. Returns the finding's error type, offending name,
+    suggested name and parameter description."""
     params = named.params_by_name
-    keys = req.arg_names
-    offender = next((key for key in keys if key not in params), None)
-    if offender is not None:
-        error_type, suggested = _match_param(offender, named, doc, model, threshold)
-        return DetectionFinding(
-            error_type, offending_name=offender, suggested_name=suggested
-        )
+    for key, _ in req.args:
+        if key not in params:
+            error_type, suggested = _match_param(key, named, doc, model, threshold)
+            return error_type, key, suggested, None
+    given = dict(req.args)
     for p in named.params:
-        if p.required and p.name not in keys:
-            return DetectionFinding(ErrorType.E3_OTHER, offending_name=p.name)
+        if p.required and p.name not in given:
+            return ErrorType.E3_OTHER, p.name, None, None
     # Every key is documented by now.
     for key, value in req.args:
         param = params[key]
         if not type_matches(value, param.value_type):
-            return DetectionFinding(
-                ErrorType.E4_1,
-                offending_name=serialize_value(value),
-                param_description=param.description,
-            )
-    return DetectionFinding(ErrorType.NONE)
+            return ErrorType.E4_1, serialize_value(value), None, param.description
+    return ErrorType.NONE, None, None, None
 
 
 def detect(
@@ -194,8 +189,10 @@ def detect(
         )
         return DetectionFinding(error_type, req.name, suggested, relevant_apis=relevant)
     # Relevant-set names come from the document, so the lookup finds them.
-    finding = _cascade(req, lookup_api(doc, req.name), doc, prepared.model, threshold)
-    return replace(finding, relevant_apis=relevant)
+    error_type, offending, suggested, description = _cascade(
+        req, lookup_api(doc, req.name), doc, prepared.model, threshold
+    )
+    return DetectionFinding(error_type, offending, suggested, description, relevant)
 
 
 def classify_against_truth(
@@ -227,7 +224,7 @@ def classify_against_truth(
             req.name, doc, (truth.name,), {normalize_name(truth.name): truth.name},
             lambda query: (model.score(query, truth.name),), threshold,
         )[0]
-    error_type = _cascade(req, truth_spec, doc, model, threshold).error_type
+    error_type = _cascade(req, truth_spec, doc, model, threshold)[0]
     if error_type is not ErrorType.NONE:
         return error_type
 

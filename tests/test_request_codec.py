@@ -1,4 +1,5 @@
 import gc
+import logging
 import random
 import string
 import time
@@ -238,6 +239,19 @@ def test_extract_takes_first_of_many_blocks():
     assert extract_request_block(text) == "f(a=1)"
 
 
+def test_extra_blocks_are_logged_only_at_debug_level(caplog):
+    text = "<<API>> f(a=1) <</API>> and <<API>> g(b=2) <</API>>"
+    with caplog.at_level(logging.INFO, logger="autofeedback.request_codec"):
+        assert extract_request_block(text) == "f(a=1)"
+    assert caplog.records == []
+    with caplog.at_level(logging.DEBUG, logger="autofeedback.request_codec"):
+        assert extract_request_block(text) == "f(a=1)"
+        assert extract_request_block("<<API>> f(a=1) <</API>> and <<API>>") == "f(a=1)"
+    assert [r.getMessage() for r in caplog.records] == [
+        "multiple request blocks found; keeping the first"
+    ]
+
+
 @given(st.text(max_size=200))
 def test_parse_is_total(text):
     outcome = parse_request(text)
@@ -353,6 +367,23 @@ _PARSE_TEXT = st.one_of(
 @example("{[1]: 2}")
 @example("f(a={[1]: 2})")
 @example(r"""f(s="\"\n\t\r\d", d={'\'k': '\\'})""")
+# Tokens whose kind is read from their first character.
+@example('f(a=")')
+@example("f(a=')")
+@example("f(a=-)")
+@example("f(a=.)")
+@example("f(a=-.5)")
+@example("f(a=.5e3)")
+@example("f(a=1e)")
+@example("f(a=1.e5)")
+@example("f(a=\u0663)")   # ARABIC-INDIC DIGIT THREE, a decimal digit
+@example("f(a=\u00b2)")   # SUPERSCRIPT TWO, a digit but not a decimal one
+@example("f(\u00e9=1)")
+@example("f(a=\u00e9)")
+@example(r"f(\k=1)")
+@example(r"f(a=\v)")
+@example("f(1=2)")
+@example("f(a=TRUE, b=False)")
 def test_parse_equals_the_untyped_token_parser(text):
     assert repr(parse_request(text)) == repr(oracle_parse_request(text))
 

@@ -224,6 +224,30 @@ def test_name_fault_masks_later_faults(doc, model):
     assert finding.error_type is ErrorType.E2_2
 
 
+_LOGIN_DAYS = "Number of days the login session stays valid."
+
+
+@pytest.mark.parametrize(
+    "text, expected",
+    [
+        ('userLogin(recipient="kate", days=3)', (ErrorType.E3_1, "recipient", None, None)),
+        ('userLogin(user_name="kate", days=3)', (ErrorType.E3_2, "user_name", "username", None)),
+        ('userLogin(username="kate", Days=3)', (ErrorType.E3_3, "Days", "days", None)),
+        ('userLogin(username="kate", zzqqy=3)', (ErrorType.E3_OTHER, "zzqqy", None, None)),
+        ('userLogin(username="kate")', (ErrorType.E3_OTHER, "days", None, None)),
+        ('userLogin(username="kate", days="three")', (ErrorType.E4_1, '"three"', None, _LOGIN_DAYS)),
+        ('userLogin(username="kate", days=3)', (ErrorType.NONE, None, None, None)),
+    ],
+    ids=["E3.1", "E3.2", "E3.3", "E3.other-unknown", "E3.other-missing", "E4.1", "none"],
+)
+def test_every_cascade_finding_carries_the_relevant_set(doc, model, text, expected):
+    found = relevant("Log a user into the system and start a session.", doc, model)
+    finding = detect(outcome_of(text), found, prepare_document(doc, model), 0.5)
+    error_type, offending, suggested, description = expected
+    assert finding == DetectionFinding(error_type, offending, suggested, description, found)
+    assert finding.relevant_apis is found and found.names == ("userLogin",)
+
+
 def test_corpus_sample_detects_exactly(doc, model):
     for case in build_corpus_cases(doc, per_class=3, seed=11):
         finding = detect(outcome_of(case.text), relevant(case.instruction, doc, model), prepare_document(doc, model), 0.5)
