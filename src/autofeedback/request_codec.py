@@ -237,23 +237,20 @@ class _SyntaxError(Exception):
 # current character only if the alternative opens with a literal or a set,
 # so each does: a number is three alternatives, one per first character.
 # Punctuation, the commonest token, comes first; ``\S`` and ``\Z``, which
-# match anywhere, come last. The quantifiers are possessive, since giving
-# back a character never lets a token match otherwise. Over the blocks of
-# classify-large-doc at seed 1, ``findall`` took 4.1 µs a block with a group
-# per kind, 2.8 with one group, 2.5 with one possessive group, 2.3 with
-# punctuation first and 2.1 with both (medians of 31 interleaved repeats,
-# 2-core Xeon). A backslash takes the next character with it: else text
-# like "\"\"\"... is rescanned from every quote to its end (1 s for 10 KB on
-# that host).
+# match anywhere, come last. Giving a character back never lets an
+# alternative match where it failed; possessive quantifiers, which would
+# not try, save a little more but need Python 3.11 (BENCH_25.json). A
+# backslash takes the next character with it: else text like "\"\"\"...
+# is rescanned from every quote to its end.
 _TOKEN = re.compile(
-    r"""\s*+(
+    r"""\s*(
         [(),=\[\]{}:]
-      | "[^"\\]*+(?:\\.[^"\\]*+)*+"
-      | '[^'\\]*+(?:\\.[^'\\]*+)*+'
-      | [A-Za-z_][A-Za-z0-9_]*+
-      | \d++(?:\.\d*+)?+(?:[eE][+-]?+\d++)?+
-      | \.\d++(?:[eE][+-]?+\d++)?+
-      | -(?:\d++(?:\.\d*+)?+|\.\d++)(?:[eE][+-]?+\d++)?+
+      | "[^"\\]*(?:\\.[^"\\]*)*"
+      | '[^'\\]*(?:\\.[^'\\]*)*'
+      | [A-Za-z_][A-Za-z0-9_]*
+      | \d+(?:\.\d*)?(?:[eE][+-]?\d+)?
+      | \.\d+(?:[eE][+-]?\d+)?
+      | -(?:\d+(?:\.\d*)?|\.\d+)(?:[eE][+-]?\d+)?
       | \\.
       | \S
       | \Z

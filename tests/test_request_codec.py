@@ -309,13 +309,17 @@ def _joined(open_, close, items):
     )
 
 
-_VALUE_TEXT = st.recursive(
-    st.one_of(_NUMBER_TEXT, _STRING_TEXT, st.sampled_from(["true", "False", "TRUE"])),
-    lambda inner: st.one_of(
+def _containers(inner, key):
+    return st.one_of(
         _joined("[", "]", inner),
         _joined("(", ")", inner),
-        _joined("{", "}", st.builds(lambda k, v: f"{k}: {v}", _STRING_TEXT, inner)),
-    ),
+        _joined("{", "}", st.builds(lambda k, v: f"{k}: {v}", key, inner)),
+    )
+
+
+_VALUE_TEXT = st.recursive(
+    st.one_of(_NUMBER_TEXT, _STRING_TEXT, st.sampled_from(["true", "False", "TRUE"])),
+    lambda inner: _containers(inner, _STRING_TEXT),
     max_leaves=8,
 )
 _REQUEST_TEXT = st.builds(
@@ -346,8 +350,46 @@ def _nested_text(depth: int, opener: str, tail: str) -> str:
     return "f(x=" + opener * depth + "1" + closer * depth + tail
 
 
+# Text built from the characters whose token kind is read from the first
+# one: quotes, backslashes, brackets, a lone sign or point, a non-ASCII
+# decimal digit (\u0663), a digit that is not decimal (\u00b2), a non-ASCII
+# letter (\u00e9) and U+0085, which str.isspace accepts.
+_FRAGMENTS = (
+    "f(", "a=", ", ", ")", "(", "[", "]", "{", "}", ":", "=", '"', "'", "\\",
+    '\\"', "\\n", "x", "true", "1", "-", ".", "1e", "\u0663", "\u00b2",
+    "\u00e9", "\u0085", " ", "\n",
+)
+_ODD_NAMES = ("f", "_g9", "\u00e9", "1", "\\a", "TRUE", "'a'")
+_ODD_SCALARS = st.sampled_from((
+    '"s"', "'s'", '"a\\"b"', "'\\n\\t\\q'", '"', "'", "1", "-2", "-", ".",
+    ".5", "-.5", ".5e3", "1e", "1.e5", "1e999", "\u0663", "\u0663.5", "\u00b2",
+    "true", "TRUE", "False", "\u00e9", "\\x", "\u0085", "",
+))
+
+
+def _broken_request(name, args, at, fragment):
+    """A request of *args*, with *fragment* put in at index *at*."""
+    text = f"{name}({', '.join(f'{k}={v}' for k, v in args)})"
+    return text[:at] + fragment + text[at:]
+
+
+_ODD_REQUEST_TEXT = st.builds(
+    _broken_request,
+    st.sampled_from(_ODD_NAMES),
+    st.lists(
+        st.tuples(
+            st.sampled_from(_ODD_NAMES),
+            st.recursive(_ODD_SCALARS, lambda inner: _containers(inner, _ODD_SCALARS), max_leaves=4),
+        ),
+        max_size=3,
+    ),
+    st.integers(min_value=0, max_value=40),
+    st.sampled_from(("",) + _FRAGMENTS),
+)
 _PARSE_TEXT = st.one_of(
     _REQUEST_TEXT,
+    _ODD_REQUEST_TEXT,
+    st.lists(st.sampled_from(_FRAGMENTS), max_size=14).map("".join),
     _REQUEST_SHAPED.map("f(x=".__add__),
     st.builds(
         _nested_text,
