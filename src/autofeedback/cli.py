@@ -8,7 +8,7 @@ command's config keys mirror its setting flags; a flag beats the file, the
 file beats the default. Flags naming one invocation's inputs (``--script``,
 ``--task-id``, ``--out``, ...) have no config key. A base URL selects each
 remote service (LLM, executor, embedder); without one the offline double
-runs.
+runs. A task's script replays before the remote LLM answers.
 
 Exit codes: 0 ok/satisfied, 1 unsatisfied, 2 configuration error,
 3 transport error.
@@ -25,15 +25,16 @@ from pathlib import Path
 
 from .doc_model import ApiDocument, load_document
 from .errors import AutoFeedbackError, SchemaError, TransportError
-from .gateways import ChatMessage, HttpApiExecutor, HttpLlmClient
+from .gateways import HttpApiExecutor, HttpLlmClient
 from .metrics import BenchmarkReport, error_distribution, error_distribution_percentages
 from .orchestrator import (
     BenchTask,
     PipelineConfig,
     TaskResult,
     opening_messages,
+    prepare_document,
     run_benchmark,
-    system_message,
+    task_llm,
 )
 from .request_codec import parse_llm_output, serialize_request
 from .retrieval import RemoteEmbeddingSimilarity, default_similarity
@@ -63,7 +64,7 @@ _UNREADABLE = (OSError, ValueError, RecursionError)
 _SETTINGS = {
     "doc": (str, None, "API documentation JSON file"),
     "dataset": (str, None, "JSONL dataset, one task per line"),
-    "llm_base_url": (str, None, "remote chat-completions LLM; default is the scripted replies"),
+    "llm_base_url": (str, None, "remote chat-completions LLM, asked after a task's script"),
     "model": (str, "default", "model name for the remote LLM"),
     "embedder_base_url": (str, None, "remote embedding service; default is local TF-IDF"),
     "embedder_model": (str, "default", "model name for the remote embedder"),
@@ -273,15 +274,12 @@ def _run_tasks(
 ) -> tuple[BenchmarkReport, list[TaskResult]]:
     """``run_benchmark`` over *tasks* with the command's gateways, log
     directory and worker count."""
-    llm_factory = None
-    if values["llm_base_url"]:
-        client = _http_llm(values)
-        llm_factory = lambda task: client  # noqa: E731 - shared stateless client
+    remote = _http_llm(values) if values["llm_base_url"] else None
     try:
         return run_benchmark(
             tasks,
             config,
-            llm_factory=llm_factory,
+            llm_factory=lambda task: task_llm(task, remote),
             executor_factory=_executor_factory(values),
             model_factory=_similarity_factory(values),
             log_dir=values["log_dir"],
@@ -369,32 +367,20 @@ def _cmd_classify(args: argparse.Namespace) -> int:
                 " and no --llm-base-url is set"
             )
         truths.append(truth)
-    llm = None if all(task.script for task in tasks) else _http_llm(values)
+    remote = _http_llm(values) if values["llm_base_url"] else None
     similarity_factory = _similarity_factory(values)
+    # Each document is prepared, and its embedder probed, before any LLM call.
+    docs = {id(task.doc): task.doc for task in tasks}
+    prepared = {key: prepare_document(d, similarity_factory(d)) for key, d in docs.items()}
 
-    systems: dict[int, ChatMessage] = {}
-    models: dict[int, object] = {}
     labels: list[ErrorType] = []
     for task, truth in zip(tasks, truths):
-        key = id(task.doc)
-        if task.script:
-            generated_text = task.script[0]
-        else:
-            # The same opening turn as the pipeline's first generation.
-            if key not in systems:
-                systems[key] = system_message(task.doc)
-            generated_text = llm.complete(
-                opening_messages(systems[key], task.instruction)
-            ).text
-        if key not in models:
-            models[key] = similarity_factory(task.doc)
+        doc = prepared[id(task.doc)]
+        # The same opening turn as the pipeline's first generation.
+        reply = task_llm(task, remote).complete(opening_messages(doc.system, task.instruction))
         labels.append(
             classify_against_truth(
-                parse_llm_output(generated_text),
-                truth,
-                task.doc,
-                models[key],
-                threshold,
+                parse_llm_output(reply.text), truth, task.doc, doc.model, threshold
             )
         )
 

@@ -78,16 +78,18 @@ class LlmClient(ABC):
 
 
 class ScriptedLlm(LlmClient):
-    """Replays a fixed list of replies; the last one repeats forever.
+    """Replays a fixed list of replies in order; after the last one the
+    client *then* answers, or without it the last reply repeats forever.
 
-    Every received prompt is recorded for assertions. One instance holds
-    per-session state and must not be shared across concurrent sessions.
+    Every received prompt, *then*'s too, is recorded for assertions. One
+    instance holds per-session state; concurrent sessions must not share it.
     """
 
-    def __init__(self, script: Sequence[str]):
+    def __init__(self, script: Sequence[str], then: LlmClient | None = None):
         if not script:
             raise ValueError("script must be non-empty")
         self._script = list(script)
+        self._then = then
         self.received_prompts: list[tuple[ChatMessage, ...]] = []
 
     @property
@@ -95,9 +97,11 @@ class ScriptedLlm(LlmClient):
         return len(self.received_prompts)
 
     def complete(self, messages: Sequence[ChatMessage]) -> LlmReply:
-        index = min(len(self.received_prompts), len(self._script) - 1)
+        calls = len(self.received_prompts)
         self.received_prompts.append(tuple(messages))
-        reply = self._script[index]
+        if calls >= len(self._script) and self._then is not None:
+            return self._then.complete(messages)
+        reply = self._script[min(calls, len(self._script) - 1)]
         prompt_tokens = sum(m.tokens for m in messages)
         return LlmReply(reply, prompt_tokens, whitespace_tokens(reply))
 

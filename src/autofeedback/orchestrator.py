@@ -62,6 +62,7 @@ __all__ = [
     "opening_messages",
     "echo_executor",
     "BenchTask",
+    "task_llm",
     "run_benchmark",
     "executed_sequence",
     "session_log_lines",
@@ -326,9 +327,14 @@ def echo_executor(doc: ApiDocument) -> MockApiServer:
     return MockApiServer({api.name: _handler_for(api.name) for api in doc.apis})
 
 
-def _default_llm(task: BenchTask) -> LlmClient:
+def task_llm(task: BenchTask, remote: LlmClient | None = None) -> LlmClient:
+    """*task*'s LLM: its script in order, then *remote*, or without *remote*
+    the script's last reply again. A task with no script asks *remote*, or
+    without one replays its ground truth, or else a fixed non-answer."""
     if task.script:
-        return ScriptedLlm(list(task.script))
+        return ScriptedLlm(task.script, remote)
+    if remote is not None:
+        return remote
     if task.ground_truth is not None:
         return ScriptedLlm([f"{OPEN_MARKER}{task.ground_truth}{CLOSE_MARKER}"])
     return ScriptedLlm(["I cannot call any API."])
@@ -374,7 +380,7 @@ def run_benchmark(
     if log_dir is not None:
         _check_log_names(tasks)
     truths = [task.truth_request() for task in tasks]
-    llm_factory = llm_factory or _default_llm
+    llm_factory = llm_factory or task_llm
     executor_factory = executor_factory or (lambda task: echo_executor(task.doc))
     model_factory = model_factory or default_similarity
 
@@ -544,10 +550,12 @@ def write_session_log(
     log: SessionLog, path: str | Path, clock: Callable[[], str] | None = None
 ) -> None:
     """Write *log* to *path* as JSONL: one JSON object per line, each line
-    ending in a newline, non-ASCII text as UTF-8 (not escaped). An existing
-    file is replaced in full; a session with no events writes an empty file."""
+    ending in a newline, non-ASCII text as UTF-8 (not escaped) but a lone
+    surrogate as its JSON escape (``\\ud800``), which reads back the same.
+    An existing file is replaced in full; a session with no events writes
+    an empty file."""
     lines = session_log_lines(log, clock)
-    _write_bytes(path, "\n".join([*lines, ""]).encode())
+    _write_bytes(path, "\n".join([*lines, ""]).encode("utf-8", "backslashreplace"))
 
 
 def write_summary(results: Sequence[TaskResult], path: str | Path) -> None:

@@ -346,7 +346,7 @@ class RelevantSet:
 
     entries: tuple[tuple[str, float], ...] = ()
 
-    @property
+    @functools.cached_property
     def names(self) -> tuple[str, ...]:
         return tuple(name for name, _ in self.entries)
 

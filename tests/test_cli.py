@@ -170,17 +170,27 @@ def test_run_prints_why_the_session_stopped(tmp_path, capsys, monkeypatch, stub_
 
 def _one_task_argv(command, tmp_path, **fields):
     """argv running one task through *command*: ``run`` takes it as flags,
-    ``bench`` from a one-line dataset."""
+    ``bench`` and ``classify`` from a one-line dataset."""
     line = dict(dataset_lines(1, 0)[0], **fields)
     if command == "run":
         argv = ["run", line["instruction"], "--doc", line["doc"], "--task-id", line["id"]]
-        argv += [a for s in line["script"] for a in ("--script", s)]
+        argv += [a for s in line["script"] or () for a in ("--script", s)]
         if line["ground_truth"] is not None:
             argv += ["--ground-truth", line["ground_truth"]]
     else:
         write_dataset(tmp_path / "tasks.jsonl", [line])
-        argv = ["bench", "--dataset", str(tmp_path / "tasks.jsonl")]
+        argv = [command, "--dataset", str(tmp_path / "tasks.jsonl")]
+    if command == "classify":
+        return argv
     return argv + ["--log-dir", str(tmp_path / "logs")]
+
+
+def _completion(text):
+    """A chat-completions stub behavior answering *text*."""
+    return 200, json.dumps({
+        "choices": [{"message": {"content": text}}],
+        "usage": {"prompt_tokens": 5, "completion_tokens": 5},
+    })
 
 
 @pytest.mark.parametrize("command", ["run", "bench"])
@@ -197,14 +207,55 @@ def test_unparseable_ground_truth_exits_2_before_any_llm_call(
     assert not (tmp_path / "logs").exists()
 
 
-@pytest.mark.parametrize("command", ["run", "bench"])
-def test_embedder_failure_while_preparing_exits_3(tmp_path, capsys, stub_server, command):
+@pytest.mark.parametrize("command", ["run", "bench", "classify"])
+def test_embedder_failure_while_preparing_exits_3(
+    tmp_path, capsys, monkeypatch, stub_server, command
+):
     base_url, handler = stub_server
     handler.default_behavior = (500, "{}")
-    argv = _one_task_argv(command, tmp_path)
-    assert run_cli(*argv, "--embedder-base-url", base_url) == 3
+    monkeypatch.setenv("AUTOFEEDBACK_LLM_KEY", "k")
+    # Without a script the task's first reply would come from the LLM.
+    argv = _one_task_argv(command, tmp_path, script=None)
+    code = run_cli(
+        *argv, "--embedder-base-url", base_url + "/embed", "--llm-base-url", base_url + "/llm"
+    )
+    assert code == 3
     assert "transport error" in capsys.readouterr().err
+    assert {path for _, path, _ in handler.requests_seen} == {"/embed/embeddings"}
     assert not (tmp_path / "logs").exists()
+
+
+WRONG_NAME = wrap('user_login(username="kate", days=3)')  # an E2.2 against TRUTH
+
+
+@pytest.mark.parametrize("command", ["run", "bench"])
+def test_a_task_script_replays_before_the_remote_llm(
+    tmp_path, monkeypatch, stub_server, command
+):
+    base_url, handler = stub_server
+    handler.default_behavior = _completion(wrap(TRUTH))
+    monkeypatch.setenv("AUTOFEEDBACK_LLM_KEY", "k")
+    argv = _one_task_argv(command, tmp_path, script=[WRONG_NAME])
+    assert run_cli(*argv, "--llm-base-url", base_url) == 0
+    [summary] = json.loads((tmp_path / "logs" / "summary.json").read_text())["tasks"]
+    assert summary["satisfied"] is True
+    assert len(handler.requests_seen) == summary["llm_calls"] - 1 == 1
+    events = (tmp_path / "logs" / "ok-0.jsonl").read_text().splitlines()
+    assert [json.loads(e)["error_type"] for e in events] == ["E2.2", None]
+
+
+def test_run_needs_no_llm_call_past_its_script(tmp_path, capsys, monkeypatch):
+    monkeypatch.setenv("AUTOFEEDBACK_LLM_KEY", "k")
+    code = run_cli(
+        "run", INSTRUCTION,
+        "--doc", str(FIXTURE_DOC),
+        "--script", wrap(TRUTH),
+        "--ground-truth", TRUTH,
+        "--llm-base-url", "http://127.0.0.1:9",
+        "--log-dir", str(tmp_path),
+    )
+    assert code == 0
+    assert "  llm calls: 1\n" in capsys.readouterr().out
 
 
 @pytest.mark.parametrize("command", ["run", "bench"])
@@ -243,6 +294,22 @@ def test_bench_reports_accuracy(tmp_path, capsys):
     report = json.loads((log_dir / "report.json").read_text())
     assert report["accuracy_pct"] == 70.0
     assert report["n_tasks"] == 10
+
+
+def test_a_lone_surrogate_in_a_reply_loses_no_log(tmp_path):
+    reply = "no call \ud800"
+    lines = dataset_lines(1, 1)
+    lines[1]["script"] = [reply]
+    dataset = tmp_path / "ds.jsonl"
+    write_dataset(dataset, lines)
+    logs = tmp_path / "logs"
+    assert run_cli("bench", "--dataset", str(dataset), "--log-dir", str(logs)) == 0
+    assert sorted(path.name for path in logs.iterdir()) == [
+        "ok-0.jsonl", "report.json", "summary.json", "zz-bad-0.jsonl"
+    ]
+    first = (logs / "zz-bad-0.jsonl").read_text(encoding="utf-8").splitlines()[0]
+    assert json.loads(first)["action"] == reply
+    assert run_cli("report", "--log-dir", str(logs)) == 0
 
 
 def test_bench_duplicate_task_id_exits_2(tmp_path, capsys):
@@ -553,7 +620,10 @@ def test_classify_http_asks_the_pipeline_question(
         return wrapper
 
     monkeypatch.setattr(cli, "HttpLlmClient", counted("client", cli.HttpLlmClient))
-    monkeypatch.setattr(cli, "system_message", counted("system", cli.system_message))
+    # prepare_document renders each distinct doc's system message once.
+    monkeypatch.setattr(
+        orchestrator, "system_message", counted("system", orchestrator.system_message)
+    )
     instructions = [INSTRUCTION, "Start a session for kate."]
     lines = [
         {"id": f"s{i}", "instruction": text, "ground_truth": TRUTH, "doc": str(FIXTURE_DOC)}
@@ -577,6 +647,30 @@ def test_classify_http_asks_the_pipeline_question(
         run_task(text, prepared, llm, echo_executor(doc), ExactMatchJudge())
         opening = [{"role": m.role, "content": m.content} for m in llm.received_prompts[0]]
         assert messages == opening
+
+
+def test_classify_asks_the_llm_only_for_samples_without_a_script(
+    tmp_path, monkeypatch, stub_server
+):
+    base_url, handler = stub_server
+    handler.default_behavior = _completion(wrap(TRUTH))
+    monkeypatch.setenv("AUTOFEEDBACK_LLM_KEY", "k")
+    line = {"ground_truth": TRUTH, "doc": str(FIXTURE_DOC)}
+    lines = [
+        dict(line, id="wrong", instruction=INSTRUCTION, script=[WRONG_NAME]),
+        dict(line, id="asked", instruction="Start a session for kate."),
+        dict(line, id="right", instruction=INSTRUCTION, script=[wrap(TRUTH)]),
+    ]
+    dataset = tmp_path / "labeled.jsonl"
+    write_dataset(dataset, lines)
+    out = tmp_path / "hist.json"
+    code = run_cli(
+        "classify", "--dataset", str(dataset), "--llm-base-url", base_url, "--out", str(out)
+    )
+    assert code == 0
+    assert json.loads(out.read_text())["counts"] == {"E2.2": 1, "none": 2}
+    [(_, _, body)] = handler.requests_seen
+    assert json.loads(body)["messages"][-1]["content"].startswith("Start a session for kate.")
 
 
 # -- report ---------------------------------------------------------------------

@@ -34,6 +34,15 @@ def test_scripted_replay_and_repeat_last():
     assert replies == ["a", "b", "b"]
 
 
+def test_scripted_hands_over_to_then_after_its_script():
+    then = ScriptedLlm(["live"])
+    llm = ScriptedLlm(["a", "b"], then)
+    replies = [llm.complete([ChatMessage("user", str(i))]).text for i in range(4)]
+    assert replies == ["a", "b", "live", "live"]
+    assert llm.calls == 4
+    assert [p[0].content for p in then.received_prompts] == ["2", "3"]
+
+
 def test_scripted_records_prompts():
     llm = ScriptedLlm(["ok"])
     llm.complete([ChatMessage("system", "s"), ChatMessage("user", "u")])

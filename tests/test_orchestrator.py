@@ -10,6 +10,7 @@ from hypothesis import strategies as st
 from autofeedback import (
     ApiResponse,
     BenchTask,
+    ChatMessage,
     ErrorType,
     ExactMatchJudge,
     PipelineConfig,
@@ -531,6 +532,21 @@ def test_benchmark_task_error_is_contained(doc):
     assert results[1].satisfied
 
 
+def test_task_llm_replays_the_script_before_the_remote(doc):
+    def replies(task, remote=None):
+        llm = orchestrator.task_llm(task, remote)
+        return [llm.complete([ChatMessage("user", "x")]).text for _ in range(3)]
+
+    scripted = BenchTask("s", LOGIN_INSTRUCTION, doc, LOGIN_TRUTH, ("a", "b"))
+    unscripted = BenchTask("u", LOGIN_INSTRUCTION, doc, LOGIN_TRUTH)
+    remote = ScriptedLlm(["remote"])
+    assert replies(scripted, remote) == ["a", "b", "remote"]
+    assert replies(scripted) == ["a", "b", "b"]
+    assert orchestrator.task_llm(unscripted, remote) is remote
+    assert replies(unscripted) == [wrap(LOGIN_TRUTH)] * 3
+    assert replies(BenchTask("n", LOGIN_INSTRUCTION, doc)) == ["I cannot call any API."] * 3
+
+
 def test_a_gateway_factory_fault_is_recorded_with_its_type(doc):
     def executor_factory(task):
         raise KeyError("route")
@@ -878,6 +894,18 @@ def test_non_ascii_text_is_written_as_utf8_not_escaped(prepared, executor, tmp_p
     data = path.read_bytes()
     assert text.encode("utf-8") in data.replace(b'\\"', b'"')
     assert b"\\u" not in data
+    assert json.loads(data.decode("utf-8"))["action"] == text
+
+
+def test_a_lone_surrogate_is_written_as_its_json_escape(prepared, executor, tmp_path):
+    text = "no call \ud800 Zoë"
+    llm = ScriptedLlm([text])
+    config = PipelineConfig(max_static=0)
+    log = run_task(LOGIN_INSTRUCTION, prepared, llm, executor, ExactMatchJudge(), config).log
+    path = tmp_path / "s.jsonl"
+    write_session_log(log, path, clock=FIXED_CLOCK)
+    data = path.read_bytes()
+    assert '"no call \\ud800 Zoë"'.encode("utf-8") in data
     assert json.loads(data.decode("utf-8"))["action"] == text
 
 
