@@ -17,6 +17,7 @@ Exit codes: 0 ok/satisfied, 1 unsatisfied, 2 configuration error,
 from __future__ import annotations
 
 import argparse
+import io
 import json
 import os
 import sys
@@ -490,6 +491,13 @@ def main(argv: list[str] | None = None) -> int:
         "classify": _cmd_classify,
         "report": _cmd_report,
     }
+    # A reply, a body or a log may hold a lone surrogate, which no UTF-8
+    # stream takes: write what stdout cannot encode as its escape, as stderr
+    # does, for this command only.
+    out = sys.stdout
+    errors = out.errors if isinstance(out, io.TextIOWrapper) else None
+    if errors is not None:
+        out.reconfigure(errors="backslashreplace")
     try:
         return handlers[args.command](args)
     except TransportError as exc:
@@ -498,6 +506,9 @@ def main(argv: list[str] | None = None) -> int:
     except AutoFeedbackError as exc:
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_CONFIG
+    finally:
+        if errors is not None:
+            out.reconfigure(errors=errors)
 
 
 if __name__ == "__main__":

@@ -77,17 +77,10 @@ class ApiSpec:
         if len(names) != len(set(names)):
             raise ValueError(f"duplicate parameter name in API {self.name!r}")
 
-    def param(self, name: str) -> ParamSpec | None:
-        return self.params_by_name.get(name)
-
     @cached_property
     def params_by_name(self) -> dict[str, ParamSpec]:
         """Parameter name -> spec, in doc order; built on first use."""
         return {p.name: p for p in self.params}
-
-    @cached_property
-    def param_names(self) -> tuple[str, ...]:
-        return tuple(p.name for p in self.params)
 
 
 @dataclass(frozen=True)

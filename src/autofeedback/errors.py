@@ -29,7 +29,9 @@ class UnknownTruthApiError(AutoFeedbackError):
 
 
 class NoErrorFindingError(AutoFeedbackError):
-    """Feedback was requested for a finding that contains no error."""
+    """Feedback was requested for a finding that contains no error, or for
+    E4.other, a label of ``classify_against_truth`` that ``detect`` never
+    finds and that has no feedback text."""
 
 
 class TransportError(AutoFeedbackError):

@@ -472,6 +472,12 @@ def _utc_now() -> str:
 # One encoder for every log line; json.dumps with options builds a new one a call.
 _LINE_ENCODER = json.JSONEncoder(ensure_ascii=False)
 
+# A log line with every field null, its keys in order: a phase sets the fields it fills.
+_NULL_LINE = dict.fromkeys((
+    "task_id", "phase", "iteration", "action", "observation", "thought",
+    "error_type", "feedback", "new_action", "ts",
+))
+
 
 def _write_bytes(path: str | Path, data: bytes) -> None:
     """Replace the file at *path* with *data*: truncate it in place (or
@@ -490,59 +496,39 @@ def session_log_lines(
 ) -> list[str]:
     """Serialize one session as JSONL event lines (static then dynamic)."""
     now = clock or _utc_now
-    lines: list[str] = []
+
+    def line(phase: str, iteration: int, **fields) -> str:
+        return _LINE_ENCODER.encode({
+            **_NULL_LINE, "task_id": log.task_id, "phase": phase,
+            "iteration": iteration, **fields, "ts": now(),
+        })
+
+    lines = []
     for event in log.static_events:
-        finding = event.finding
-        action = (
-            serialize_request(event.outcome.request)
-            if event.outcome.ok
-            else event.llm_output_raw
-        )
-        lines.append(
-            _LINE_ENCODER.encode(
-                {
-                    "task_id": log.task_id,
-                    "phase": "static",
-                    "iteration": event.iteration,
-                    "action": action,
-                    "observation": None,
-                    "thought": None,
-                    "error_type": (
-                        finding.error_type.value
-                        if finding.error_type is not ErrorType.NONE
-                        else None
-                    ),
-                    "feedback": event.feedback_text,
-                    "new_action": None,
-                    "ts": now(),
-                }
-            )
-        )
+        error_type = event.finding.error_type
+        lines.append(line(
+            "static", event.iteration,
+            action=(
+                serialize_request(event.outcome.request)
+                if event.outcome.ok
+                else event.llm_output_raw
+            ),
+            error_type=error_type.value if error_type is not ErrorType.NONE else None,
+            feedback=event.feedback_text,
+        ))
     for record in log.dynamic_records:
-        lines.append(
-            _LINE_ENCODER.encode(
-                {
-                    "task_id": log.task_id,
-                    "phase": "dynamic",
-                    "iteration": record.iteration,
-                    "action": serialize_request(record.action),
-                    "observation": {
-                        "status": record.response.status,
-                        "body": record.response.body,
-                        "error_message": (
-                            record.error_message.text
-                            if record.error_message is not None
-                            else None
-                        ),
-                    },
-                    "thought": record.thought,
-                    "error_type": None,
-                    "feedback": None,
-                    "new_action": serialize_request(record.new_action),
-                    "ts": now(),
-                }
-            )
-        )
+        message = record.error_message
+        lines.append(line(
+            "dynamic", record.iteration,
+            action=serialize_request(record.action),
+            observation={
+                "status": record.response.status,
+                "body": record.response.body,
+                "error_message": message.text if message is not None else None,
+            },
+            thought=record.thought,
+            new_action=serialize_request(record.new_action),
+        ))
     return lines
 
 

@@ -84,10 +84,6 @@ class ApiRequest:
         if len(dict(self.args)) != len(self.args):
             raise ValueError("duplicate argument key")
 
-    @property
-    def arg_names(self) -> tuple[str, ...]:
-        return tuple(k for k, _ in self.args)
-
 
 @dataclass(frozen=True)
 class ParseOutcome:

@@ -497,7 +497,6 @@ class RetrievedMessage:
     """The documentation text retrieved for a failing API response."""
 
     text: str
-    source_api: str
     similarity: float
 
     def __post_init__(self):
@@ -520,4 +519,4 @@ def retrieve_error_message(
         sim = float(np.dot(query_vec, chunk.vector))
         if sim > best_sim:
             best, best_sim = chunk, sim
-    return RetrievedMessage(best.text, api_name, min(1.0, max(0.0, best_sim)))
+    return RetrievedMessage(best.text, min(1.0, max(0.0, best_sim)))

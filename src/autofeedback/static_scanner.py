@@ -250,72 +250,63 @@ _LOCATE = {
     "E4": "The error is in the parameter value {offending}.",
 }
 
-# E1 has no earlier stage to rule out.
-_EXCLUDE = {
-    ErrorType.E2_1: "The request format itself is correct.",
-    ErrorType.E2_2: "The API name is not a selection error.",
-    ErrorType.E2_3: "The API name is not a selection error or a formatting error.",
+# The Exclude and Suggest parts for each error that ``detect`` finds (E1
+# has no Exclude). E4.other, right types but wrong values, is a label of
+# ``classify_against_truth`` only and has no feedback.
+_FEEDBACK = {
+    ErrorType.E1: (
+        None,
+        "Your output did not contain a parseable API request in the format"
+        " APINAME(key1=value1, key2=value2, ...).",
+    ),
+    ErrorType.E2_1: (
+        "The request format itself is correct.",
+        "'{offending}' exists in the documentation but does not match the"
+        " user instruction; you selected the wrong API.",
+    ),
+    ErrorType.E2_2: (
+        "The API name is not a selection error.",
+        "'{offending}' uses the wrong naming format; the documented API"
+        " is named '{suggested}'.",
+    ),
+    ErrorType.E2_3: (
+        "The API name is not a selection error or a formatting error.",
+        "'{offending}' does not exist; the semantically closest documented"
+        " API is '{suggested}'.",
+    ),
     ErrorType.E2_OTHER: (
         "The API name is not a selection error, a formatting error, or a"
-        " semantically similar name."
+        " semantically similar name.",
+        "'{offending}' does not appear in the API documentation.",
     ),
-    ErrorType.E3_1: "The API name is correct.",
-    ErrorType.E3_2: "The parameter name is not a selection error.",
+    ErrorType.E3_1: (
+        "The API name is correct.",
+        "'{offending}' is a parameter of a different API, not of the API"
+        " you called.",
+    ),
+    ErrorType.E3_2: (
+        "The parameter name is not a selection error.",
+        "'{offending}' uses the wrong naming format; the documented"
+        " parameter is named '{suggested}'.",
+    ),
     ErrorType.E3_3: (
-        "The parameter name is not a selection error or a formatting error."
+        "The parameter name is not a selection error or a formatting error.",
+        "'{offending}' is not documented; the semantically closest"
+        " documented parameter is '{suggested}'.",
     ),
     ErrorType.E3_OTHER: (
         "The parameter name is not a selection error, a formatting error, or a"
-        " semantically similar name."
-    ),
-    ErrorType.E4_1: "The API name and all parameter names are correct.",
-    ErrorType.E4_OTHER: (
-        "The API name, the parameter names, and the value types are correct."
-    ),
-}
-
-# In the E4 family the description of the documented parameter guides the fix.
-_SUGGEST_VALUE = (
-    "The value {offending} does not match the documented parameter type."
-    " Parameter description: {description}"
-)
-_SUGGEST = {
-    ErrorType.E1: (
-        "Your output did not contain a parseable API request in the format"
-        " APINAME(key1=value1, key2=value2, ...)."
-    ),
-    ErrorType.E2_1: (
-        "'{offending}' exists in the documentation but does not match the"
-        " user instruction; you selected the wrong API."
-    ),
-    ErrorType.E2_2: (
-        "'{offending}' uses the wrong naming format; the documented API"
-        " is named '{suggested}'."
-    ),
-    ErrorType.E2_3: (
-        "'{offending}' does not exist; the semantically closest documented"
-        " API is '{suggested}'."
-    ),
-    ErrorType.E2_OTHER: "'{offending}' does not appear in the API documentation.",
-    ErrorType.E3_1: (
-        "'{offending}' is a parameter of a different API, not of the API"
-        " you called."
-    ),
-    ErrorType.E3_2: (
-        "'{offending}' uses the wrong naming format; the documented"
-        " parameter is named '{suggested}'."
-    ),
-    ErrorType.E3_3: (
-        "'{offending}' is not documented; the semantically closest"
-        " documented parameter is '{suggested}'."
-    ),
-    ErrorType.E3_OTHER: (
+        " semantically similar name.",
         "No documented parameter of the called API matches '{offending}'."
         " If the documentation lists '{offending}' as required, include"
-        " it; otherwise remove or replace it."
+        " it; otherwise remove or replace it.",
     ),
-    ErrorType.E4_1: _SUGGEST_VALUE,
-    ErrorType.E4_OTHER: _SUGGEST_VALUE,
+    # The description of the documented parameter guides the fix.
+    ErrorType.E4_1: (
+        "The API name and all parameter names are correct.",
+        "The value {offending} does not match the documented parameter type."
+        " Parameter description: {description}",
+    ),
 }
 
 # Follows the Suggest part of a wrong or unknown API name when the API most
@@ -328,17 +319,19 @@ def render_feedback(finding: DetectionFinding) -> str:
     suggest, regenerate) for a non-empty finding as one string.
 
     Declare and Regenerate are always present; Exclude is omitted for the
-    parse error, which has no earlier stage to rule out.
+    parse error, which has no earlier stage to rule out. A clean finding
+    (``NONE``) and E4.other, which ``detect`` never finds, have no feedback.
     """
     e = finding.error_type
-    if e is ErrorType.NONE:
-        raise NoErrorFindingError("cannot render feedback for a clean request")
+    if e not in _FEEDBACK:
+        raise NoErrorFindingError(f"no feedback for error type {e.value!r}")
 
     offending = finding.offending_name
+    exclude, suggest = _FEEDBACK[e]
     parts = [DECLARE_SENTENCE, _LOCATE[e.family].format(offending=offending)]
-    if e in _EXCLUDE:
-        parts.append(_EXCLUDE[e])
-    suggest = _SUGGEST[e].format(
+    if exclude is not None:
+        parts.append(exclude)
+    suggest = suggest.format(
         offending=offending,
         suggested=finding.suggested_name,
         description=finding.param_description,

@@ -223,7 +223,7 @@ class Corruptor:
                 for a in self.doc.apis
                 if a.name != api.name
                 for p in a.params
-                if p.name not in api.param_names
+                if p.name not in api.params_by_name
             }
         )
         key = self.rng.choice(foreign)
@@ -270,11 +270,10 @@ class Corruptor:
             if rest and max(rest) >= score:
                 continue
             req = base_request(api, self.rng)
-            if param_name not in req.arg_names:
+            if param_name not in dict(req.args):
+                value_type = api.params_by_name[param_name].value_type
                 req = ApiRequest(
-                    req.name,
-                    req.args
-                    + ((param_name, sample_value(api.param(param_name).value_type, self.rng)),),
+                    req.name, req.args + ((param_name, sample_value(value_type, self.rng)),)
                 )
             text = serialize_request(self._replace_key(req, param_name, variant))
             return self._case(
@@ -286,7 +285,7 @@ class Corruptor:
     def e4_1(self, api: ApiSpec) -> CorruptCase:
         req = base_request(api, self.rng)
         victim = self.rng.choice([k for k, _ in req.args])
-        param = api.param(victim)
+        param = api.params_by_name[victim]
         bad = _incompatible_value(param.value_type, self.rng)
         args = tuple((k, bad if k == victim else v) for k, v in req.args)
         text = serialize_request(ApiRequest(req.name, args))
@@ -338,7 +337,7 @@ class MultiFaultBuilder:
 
     def _corrupt_value_at(self, api: ApiSpec, req: ApiRequest, index: int) -> ApiRequest:
         key, _ = req.args[index]
-        bad = _incompatible_value(api.param(key).value_type, self.rng)
+        bad = _incompatible_value(api.params_by_name[key].value_type, self.rng)
         args = tuple(
             (k, bad if i == index else v) for i, (k, v) in enumerate(req.args)
         )
@@ -379,8 +378,8 @@ class MultiFaultBuilder:
                     for a in self.doc.apis
                     if a.name != api.name
                     for p in a.params
-                    if p.name not in api.param_names
-                    and p.name not in req.arg_names
+                    if p.name not in api.params_by_name
+                    and p.name not in dict(req.args)
                 }
             )
             new_key = self.rng.choice(foreign)

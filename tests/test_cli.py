@@ -1,5 +1,7 @@
 import argparse
+import io
 import json
+import sys
 from collections import Counter
 from pathlib import Path
 
@@ -310,6 +312,28 @@ def test_a_lone_surrogate_in_a_reply_loses_no_log(tmp_path):
     first = (logs / "zz-bad-0.jsonl").read_text(encoding="utf-8").splitlines()[0]
     assert json.loads(first)["action"] == reply
     assert run_cli("report", "--log-dir", str(logs)) == 0
+
+
+def test_run_and_report_write_a_lone_surrogate_as_its_escape(tmp_path, monkeypatch):
+    # pytest's capture takes any text; a file or pipe in UTF-8 takes no lone surrogate.
+    stdout = io.TextIOWrapper(io.BytesIO(), encoding="utf-8", errors="strict")
+    monkeypatch.setattr(sys, "stdout", stdout)
+    final = 'userLogin(username="k\ud800", days=3)'
+    script_file = tmp_path / "script.json"
+    script_file.write_text(
+        json.dumps([wrap('userLogin(username="kate", days="k\ud800")'), wrap(final)])
+    )
+    logs = tmp_path / "logs"
+    assert run_cli(
+        "run", INSTRUCTION, "--doc", str(FIXTURE_DOC), "--script-file", str(script_file),
+        "--log-dir", str(logs), "--task-id", "t1",
+    ) == 0
+    assert run_cli("report", "--log-dir", str(logs)) == 0
+    assert stdout.errors == "strict"
+    stdout.flush()
+    out = stdout.buffer.getvalue().decode("utf-8")
+    assert 'final request: userLogin(username="k\\ud800", days=3)' in out
+    assert 'The error is in the parameter value "k\\ud800".' in out.split("feedback: ")[1]
 
 
 def test_bench_duplicate_task_id_exits_2(tmp_path, capsys):

@@ -231,7 +231,7 @@ def test_prompt_single_turn():
 
 
 def test_prompt_renders_history_then_current():
-    message = RetrievedMessage("Longitude precedes latitude.", "route_planning", 0.9)
+    message = RetrievedMessage("Longitude precedes latitude.", 0.9)
     record = FeedbackRecord(
         0, req(REVERSED), ApiResponse(200, "info_code:20000"), message,
         "swap the order", req(CORRECT),
@@ -246,7 +246,7 @@ def test_prompt_renders_history_then_current():
 
 
 def test_prompt_includes_retrieved_message_text():
-    message = RetrievedMessage("Longitude precedes latitude.", "route_planning", 0.9)
+    message = RetrievedMessage("Longitude precedes latitude.", 0.9)
     prompt = assemble_react_prompt(
         [], req(REVERSED), (ApiResponse(200, "info_code:20000"), message)
     )

@@ -384,7 +384,6 @@ def test_retrieve_error_message_for_info_code(doc, model, chunk_index):
     message = retrieve_error_message("route_planning", query, chunk_index, model)
     assert message is not None
     assert "Longitude precedes latitude" in message.text
-    assert message.source_api == "route_planning"
     assert 0.0 <= message.similarity <= 1.0
 
 

@@ -432,8 +432,10 @@ def test_feedback_always_quotes_offending_content(doc, model):
 
 
 def test_render_none_raises(doc):
-    with pytest.raises(NoErrorFindingError):
-        render_feedback(DetectionFinding(ErrorType.NONE))
+    # E4.other is a classify label only: detect never finds it, so it has no text.
+    for error_type in (ErrorType.NONE, ErrorType.E4_OTHER):
+        with pytest.raises(NoErrorFindingError):
+            render_feedback(DetectionFinding(error_type, "9", param_description=DAYS))
 
 
 RELEVANT = RelevantSet((("list_medicines", 0.8),))
@@ -534,15 +536,6 @@ DAYS = "Number of days the login session stays valid."
             "valid. Please regenerate the API request between <<API>> and <</API>>.",
             id="E4.1",
         ),
-        pytest.param(
-            DetectionFinding(ErrorType.E4_OTHER, "9", param_description=DAYS),
-            "The API request you generated contains an error. The error is in the "
-            "parameter value 9. The API name, the parameter names, and the value "
-            "types are correct. The value 9 does not match the documented parameter "
-            "type. Parameter description: Number of days the login session stays "
-            "valid. Please regenerate the API request between <<API>> and <</API>>.",
-            id="E4.other",
-        ),
     ],
 )
 def test_feedback_text_per_error_type(finding, expected):
@@ -611,7 +604,7 @@ def test_index_lookups_equal_linear_scans(raw, data, threshold):
         in_classify = oracle_match_name(probe, raw, [truth.name], score, threshold)
     else:
         probe = data.draw(
-            st.sampled_from(_PROBE_KEYS).filter(lambda k: k not in truth_api.param_names)
+            st.sampled_from(_PROBE_KEYS).filter(lambda k: k not in truth_api.params_by_name)
         )
         request = ApiRequest(truth.name, ((probe, "x"),))
         in_detect = in_classify = oracle_match_param(probe, truth.name, raw, score, threshold)
