@@ -7,7 +7,9 @@ The documentation file format is JSON:
                                "description": str, "required": bool}],
                "exceptions": [{"code": str, "message": str}]}]}
 
-where ``type`` is one of ``string int float list tuple dict bool``.
+where ``type`` is one of ``string int float list tuple dict bool``. A
+missing ``description`` is empty; an exception ``code`` may also be a
+number, and is kept as its ``str()``.
 """
 
 from __future__ import annotations
@@ -144,13 +146,15 @@ def _load_param(raw: object, path: str) -> ParamSpec:
     if not isinstance(name, str) or not name:
         raise SchemaError("parameter name must be a non-empty string", f"{path}.name")
     type_str = _require(raw, "type", path)
-    if type_str not in _VALUE_TYPES:
+    if not isinstance(type_str, str) or type_str not in _VALUE_TYPES:
         raise SchemaError(f"unknown value type {type_str!r}", f"{path}.type")
     description = raw.get("description", "")
+    if not isinstance(description, str):
+        raise SchemaError("description must be a string", f"{path}.description")
     required = raw.get("required", True)
     if not isinstance(required, bool):
         raise SchemaError("required must be a boolean", f"{path}.required")
-    return ParamSpec(name, _VALUE_TYPES[type_str], str(description), required)
+    return ParamSpec(name, _VALUE_TYPES[type_str], description, required)
 
 
 def _load_api(raw: object, path: str) -> ApiSpec:
@@ -171,6 +175,9 @@ def _load_api(raw: object, path: str) -> ApiSpec:
             raise SchemaError(
                 f"duplicate parameter name {pname!r}", f"{path}.parameters[{i}]"
             )
+    description = raw.get("description", "")
+    if not isinstance(description, str):
+        raise SchemaError("description must be a string", f"{path}.description")
     exceptions = raw.get("exceptions", [])
     if not isinstance(exceptions, list):
         raise SchemaError("exceptions must be a list", f"{path}.exceptions")
@@ -180,8 +187,11 @@ def _load_api(raw: object, path: str) -> ApiSpec:
             raise SchemaError(
                 "exception must have code and message", f"{path}.exceptions[{i}]"
             )
-        excs.append((str(e["code"]), str(e["message"])))
-    return ApiSpec(name, str(raw.get("description", "")), specs, tuple(excs))
+        message = e["message"]
+        if not isinstance(message, str):
+            raise SchemaError("message must be a string", f"{path}.exceptions[{i}].message")
+        excs.append((str(e["code"]), message))
+    return ApiSpec(name, description, specs, tuple(excs))
 
 
 def load_document(source: str | Path) -> ApiDocument:

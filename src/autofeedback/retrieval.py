@@ -14,7 +14,9 @@ import math
 import re
 import threading
 from abc import ABC, abstractmethod
+from collections import Counter
 from dataclasses import dataclass
+from itertools import chain
 from typing import Callable, Iterable, Sequence
 
 import numpy as np
@@ -40,7 +42,8 @@ __all__ = [
     "split_sentences",
 ]
 
-_TOKEN = re.compile(r"[a-z0-9]+")
+# Byte -> itself for 0-9 and a-z, -> space for every other byte.
+_TABLE = bytes(b if b in b"0123456789abcdefghijklmnopqrstuvwxyz" else 32 for b in range(256))
 
 # TfidfSimilarity.ranker ranks at least this many texts over numpy posting
 # arrays and fewer over dicts: below it the arrays' fixed cost per query
@@ -50,8 +53,15 @@ ARRAY_RANKING_MIN_TEXTS = 72
 
 def tokenize(text: str) -> list[str]:
     """The maximal runs of ``[a-z0-9]`` in ``text.lower()``, in order:
-    every other character separates tokens."""
-    return _TOKEN.findall(text.lower())
+    every other character separates tokens.
+
+    Each step runs in C. The ``ascii`` encoding with ``replace`` keeps every
+    ASCII character as its byte and turns every other code point, lone
+    surrogates included, into one ``?``; ``_TABLE`` then turns every byte
+    but ``0-9a-z`` into a space, and ``split`` cuts at the spaces. So a
+    token is a maximal run of ``[a-z0-9]`` characters, as a regex
+    ``findall`` of ``[a-z0-9]+`` over ``text.lower()`` gives."""
+    return text.lower().encode("ascii", "replace").translate(_TABLE).decode("ascii").split()
 
 
 class SimilarityModel(ABC):
@@ -95,12 +105,11 @@ class TfidfSimilarity(SimilarityModel):
     def __init__(self, corpus: Iterable[str]):
         docs = [set(tokenize(text)) for text in corpus]
         self._n_docs = len(docs)
-        df: dict[str, int] = {}
-        for doc in docs:
-            for token in doc:
-                df[token] = df.get(token, 0) + 1
+        df = Counter(chain.from_iterable(docs))
         self._vocab = {t: i for i, t in enumerate(sorted(df))}
-        self._idf = {t: self._idf_value(count) for t, count in df.items()}
+        # The idf depends on the count alone: one float per distinct count.
+        idf_of = {count: self._idf_value(count) for count in set(df.values())}
+        self._idf = {t: idf_of[count] for t, count in df.items()}
         self._unseen_idf = self._idf_value(0)
 
     def _idf_value(self, df: int) -> float:

@@ -74,6 +74,22 @@ def test_run_happy_path(tmp_path, capsys):
     assert summary["tasks"][0]["satisfied"] is True
 
 
+@pytest.mark.parametrize(
+    "param, where",
+    [
+        ({"name": "p", "type": ["string"]}, "apis[0].parameters[0].type"),
+        ({"name": "p", "type": "int", "description": None}, "apis[0].parameters[0].description"),
+    ],
+)
+def test_run_doc_with_bad_field_exits_2(tmp_path, capsys, param, where):
+    bad = tmp_path / "bad.json"
+    bad.write_text(json.dumps({"apis": [{"name": "a", "parameters": [param]}]}), encoding="utf-8")
+    code = run_cli("run", "do a", "--doc", str(bad), "--script", "x", "--log-dir", str(tmp_path / "logs"))
+    assert code == 2
+    assert where in capsys.readouterr().err
+    assert not (tmp_path / "logs").exists()
+
+
 def test_run_missing_doc_exits_2(tmp_path, capsys):
     code = run_cli(
         "run", INSTRUCTION,

@@ -33,24 +33,63 @@ def test_load_from_json_text():
 
 
 def test_unknown_value_type_rejected():
-    text = json.dumps(
-        {
-            "apis": [
-                {
-                    "name": "a",
-                    "description": "",
-                    "parameters": [
-                        {"name": "when", "type": "datetime", "description": "", "required": True}
-                    ],
-                    "exceptions": [],
-                }
-            ]
-        }
-    )
+    # A list or an object is unhashable: it must not reach the type table.
+    for value_type in ("datetime", ["string"], {}):
+        text = json.dumps(
+            {
+                "apis": [
+                    {
+                        "name": "a",
+                        "description": "",
+                        "parameters": [
+                            {"name": "when", "type": value_type, "description": "", "required": True}
+                        ],
+                        "exceptions": [],
+                    }
+                ]
+            }
+        )
+        with pytest.raises(SchemaError) as exc_info:
+            load_document(text)
+        assert repr(value_type) in str(exc_info.value)
+        assert "apis[0].parameters[0].type" in str(exc_info.value)
+
+
+@pytest.mark.parametrize("value", [None, ["text"], 3])
+@pytest.mark.parametrize(
+    "place, path",
+    [
+        ("api", "apis[0].description"),
+        ("param", "apis[0].parameters[0].description"),
+        ("exception", "apis[0].exceptions[0].message"),
+    ],
+)
+def test_non_string_text_rejected(place, path, value):
+    # Stored as its str(), a null would reach the prompt and the TF-IDF
+    # vocabulary as the text "None".
+    api = {
+        "name": "a",
+        "description": "d",
+        "parameters": [{"name": "p", "type": "int", "description": "pd"}],
+        "exceptions": [{"code": "401", "message": "m"}],
+    }
+    target = {"api": api, "param": api["parameters"][0], "exception": api["exceptions"][0]}
+    target[place]["message" if place == "exception" else "description"] = value
     with pytest.raises(SchemaError) as exc_info:
-        load_document(text)
-    assert "datetime" in str(exc_info.value)
-    assert "apis[0].parameters[0].type" in str(exc_info.value)
+        load_document(json.dumps({"apis": [api]}))
+    assert path in str(exc_info.value)
+
+
+def test_missing_description_and_numeric_code_load():
+    api = {
+        "name": "a",
+        "parameters": [{"name": "p", "type": "int"}],
+        "exceptions": [{"code": 401, "message": "Invalid credentials."}],
+    }
+    [loaded] = load_document(json.dumps({"apis": [api]})).apis
+    assert loaded.description == ""
+    assert loaded.params[0].description == ""
+    assert loaded.exceptions == (("401", "Invalid credentials."),)
 
 
 def test_duplicate_api_name_rejected():

@@ -177,14 +177,43 @@ def test_top_k_keeps_the_highest_scores_first_and_ties_in_doc_order(scores):
         assert got.entries == tuple((f"api_{i}", scores[i]) for i in ranked[:k])
 
 
+# Every code point, lone surrogates (category Cs) included; st.text()
+# leaves those out, and they are rare among all code points, so they are
+# also drawn on their own.
+_ANY_CHAR = st.one_of(
+    st.characters(exclude_categories=()), st.characters(categories=["Cs"])
+)
+
+
 @settings(max_examples=500, deadline=None)
-@given(st.text())
+@given(st.text(_ANY_CHAR))
 @example("\u0130stanbul \u212aelvin \ufb01le Stra\u00dfe \u017fo x2_Y3")
+@example("ab\ud800cd \udfff9 \ud83d\ude00x")
+@example("a\x00b\x00\x7f\x80c")
+@example("a\U0001f600b \U00010400x \U0001d41a9")
 def test_tokenize_equals_split_and_filter(text):
     # lower() may turn one character into several ("\u0130" into "i" and
     # a combining dot) or into ASCII (the Kelvin sign into "k"), and keeps
-    # others that match [a-z] only under re.IGNORECASE (the long s).
+    # others that match [a-z] only under re.IGNORECASE (the long s). The
+    # ascii encoding turns each lone surrogate and each character outside
+    # the BMP ("\U00010400" lowers to "\U00010428") into one separator.
     assert tokenize(text) == oracle_tokens(text)
+
+
+_CORPUS_TEXT = st.one_of(
+    st.lists(
+        st.sampled_from(("route", "Plan", "a", "2", "x1", "DRIVE", "caf\u00e9")), max_size=6
+    ).map(" ".join),
+    st.text(_ANY_CHAR, max_size=12),
+)
+
+
+@settings(max_examples=200, deadline=None)
+@given(st.lists(_CORPUS_TEXT, max_size=8), _CORPUS_TEXT, _CORPUS_TEXT)
+def test_fit_score_equals_oracle_exactly(corpus, a, b):
+    # Exact, not approximate: the counted document frequencies and the idf
+    # float shared by every token of one count give the oracle's floats.
+    assert TfidfSimilarity(corpus).score(a, b) == oracle_tfidf_score(a, b, corpus)
 
 
 _WORDS = ("route", "plan", "driving", "Weather", "city", "alarm", "stock", "a", "2")

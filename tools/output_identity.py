@@ -14,7 +14,12 @@ and 41. Prints one SHA-256 per part:
 - ``request``: each result's final request, serialized (``null`` for none);
 - ``logs``: every file of each round's log directory (the session JSONL,
   ``summary.json``, ``report.json``), name and bytes;
-- ``labels``: every classify label.
+- ``labels``: every classify label;
+- ``fit``: the bytes of ``default_similarity(doc).embed(text)`` (the
+  model perfbench's set-up fits) for the corpus text of every API of
+  every workload document, so that a change to the fitted model that
+  moves an idf float or a vocabulary index shows even where no result,
+  log or label moves.
 
 Then the counts of sessions, of sessions without a final request, of LLM
 calls and of tokens, and three figures of the package's size: its lines
@@ -40,12 +45,22 @@ CLOCK = "2024-01-01T00:00:00+00:00"
 SEEDS = (1, 41)
 
 
+def _fit(docs, models, digests):
+    from autofeedback.retrieval import api_documentation_text
+
+    for doc, model in zip(docs, models):
+        for a in doc.apis:
+            text = f"{a.name}\n{api_documentation_text(a)}"
+            digests["fit"].update(model.embed(text).tobytes())
+
+
 def _sessions(workloads, orchestrator, name, seed, work, digests, counts):
     from autofeedback.gateways import MockApiServer, ScriptedLlm
     from autofeedback.request_codec import serialize_request
 
     workload = workloads.build(name, seed, work)
     docs, models = workloads.set_up(workload.doc_paths)
+    _fit(docs, models, digests)
     model_of = {id(d): m for d, m in zip(docs, models)}
     for index, sessions in enumerate(workload.rounds):
         doc_of = {s.task_id: s.doc for s in sessions}
@@ -88,6 +103,7 @@ def _labels(workloads, seed, work, digests):
 
     workload = workloads.build("classify-large-doc", seed, work)
     [doc], [model] = workloads.set_up(workload.doc_paths)
+    _fit([doc], [model], digests)
     for samples in workload.passes:
         for sample in samples:
             label = classify_against_truth(
@@ -130,7 +146,7 @@ def main() -> int:
     import workloads
     from autofeedback import orchestrator
 
-    digests = {part: hashlib.sha256() for part in ("results", "request", "logs", "labels")}
+    digests = {part: hashlib.sha256() for part in ("results", "request", "logs", "labels", "fit")}
     counts = dict.fromkeys(("sessions", "no_request", "llm_calls", "tokens"), 0)
     with tempfile.TemporaryDirectory() as tmp:
         for seed in SEEDS:
