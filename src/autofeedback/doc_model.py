@@ -9,12 +9,13 @@ The documentation file format is JSON:
 
 where ``type`` is one of ``string int float list tuple dict bool``. A
 missing ``description`` is empty; an exception ``code`` may also be a
-number, and is kept as its ``str()``.
+finite number (not a boolean), and is kept as its ``str()``.
 """
 
 from __future__ import annotations
 
 import json
+import math
 import re
 from dataclasses import dataclass, field
 from enum import Enum
@@ -190,7 +191,12 @@ def _load_api(raw: object, path: str) -> ApiSpec:
         message = e["message"]
         if not isinstance(message, str):
             raise SchemaError("message must be a string", f"{path}.exceptions[{i}].message")
-        excs.append((str(e["code"]), message))
+        code = e["code"]
+        if type(code) not in (str, int, float) or (type(code) is float and not math.isfinite(code)):
+            raise SchemaError(
+                "code must be a string or a number", f"{path}.exceptions[{i}].code"
+            )
+        excs.append((str(code), message))
     return ApiSpec(name, description, specs, tuple(excs))
 
 

@@ -29,10 +29,9 @@ __all__ = [
 
 @dataclass(frozen=True)
 class FeedbackRecord:
-    """One loop iteration: what was sent, what came back, what the LLM
-    thought, and what it sent next."""
+    """One loop iteration, at its index in the records: what was sent, what
+    came back, what the LLM thought, and what it sent next."""
 
-    iteration: int
     action: ApiRequest
     response: ApiResponse
     error_message: RetrievedMessage | None
@@ -171,7 +170,6 @@ def run_dynamic_loop(
             new_request = request  # failed iteration: resend the old request
         records.append(
             FeedbackRecord(
-                iteration=len(records),
                 action=request,
                 response=response,
                 error_message=message,

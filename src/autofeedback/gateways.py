@@ -283,23 +283,18 @@ class HttpApiExecutor(ApiExecutor):
                     placeholder, quote(_wire_value(args.pop(key)), safe="")
                 )
         url = self._base_url + path
-        is_get = method.upper() == "GET"
+        method = method.upper()
+        if method == "GET":
+            kwargs = {"params": {k: _wire_value(v) for k, v in args.items()}}
+        else:
+            kwargs = {
+                "data": json.dumps(args),
+                "headers": {"Content-Type": "application/json"},
+            }
 
         def send() -> requests.Response:
-            if is_get:
-                return requests.get(
-                    url,
-                    params={k: _wire_value(v) for k, v in args.items()},
-                    timeout=HTTP_TIMEOUT,
-                )
-            return requests.request(
-                method.upper(),
-                url,
-                data=json.dumps(args),
-                headers={"Content-Type": "application/json"},
-                timeout=HTTP_TIMEOUT,
-            )
+            return requests.request(method, url, timeout=HTTP_TIMEOUT, **kwargs)
 
         # A 5xx answer is an API response like any other: returned, not retried.
-        response = _send_with_retries(send, url, idempotent=is_get)
+        response = _send_with_retries(send, url, idempotent=(method == "GET"))
         return ApiResponse(response.status_code, response.text)

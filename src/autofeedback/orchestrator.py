@@ -9,6 +9,7 @@ import os
 from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass, field
 from datetime import datetime, timezone
+from functools import partial
 from pathlib import Path
 from typing import Callable, Sequence
 
@@ -58,7 +59,6 @@ __all__ = [
     "prepare_document",
     "run_task",
     "render_doc_prompt",
-    "system_message",
     "opening_messages",
     "echo_executor",
     "BenchTask",
@@ -92,9 +92,8 @@ class PipelineConfig:
 
 @dataclass
 class StaticEvent:
-    """One generation attempt in the static loop."""
+    """One generation attempt in the static loop, at its index in the log."""
 
-    iteration: int
     llm_output_raw: str
     outcome: ParseOutcome
     finding: DetectionFinding
@@ -188,11 +187,6 @@ def render_doc_prompt(doc: ApiDocument) -> str:
     return "\n\n".join(blocks)
 
 
-def system_message(doc: ApiDocument) -> ChatMessage:
-    """The system turn: the preamble followed by the rendered documentation."""
-    return ChatMessage("system", SYSTEM_PREAMBLE + "\n\n" + render_doc_prompt(doc))
-
-
 def opening_messages(system: ChatMessage, instruction: str) -> list[ChatMessage]:
     """The conversation the first generation sees: the system turn and the
     user's instruction with the request to generate."""
@@ -214,7 +208,7 @@ def prepare_document(doc: ApiDocument, model: SimilarityModel) -> PreparedDoc:
         build_chunk_index(doc, model, CHUNK_THRESHOLD),
         model.ranker([api.description for api in doc.apis]),
         model.ranker(doc.api_names),
-        system_message(doc),
+        ChatMessage("system", SYSTEM_PREAMBLE + "\n\n" + render_doc_prompt(doc)),
     )
 
 
@@ -255,7 +249,7 @@ def run_task(
             messages.append(ChatMessage("assistant", reply.text))
             outcome = parse_llm_output(reply.text)
             finding = detect(outcome, relevant, prepared, config.threshold)
-            event = StaticEvent(attempt, reply.text, outcome, finding)
+            event = StaticEvent(reply.text, outcome, finding)
             log.static_events.append(event)
             if finding.error_type is ErrorType.NONE or attempt == config.max_static:
                 break
@@ -315,16 +309,13 @@ class BenchTask:
         return outcome.request
 
 
+def _echo(name: str, args: dict) -> ApiResponse:
+    return ApiResponse(200, json.dumps({"api": name, "args": str(args)}))
+
+
 def echo_executor(doc: ApiDocument) -> MockApiServer:
     """Success-echo double: known APIs answer 200 with the argument dict."""
-
-    def _handler_for(name: str):
-        def handler(args):
-            return ApiResponse(200, json.dumps({"api": name, "args": str(args)}))
-
-        return handler
-
-    return MockApiServer({api.name: _handler_for(api.name) for api in doc.apis})
+    return MockApiServer({api.name: partial(_echo, api.name) for api in doc.apis})
 
 
 def task_llm(task: BenchTask, remote: LlmClient | None = None) -> LlmClient:
@@ -494,7 +485,7 @@ def _write_bytes(path: str | Path, data: bytes) -> None:
 def session_log_lines(
     log: SessionLog, clock: Callable[[], str] | None = None
 ) -> list[str]:
-    """Serialize one session as JSONL event lines (static then dynamic)."""
+    """A session's JSONL event lines, static then dynamic, each phase numbered from 0."""
     now = clock or _utc_now
 
     def line(phase: str, iteration: int, **fields) -> str:
@@ -504,10 +495,10 @@ def session_log_lines(
         })
 
     lines = []
-    for event in log.static_events:
+    for iteration, event in enumerate(log.static_events):
         error_type = event.finding.error_type
         lines.append(line(
-            "static", event.iteration,
+            "static", iteration,
             action=(
                 serialize_request(event.outcome.request)
                 if event.outcome.ok
@@ -516,10 +507,10 @@ def session_log_lines(
             error_type=error_type.value if error_type is not ErrorType.NONE else None,
             feedback=event.feedback_text,
         ))
-    for record in log.dynamic_records:
+    for iteration, record in enumerate(log.dynamic_records):
         message = record.error_message
         lines.append(line(
-            "dynamic", record.iteration,
+            "dynamic", iteration,
             action=serialize_request(record.action),
             observation={
                 "status": record.response.status,

@@ -50,6 +50,8 @@ _TABLE = bytes(b if b in b"0123456789abcdefghijklmnopqrstuvwxyz" else 32 for b i
 # outweighs the postings they save (measured by tools/rank_crossover.py).
 ARRAY_RANKING_MIN_TEXTS = 72
 
+_Postings = dict[str, list[tuple[int, float]]]
+
 
 def tokenize(text: str) -> list[str]:
     """The maximal runs of ``[a-z0-9]`` in ``text.lower()``, in order:
@@ -181,12 +183,12 @@ class TfidfSimilarity(SimilarityModel):
         """
         weights = [self._weights(text) for text in texts]
         norms = [_norm(w) for w in weights]
-        if len(weights) >= ARRAY_RANKING_MIN_TEXTS:
-            return self._array_ranker(weights, norms)
-        postings: dict[str, list[tuple[int, float]]] = {}
+        postings: _Postings = {}
         for i, wb in enumerate(weights):
             for token, w in wb.items():
                 postings.setdefault(token, []).append((i, w))
+        if len(weights) >= ARRAY_RANKING_MIN_TEXTS:
+            return self._array_ranker(weights, norms, postings)
 
         def rank(query: str) -> list[float]:
             wa = self._weights(query)
@@ -207,7 +209,7 @@ class TfidfSimilarity(SimilarityModel):
         return rank
 
     def _array_ranker(
-        self, weights: list[dict[str, float]], norms: list[float]
+        self, weights: list[dict[str, float]], norms: list[float], postings: _Postings
     ) -> Callable[[str], list[float]]:
         """``ranker`` over numpy postings: per token, the indices of the
         texts holding it and their weights. A query gathers its tokens'
@@ -215,16 +217,10 @@ class TfidfSimilarity(SimilarityModel):
         numpy calls in place of one Python step per posting. It holds the
         postings, one norm and one token count a text: no weights dict."""
         n = len(weights)
-        indices: dict[str, list[int]] = {}
-        values: dict[str, list[float]] = {}
-        for i, wb in enumerate(weights):
-            for token, w in wb.items():
-                indices.setdefault(token, []).append(i)
-                values.setdefault(token, []).append(w)
-        postings = {
-            token: (np.array(ix, dtype=np.intp), np.array(values[token]))
-            for token, ix in indices.items()
-        }
+        arrays = {}
+        for token, pairs in postings.items():
+            ix, ws = zip(*pairs)
+            arrays[token] = (np.array(ix, dtype=np.intp), np.array(ws))
         divisors = np.array([norm or 1.0 for norm in norms])
         sizes = np.array([len(wb) for wb in weights])
 
@@ -232,7 +228,7 @@ class TfidfSimilarity(SimilarityModel):
             wa = self._weights(query)
             ixs, ws, qw, lengths = [], [], [], []
             for token, w in wa.items():
-                posting = postings.get(token)
+                posting = arrays.get(token)
                 if posting is not None:
                     ixs.append(posting[0])
                     ws.append(posting[1])
@@ -397,7 +393,6 @@ def split_sentences(text: str) -> list[str]:
 class Chunk:
     """A block of semantically adjacent sentences from one API's docs."""
 
-    api_name: str
     sentences: tuple[str, ...]
     text: str
     vector: np.ndarray
@@ -452,7 +447,7 @@ def _chunk_api(
     chunks = []
     for group in groups:
         text = " ".join(group)
-        chunks.append(Chunk(api.name, tuple(group), text, model.embed(text)))
+        chunks.append(Chunk(tuple(group), text, model.embed(text)))
     return tuple(chunks)
 
 

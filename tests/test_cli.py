@@ -662,7 +662,7 @@ def test_classify_http_asks_the_pipeline_question(
     monkeypatch.setattr(cli, "HttpLlmClient", counted("client", cli.HttpLlmClient))
     # prepare_document renders each distinct doc's system message once.
     monkeypatch.setattr(
-        orchestrator, "system_message", counted("system", orchestrator.system_message)
+        orchestrator, "render_doc_prompt", counted("system", orchestrator.render_doc_prompt)
     )
     instructions = [INSTRUCTION, "Start a session for kate."]
     lines = [
@@ -776,6 +776,32 @@ def test_report_skips_events_whose_observation_is_not_an_object(tmp_path, capsys
     captured = capsys.readouterr()
     assert "skipping a.jsonl:2" in captured.err
     assert "dynamic #0: None -> status=200" in captured.out
+
+
+def test_report_of_a_missing_directory_finds_no_sessions(tmp_path, capsys):
+    assert run_cli("report", "--log-dir", str(tmp_path / "none")) == 0
+    assert capsys.readouterr().out == f"no sessions under {tmp_path / 'none'}\n"
+
+
+def test_report_passes_over_blank_lines_and_prints_each_thought(tmp_path, capsys):
+    log_dir = tmp_path / "logs"
+    reversed_route = 'route_planning(origin="116.4,39.9", dest="121.5,31.2")'
+    correct_route = 'route_planning(origin="39.9,116.4", dest="31.2,121.5")'
+    code = run_cli(
+        "run", "Plan a driving route between two map positions.",
+        "--doc", str(FIXTURE_DOC),
+        "--script", wrap(reversed_route), "--script", f"Thought: swap.\n{wrap(correct_route)}",
+        "--ground-truth", correct_route, "--log-dir", str(log_dir), "--task-id", "r",
+    )
+    assert code == 0
+    log_file = log_dir / "r.jsonl"
+    log_file.write_text(log_file.read_text().replace("\n", "\n\n  \n", 1), encoding="utf-8")
+    capsys.readouterr()
+    assert run_cli("report", "--log-dir", str(log_dir)) == 0
+    captured = capsys.readouterr()
+    assert captured.err == ""
+    assert "    thought: swap.\n" in captured.out
+    assert captured.out.index("static #0") < captured.out.index("dynamic #0")
 
 
 @pytest.mark.parametrize(
@@ -951,6 +977,93 @@ def test_an_unreadable_input_file_exits_2_or_is_skipped(tmp_path, capsys, case):
         assert run_cli(*argv) == 2
         assert capsys.readouterr().err.startswith("error: ")
         assert not (tmp_path / "logs").exists()
+
+
+# -- settings and inputs a command cannot use ---------------------------------------
+
+_NO_SCRIPT = {"id": "a", "instruction": INSTRUCTION, "ground_truth": TRUTH}
+
+
+@pytest.mark.parametrize(
+    "files, argv, message",
+    [
+        ({"cfg.json": "[1]"}, ["run", "x", "--config", "{tmp}/cfg.json", "--script", "x"],
+         "config file {tmp}/cfg.json must hold one JSON object"),
+        ({}, ["run", "x", "--doc", str(FIXTURE_DOC), "--script", "x", "--threshold", "1.5"],
+         "invalid pipeline settings: threshold must be in (0, 1)"),
+        ({}, ["run", "x", "--doc", str(FIXTURE_DOC), "--script", "x", "--k", "0"],
+         "invalid pipeline settings: k must be >= 1"),
+        ({}, ["run", "x", "--doc", str(FIXTURE_DOC), "--script", "x", "--max-static", "-1"],
+         "invalid pipeline settings: budgets must be >= 0"),
+        ({}, ["run", "x", "--script", "x"], "--doc is required"),
+        ({}, ["run", "x", "--doc", str(FIXTURE_DOC)],
+         "scripted LLM needs --script or --script-file"),
+        ({}, ["bench", "--doc", str(FIXTURE_DOC)], "--dataset is required"),
+        ({"d.jsonl": json.dumps({**_NO_SCRIPT, "doc": "missing.json"})},
+         ["bench", "--dataset", "{tmp}/d.jsonl"], "dataset line 1: cannot load doc missing.json"),
+        ({"d.jsonl": "\n" + json.dumps(_NO_SCRIPT)}, ["bench", "--dataset", "{tmp}/d.jsonl"],
+         "dataset line 2: no doc given and no --doc"),
+        ({"d.jsonl": "\n  \n\n"}, ["bench", "--doc", str(FIXTURE_DOC), "--dataset", "{tmp}/d.jsonl"],
+         "dataset {tmp}/d.jsonl holds no tasks"),
+    ],
+    ids=[
+        "config-list", "threshold-1.5", "k-0", "max-static--1", "run-no-doc",
+        "run-no-script", "bench-no-dataset", "dataset-doc-unloadable", "dataset-no-doc",
+        "dataset-blank",
+    ],
+)
+def test_an_unusable_setting_or_input_exits_2(tmp_path, capsys, files, argv, message):
+    for name, text in files.items():
+        (tmp_path / name).write_text(text, encoding="utf-8")
+    log_dir = tmp_path / "logs"
+    argv = [arg.format(tmp=tmp_path) for arg in argv]
+    assert run_cli(*argv, "--log-dir", str(log_dir)) == 2
+    assert capsys.readouterr().err.startswith(f"error: {message.format(tmp=tmp_path)}")
+    assert not log_dir.exists()
+
+
+def test_classify_sample_without_script_or_llm_exits_2(tmp_path, capsys):
+    dataset = tmp_path / "d.jsonl"
+    write_dataset(dataset, [{**_NO_SCRIPT, "doc": str(FIXTURE_DOC)}])
+    assert run_cli("classify", "--dataset", str(dataset)) == 2
+    assert "dataset sample 'a' has no recorded output (script)" in capsys.readouterr().err
+
+
+def test_a_null_config_value_leaves_the_default(tmp_path):
+    config_file = tmp_path / "cfg.json"
+    config_file.write_text(json.dumps({"max_static": None, "doc": str(FIXTURE_DOC)}))
+    code = run_cli(
+        "run", INSTRUCTION, "--config", str(config_file), "--script", "never a call",
+        "--log-dir", str(tmp_path / "logs"), "--task-id", "t",
+    )
+    assert code == 1
+    summary = json.loads((tmp_path / "logs" / "summary.json").read_text())
+    assert summary["tasks"][0]["llm_calls"] == 4  # the default budget of 3, plus one
+
+
+def test_a_dataset_line_without_doc_uses_the_base_doc(tmp_path):
+    dataset = tmp_path / "d.jsonl"
+    write_dataset(dataset, [{**_NO_SCRIPT, "script": [wrap(TRUTH)]}])
+    log_dir = tmp_path / "logs"
+    code = run_cli("bench", "--doc", str(FIXTURE_DOC), "--dataset", str(dataset),
+                   "--log-dir", str(log_dir))
+    assert code == 0
+    assert json.loads((log_dir / "summary.json").read_text())["tasks"][0]["satisfied"]
+
+
+def test_a_relative_dataset_doc_is_read_from_the_dataset_directory(
+    tmp_path, monkeypatch
+):
+    data_dir, elsewhere = tmp_path / "data", tmp_path / "elsewhere"
+    data_dir.mkdir()
+    elsewhere.mkdir()
+    (data_dir / "api.json").write_bytes(FIXTURE_DOC.read_bytes())
+    write_dataset(data_dir / "d.jsonl", [{**_NO_SCRIPT, "doc": "api.json", "script": [wrap(TRUTH)]}])
+    monkeypatch.chdir(elsewhere)
+    code = run_cli("bench", "--dataset", str(data_dir / "d.jsonl"),
+                   "--log-dir", str(tmp_path / "logs"))
+    assert code == 0
+    assert json.loads((tmp_path / "logs" / "summary.json").read_text())["tasks"][0]["satisfied"]
 
 
 # -- config file precedence --------------------------------------------------------

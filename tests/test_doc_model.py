@@ -5,6 +5,9 @@ from hypothesis import given
 from hypothesis import strategies as st
 
 from autofeedback import (
+    ApiDocument,
+    ApiSpec,
+    ParamSpec,
     ValueType,
     load_document,
     lookup_api,
@@ -84,12 +87,80 @@ def test_missing_description_and_numeric_code_load():
     api = {
         "name": "a",
         "parameters": [{"name": "p", "type": "int"}],
-        "exceptions": [{"code": 401, "message": "Invalid credentials."}],
+        "exceptions": [
+            {"code": 401, "message": "Invalid credentials."},
+            {"code": 2.5, "message": "m"},
+        ],
     }
     [loaded] = load_document(json.dumps({"apis": [api]})).apis
     assert loaded.description == ""
     assert loaded.params[0].description == ""
-    assert loaded.exceptions == (("401", "Invalid credentials."),)
+    assert loaded.exceptions == (("401", "Invalid credentials."), ("2.5", "m"))
+
+
+def _api(**fields):
+    return {"apis": [{"name": "a", **fields}]}
+
+
+def _param(**fields):
+    return _api(parameters=[{"name": "p", "type": "int", **fields}])
+
+
+@pytest.mark.parametrize(
+    "raw, path",
+    [
+        ([], ""),
+        ({"apis": {}}, "apis"),
+        ({"apis": ["a"]}, "apis[0]"),
+        ({"apis": [{"name": ""}]}, "apis[0].name"),
+        ({"apis": [{"name": 3}]}, "apis[0].name"),
+        (_api(parameters={}), "apis[0].parameters"),
+        (_api(parameters=["p"]), "apis[0].parameters[0]"),
+        (_param(name=""), "apis[0].parameters[0].name"),
+        (_param(name=None), "apis[0].parameters[0].name"),
+        (_param(required="yes"), "apis[0].parameters[0].required"),
+        (
+            _api(parameters=[{"name": "p", "type": "int"}, {"name": "p", "type": "string"}]),
+            "apis[0].parameters[1]",
+        ),
+        (_api(exceptions={}), "apis[0].exceptions"),
+        (_api(exceptions=[{"message": "m"}]), "apis[0].exceptions[0]"),
+        (_api(exceptions=[{"code": "401"}]), "apis[0].exceptions[0]"),
+        (_api(exceptions=["401"]), "apis[0].exceptions[0]"),
+        # Stored as its str(), a null code reached the prompt as "Error None: m".
+        *(
+            (_api(exceptions=[{"code": code, "message": "m"}]), "apis[0].exceptions[0].code")
+            for code in (None, True, False, {"x": 1}, [1], float("nan"))
+        ),
+        # JSON text as it stands: json.loads reads 1e400 as infinity.
+        (
+            '{"apis": [{"name": "a", "exceptions": [{"code": 1e400, "message": "m"}]}]}',
+            "apis[0].exceptions[0].code",
+        ),
+    ],
+)
+def test_schema_error_names_its_path(tmp_path, raw, path):
+    # Read from a file, since a string that is not an object reads as a path.
+    doc_file = tmp_path / "doc.json"
+    doc_file.write_text(raw if isinstance(raw, str) else json.dumps(raw))
+    with pytest.raises(SchemaError) as exc_info:
+        load_document(doc_file)
+    assert exc_info.value.path == path
+
+
+@pytest.mark.parametrize(
+    "build",
+    [
+        lambda: ParamSpec("", ValueType.INT),
+        lambda: ApiSpec(""),
+        lambda: ApiSpec("a", params=(ParamSpec("p", ValueType.INT),) * 2),
+        lambda: ApiDocument((ApiSpec("a"), ApiSpec("a"))),
+    ],
+    ids=["empty-param-name", "empty-api-name", "duplicate-param", "duplicate-api"],
+)
+def test_direct_construction_rejects_what_the_loader_rejects(build):
+    with pytest.raises(ValueError):
+        build()
 
 
 def test_duplicate_api_name_rejected():

@@ -123,7 +123,6 @@ def test_records_chain_action_to_new_action(doc, prepared, executor, judge):
     assert len(records) == 2
     for earlier, later in zip(records, records[1:]):
         assert earlier.new_action == later.action
-    assert [r.iteration for r in records] == [0, 1]
 
 
 def test_n_max_zero_means_one_execution_no_llm(doc, prepared, executor, judge):
@@ -137,6 +136,15 @@ def test_n_max_zero_means_one_execution_no_llm(doc, prepared, executor, judge):
     assert records == []
     assert llm.calls == 0
     assert len(executor.executed) == 1
+
+
+def test_negative_n_max_raises_before_any_execution(prepared, executor, judge):
+    with pytest.raises(ValueError, match="n_max"):
+        run_dynamic_loop(
+            req(REVERSED), prepared, executor, ScriptedLlm(["unused"]), judge, n_max=-1,
+            static_check=accept_all, records=[],
+        )
+    assert executor.executed == []
 
 
 def test_unparseable_correction_reasked_once(doc, prepared, executor, judge):
@@ -233,7 +241,7 @@ def test_prompt_single_turn():
 def test_prompt_renders_history_then_current():
     message = RetrievedMessage("Longitude precedes latitude.", 0.9)
     record = FeedbackRecord(
-        0, req(REVERSED), ApiResponse(200, "info_code:20000"), message,
+        req(REVERSED), ApiResponse(200, "info_code:20000"), message,
         "swap the order", req(CORRECT),
     )
     prompt = assemble_react_prompt(

@@ -298,6 +298,26 @@ def test_http_executor_post_sent_once_when_answer_is_lost(stub_server):
     assert handler.requests_seen == [("POST", "/book", '{"seats": 2}')]
 
 
+def test_http_executor_post_retried_after_a_connect_timeout(monkeypatch, stub_server):
+    base_url, handler = stub_server
+    handler.default_behavior = (200, "booked")
+    sent = []
+    original_send = requests.Session.send
+
+    def send_after_one_timeout(self, request, **kwargs):
+        sent.append(request.url)
+        if len(sent) == 1:
+            raise requests.ConnectTimeout("connect timed out")
+        return original_send(self, request, **kwargs)
+
+    monkeypatch.setattr(requests.Session, "send", send_after_one_timeout)
+    executor = HttpApiExecutor(base_url, {"book": ("POST", "/book")})
+    response = executor.execute(ApiRequest("book", (("seats", 2),)))
+    assert (response.status, response.body) == (200, "booked")
+    assert len(sent) == 2
+    assert handler.requests_seen == [("POST", "/book", '{"seats": 2}')]
+
+
 def test_http_executor_post_retried_when_never_sent(monkeypatch):
     sent = []
     original_send = requests.Session.send

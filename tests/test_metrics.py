@@ -66,6 +66,11 @@ def test_process_correctness_exact():
     assert process_correctness(executed, truth) == pytest.approx(100 * 2 / 3)
 
 
+def test_process_correctness_lists_of_different_lengths_raise():
+    with pytest.raises(LengthMismatchError):
+        process_correctness([["f(a=1)"], ["f(a=1)"]], ["f(a=1)"])
+
+
 def test_process_correctness_extra_call_not_counted():
     executed = [["redundant()", "f(a=1)"]]
     truth = ["f(a=1)"]

@@ -839,6 +839,20 @@ def test_session_log_lines_schema(prepared, executor):
     assert dynamic[0]["new_action"] == ROUTE_CORRECT
 
 
+def test_log_lines_number_each_phase_from_zero(prepared, executor):
+    llm = ScriptedLlm([
+        "no request here", "still none", wrap(ROUTE_REVERSED),
+        f"Thought: again.\n{wrap(ROUTE_REVERSED)}", f"Thought: swap.\n{wrap(ROUTE_CORRECT)}",
+    ])
+    judge = ExactMatchJudge(ground_truth=req(ROUTE_CORRECT))
+    result = run_task(ROUTE_INSTRUCTION, prepared, llm, executor, judge)
+    assert result.satisfied
+    lines = [json.loads(line) for line in session_log_lines(result.log)]
+    assert [(line["phase"], line["iteration"]) for line in lines] == [
+        ("static", 0), ("static", 1), ("static", 2), ("dynamic", 0), ("dynamic", 1),
+    ]
+
+
 def test_executed_sequence_reconstruction(prepared, executor):
     llm = ScriptedLlm(
         [wrap(ROUTE_REVERSED), f"Thought: swap.\n{wrap(ROUTE_CORRECT)}"]

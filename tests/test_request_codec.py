@@ -18,7 +18,7 @@ from autofeedback import (
     parse_request,
     serialize_request,
 )
-from autofeedback.request_codec import MAX_NESTING, type_matches, values_equal
+from autofeedback.request_codec import MAX_NESTING, serialize_value, type_matches, values_equal
 
 from oracles import oracle_extract_request_block, oracle_parse_request
 
@@ -430,6 +430,12 @@ def test_parse_equals_the_untyped_token_parser(text):
     assert repr(parse_request(text)) == repr(oracle_parse_request(text))
 
 
+@pytest.mark.parametrize("text", ["f(a=[1 2])", "f(a=(1 2))", 'f(a={"k": 1 "j": 2})'])
+def test_a_container_item_needs_a_comma_or_the_closer_after_it(text):
+    assert parse_request(text) == ParseOutcome(None)
+    assert repr(parse_request(text)) == repr(oracle_parse_request(text))
+
+
 @given(
     st.integers(min_value=0, max_value=3000),
     st.sampled_from("[({"),
@@ -530,6 +536,12 @@ def test_infer_value_type():
     assert infer_value_type([1]) is ValueType.LIST
     assert infer_value_type((1,)) is ValueType.TUPLE
     assert infer_value_type({"a": 1}) is ValueType.DICT
+
+
+@pytest.mark.parametrize("convert", [serialize_value, infer_value_type])
+def test_a_value_of_no_literal_type_is_a_type_error(convert):
+    with pytest.raises(TypeError, match="unsupported value type: set"):
+        convert({1})
 
 
 def test_type_matches_widening():

@@ -24,6 +24,7 @@ from autofeedback.errors import EmptyDocumentError, ProtocolError, TransportErro
 from autofeedback.retrieval import (
     ARRAY_RANKING_MIN_TEXTS,
     RemoteEmbeddingSimilarity,
+    RetrievedMessage,
     SimilarityModel,
     TfidfSimilarity,
     api_documentation_text,
@@ -352,6 +353,15 @@ def test_both_ranking_paths_agree_at_the_size_boundary(n, monkeypatch):
             )
 
 
+def test_out_of_range_arguments_raise(doc, model, prepared):
+    with pytest.raises(ValueError, match="k must be >= 1"):
+        retrieve_relevant_apis("anything", prepared, 0)
+    with pytest.raises(ValueError, match="chunk_threshold"):
+        build_chunk_index(doc, model, 1.0)
+    with pytest.raises(ValueError, match="similarity"):
+        RetrievedMessage("x", 1.5)
+
+
 def test_retrieve_empty_document_raises(model):
     empty = load_document(json.dumps({"apis": []}))
     with pytest.raises(EmptyDocumentError):
@@ -450,8 +460,8 @@ def test_lazy_chunks_equal_eager_chunks(raw_doc, copies):
     assert len(eager) == len(doc.apis)
     for api in doc.apis:
         got, want = index.for_api(api.name), eager[api.name]
-        assert [(c.api_name, c.sentences, c.text) for c in got] == [
-            (name, sentences, text) for name, sentences, text, _ in want
+        assert [(c.sentences, c.text) for c in got] == [
+            (sentences, text) for _, sentences, text, _ in want
         ]
         assert all(np.array_equal(g.vector, w[3]) for g, w in zip(got, want))
         assert index.for_api(api.name) is got  # cached
@@ -613,6 +623,13 @@ def test_remote_embedder_rejects_a_non_vector(stub_server, embedding):
     base_url, handler = stub_server
     handler.behaviors.append((200, _embedding_body(embedding)))
     with pytest.raises(ProtocolError):
+        RemoteEmbeddingSimilarity(base_url, "m").embed("a")
+
+
+def test_remote_embedder_body_that_is_not_json_is_protocol_error(stub_server):
+    base_url, handler = stub_server
+    handler.behaviors.append((200, "not json"))
+    with pytest.raises(ProtocolError, match="malformed embedding response"):
         RemoteEmbeddingSimilarity(base_url, "m").embed("a")
 
 
