@@ -2,13 +2,10 @@
 
 Commands: ``run`` one task, ``bench`` a dataset, ``classify`` generated
 requests against ground truth, ``report`` digest session logs. Each command
-takes only the settings it reads. A setting is a flag (``--max-static``)
-and a key of the config file (``max_static``; one flat JSON object), so a
-command's config keys mirror its setting flags; a flag beats the file, the
-file beats the default. Flags naming one invocation's inputs (``--script``,
-``--task-id``, ``--out``, ...) have no config key. A base URL selects each
-remote service (LLM, executor, embedder); without one the offline double
-runs. A task's script replays before the remote LLM answers.
+takes only the settings it reads, each as a flag (``--max-static``); a
+flag left out takes its default. A base URL selects each remote service
+(LLM, executor, embedder); without one the offline double runs. A task's
+script replays before the remote LLM answers.
 
 Exit codes: 0 ok/satisfied, 1 unsatisfied, 2 configuration error,
 3 transport error.
@@ -61,7 +58,7 @@ _UNREADABLE = (OSError, ValueError, RecursionError)
 
 
 # One declaration per setting: (type, default, help). A setting is a flag
-# and a config-file key of each command that reads it.
+# of each command that reads it.
 _SETTINGS = {
     "doc": (str, None, "API documentation JSON file"),
     "dataset": (str, None, "JSONL dataset, one task per line"),
@@ -77,7 +74,6 @@ _SETTINGS = {
     "jobs": (int, 1, "worker threads"),
     "log_dir": (str, "logs", "session log directory"),
 }
-_JSON_TYPES = {str: "string", int: "integer", float: "number"}
 
 _MODELS = ("llm_base_url", "model", "embedder_base_url", "embedder_model")
 _PIPELINE = tuple(f.name for f in fields(PipelineConfig))
@@ -92,6 +88,7 @@ _COMMANDS = {  # command: (help, the settings it reads)
     ),
     "report": ("digest session logs", ("log_dir",)),
 }
+_REQUIRED = {"run": "doc", "bench": "dataset", "classify": "dataset"}  # input it must have
 
 
 def _build_parser() -> argparse.ArgumentParser:
@@ -104,11 +101,11 @@ def _build_parser() -> argparse.ArgumentParser:
     for command, (command_help, settings) in _COMMANDS.items():
         # No abbreviations: "--llm http" would otherwise read as a base URL.
         p = commands[command] = sub.add_parser(command, help=command_help, allow_abbrev=False)
-        p.add_argument("--config", help="flat JSON file of settings keyed by flag name")
         for name in settings:
-            kind, _default, setting_help = _SETTINGS[name]
+            kind, default, setting_help = _SETTINGS[name]
             p.add_argument(
-                "--" + name.replace("_", "-"), dest=name, type=kind, help=setting_help
+                "--" + name.replace("_", "-"), dest=name, type=kind, default=default,
+                required=name == _REQUIRED.get(command), help=setting_help,
             )
 
     run_p = commands["run"]
@@ -123,41 +120,6 @@ def _build_parser() -> argparse.ArgumentParser:
     return parser
 
 
-def _merge_config(args: argparse.Namespace) -> dict:
-    """The command's settings: flag > config file > default."""
-    names = _COMMANDS[args.command][1]
-    values = {name: _SETTINGS[name][1] for name in names}
-    if args.config:
-        try:
-            loaded = json.loads(Path(args.config).read_text(encoding="utf-8"))
-        except _UNREADABLE as exc:
-            raise ConfigError(f"cannot read config file {args.config}: {exc}") from exc
-        if not isinstance(loaded, dict):
-            raise ConfigError(f"config file {args.config} must hold one JSON object")
-        for key, value in loaded.items():
-            key = key.replace("-", "_")
-            if key not in values:
-                raise ConfigError(
-                    f"config key {key!r} in {args.config} is not a setting of {args.command}"
-                )
-            if value is None:
-                continue
-            kind = _SETTINGS[key][0]
-            # A float setting takes any JSON number; no setting takes a boolean.
-            if isinstance(value, bool) or not isinstance(
-                value, (int, float) if kind is float else kind
-            ):
-                raise ConfigError(f"config key {key!r} must be a JSON {_JSON_TYPES[kind]}")
-            try:
-                values[key] = kind(value)
-            except OverflowError as exc:
-                raise ConfigError(f"config key {key!r}: {exc}") from exc
-    for name in names:
-        if getattr(args, name) is not None:
-            values[name] = getattr(args, name)
-    return values
-
-
 def _pipeline_config(values: dict) -> PipelineConfig:
     try:
         return PipelineConfig(**{name: values[name] for name in _PIPELINE if name in values})
@@ -167,8 +129,6 @@ def _pipeline_config(values: dict) -> PipelineConfig:
 
 def _load_doc(values: dict) -> ApiDocument:
     path = values["doc"]
-    if not path:
-        raise ConfigError("--doc is required")
     try:
         return load_document(Path(path))
     except (OSError, SchemaError) as exc:
@@ -207,8 +167,6 @@ def _is_strings(value: object) -> bool:
 
 def _load_dataset(values: dict, base_doc: ApiDocument | None) -> list[BenchTask]:
     path = values["dataset"]
-    if not path:
-        raise ConfigError("--dataset is required")
     dataset_path = Path(path)
     try:
         # Text mode reads "\r\n" and "\r" as "\n", so this splits at those
@@ -294,7 +252,7 @@ def _run_tasks(
 
 
 def _cmd_run(args: argparse.Namespace) -> int:
-    values = _merge_config(args)
+    values = vars(args)
     config = _pipeline_config(values)
     doc = _load_doc(values)
 
@@ -331,7 +289,7 @@ def _cmd_run(args: argparse.Namespace) -> int:
 
 
 def _cmd_bench(args: argparse.Namespace) -> int:
-    values = _merge_config(args)
+    values = vars(args)
     if values["jobs"] < 1:
         raise ConfigError(f"--jobs must be >= 1, got {values['jobs']}")
     config = _pipeline_config(values)
@@ -344,7 +302,7 @@ def _cmd_bench(args: argparse.Namespace) -> int:
 
 
 def _cmd_classify(args: argparse.Namespace) -> int:
-    values = _merge_config(args)
+    values = vars(args)
     base_doc = _load_doc(values) if values["doc"] else None
     tasks = _load_dataset(values, base_doc)
     threshold = _pipeline_config(values).threshold
@@ -406,7 +364,7 @@ def _cmd_classify(args: argparse.Namespace) -> int:
 
 
 def _cmd_report(args: argparse.Namespace) -> int:
-    values = _merge_config(args)
+    values = vars(args)
     log_dir = Path(values["log_dir"])
     if not log_dir.is_dir():
         print(f"no sessions under {log_dir}")

@@ -39,7 +39,7 @@ class TransportError(AutoFeedbackError):
 
 
 class ProtocolError(AutoFeedbackError):
-    """A remote endpoint answered with a body we cannot interpret."""
+    """A remote endpoint answered with an error status or a body we cannot read."""
 
 
 class EmptyInputError(AutoFeedbackError):

@@ -139,19 +139,24 @@ def _send_with_retries(
 
 
 def post_json(url: str, payload: dict, api_key: str, timeout: float) -> requests.Response:
-    """POST *payload* as JSON with an optional Bearer key; a 5xx answer
-    counts as a failed attempt."""
+    """POST *payload* as JSON with an optional Bearer key. A 5xx or a 429 (rate
+    limit) is a failed attempt, and any other status from 400 up a protocol error."""
     headers = {"Content-Type": "application/json"}
     if api_key:
         headers["Authorization"] = f"Bearer {api_key}"
 
     def send() -> requests.Response:
         response = requests.post(url, json=payload, headers=headers, timeout=timeout)
-        if response.status_code >= 500:
-            raise TransportError(f"server error {response.status_code} from {url}")
+        if response.status_code >= 500 or response.status_code == 429:
+            raise TransportError(f"status {response.status_code} from {url}")
         return response
 
-    return _send_with_retries(send, url)
+    response = _send_with_retries(send, url)
+    if response.status_code >= 400:
+        raise ProtocolError(
+            f"status {response.status_code} from {url}: {response.text[:200]!r}"
+        )
+    return response
 
 
 class HttpLlmClient(LlmClient):
@@ -161,7 +166,7 @@ class HttpLlmClient(LlmClient):
     ``choices[0].message.content``. Token counts come from ``usage`` when
     present, otherwise from whitespace token counts. Content that is not a
     string, ``usage`` that is not an object and a count that is not an int
-    are protocol errors.
+    or is negative are protocol errors.
     """
 
     def __init__(self, base_url: str, model_name: str, api_key: str = ""):
@@ -202,6 +207,8 @@ def _token_count(usage: dict, key: str, fallback: int) -> int:
         return fallback
     if not isinstance(count, int) or isinstance(count, bool):
         raise ProtocolError(f"completion usage {key} is not an int: {count!r}")
+    if count < 0:
+        raise ProtocolError(f"completion usage {key} is negative: {count!r}")
     return count
 
 

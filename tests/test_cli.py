@@ -363,18 +363,12 @@ def test_bench_duplicate_task_id_exits_2(tmp_path, capsys):
     assert not log_dir.exists()
 
 
-@pytest.mark.parametrize("where", ["flag", "config"])
+@pytest.mark.parametrize("where", ["flag"])
 def test_bench_jobs_below_one_names_the_setting_not_the_dataset(tmp_path, capsys, where):
     dataset = tmp_path / "tasks.jsonl"
     write_dataset(dataset, dataset_lines(n_ok=2, n_bad=0))
     log_dir = tmp_path / "logs"
-    argv = ["bench", "--dataset", str(dataset), "--log-dir", str(log_dir)]
-    if where == "flag":
-        argv += ["--jobs", "0"]
-    else:
-        config = tmp_path / "config.json"
-        config.write_text(json.dumps({"jobs": 0}), encoding="utf-8")
-        argv += ["--config", str(config)]
+    argv = ["bench", "--dataset", str(dataset), "--log-dir", str(log_dir), "--jobs", "0"]
     assert run_cli(*argv) == 2
     err = capsys.readouterr().err
     assert "--jobs must be >= 1, got 0" in err
@@ -820,7 +814,7 @@ def test_report_warns_on_a_summary_of_the_wrong_shape(tmp_path, capsys, summary)
     assert "== ok-0 [unknown]" in captured.out
 
 
-# -- flags and config file --------------------------------------------------------
+# -- flags --------------------------------------------------------------------------
 
 def test_each_command_registers_only_the_flags_it_reads():
     sub = next(
@@ -834,8 +828,8 @@ def test_each_command_registers_only_the_flags_it_reads():
         )
         for name, parser in sub.choices.items()
     }
-    assert counts == {"run": 16, "bench": 14, "classify": 9, "report": 2}
-    assert sum(counts.values()) == 41
+    assert counts == {"run": 15, "bench": 13, "classify": 8, "report": 1}
+    assert sum(counts.values()) == 37
 
 
 @pytest.mark.parametrize(
@@ -843,18 +837,24 @@ def test_each_command_registers_only_the_flags_it_reads():
     [
         ["classify", "--dataset", "d.jsonl", "--max-static", "3"],
         ["report", "--doc", "x"],
-        ["bench", "--chunk-threshold", "0.3"],
+        ["bench", "--dataset", "d.jsonl", "--chunk-threshold", "0.3"],
         # A base URL alone selects a remote service, and no flag is
         # abbreviated: "--llm http" must not read as "--llm-base-url http".
-        ["run", INSTRUCTION, "--llm", "http"],
-        ["run", INSTRUCTION, "--executor", "http"],
+        ["run", INSTRUCTION, "--doc", "d.json", "--llm", "http"],
+        ["run", INSTRUCTION, "--doc", "d.json", "--executor", "http"],
         ["bench", "--dataset", "d.jsonl", "--llm", "http"],
         ["bench", "--dataset", "d.jsonl", "--executor", "http"],
         ["classify", "--dataset", "d.jsonl", "--llm", "http"],
+        # No command reads a settings file: settings come from flags alone.
+        ["run", INSTRUCTION, "--doc", "d.json", "--config", "c.json"],
+        ["bench", "--dataset", "d.jsonl", "--config", "c.json"],
+        ["classify", "--dataset", "d.jsonl", "--config", "c.json"],
+        ["report", "--config", "c.json"],
     ],
     ids=[
         "classify-max-static", "report-doc", "bench-chunk-threshold", "run-llm",
-        "run-executor", "bench-llm", "bench-executor", "classify-llm",
+        "run-executor", "bench-llm", "bench-executor", "classify-llm", "run-config",
+        "bench-config", "classify-config", "report-config",
     ],
 )
 def test_flag_of_another_command_exits_2(argv, capsys):
@@ -865,37 +865,28 @@ def test_flag_of_another_command_exits_2(argv, capsys):
 
 
 @pytest.mark.parametrize(
-    "command, config, message",
+    "argv, flag",
     [
-        ("report", {"doc": str(FIXTURE_DOC)}, "'doc'"),
-        ("classify", {"max_static": 1}, "'max_static'"),
-        ("bench", {"k": "many"}, "'k'"),
-        ("bench", {"llm": "oracle"}, "'llm'"),
-        ("bench", {"executor": "http"}, "'executor'"),
-        ("bench", {"max_static": 2.7}, "'max_static' must be a JSON integer"),
-        ("bench", {"max_dynamic": True}, "'max_dynamic' must be a JSON integer"),
-        ("bench", {"threshold": "0.6"}, "'threshold' must be a JSON number"),
-        ("bench", {"threshold": 10**400}, "'threshold'"),
-        ("bench", {"chunk_threshold": 0.3}, "'chunk_threshold'"),
+        (["run", INSTRUCTION, "--script", "x"], "--doc"),
+        (["bench", "--doc", str(FIXTURE_DOC)], "--dataset"),
+        (["classify", "--doc", str(FIXTURE_DOC)], "--dataset"),
+        (["bench", "--dataset", "d.jsonl", "--k", "many"], "--k"),
+        (["bench", "--dataset", "d.jsonl", "--max-static", "2.7"], "--max-static"),
+        (["bench", "--dataset", "d.jsonl", "--k", "1" + "0" * 5000], "--k"),
     ],
     ids=[
-        "report-doc", "classify-max-static", "bench-k-not-int", "bench-llm-not-a-setting",
-        "bench-executor-not-a-setting", "bench-max-static-float", "bench-max-dynamic-bool",
-        "bench-threshold-string", "bench-threshold-past-float-range", "bench-chunk-threshold",
+        "run-no-doc", "bench-no-dataset", "classify-no-dataset", "k-not-int",
+        "max-static-float", "k-past-the-digit-limit",
     ],
 )
-def test_config_key_the_command_cannot_take_exits_2(tmp_path, capsys, command, config, message):
-    config_file = tmp_path / "cfg.json"
-    config_file.write_text(json.dumps(config))
-    assert run_cli(command, "--config", str(config_file)) == 2
-    assert message in capsys.readouterr().err
-
-
-def test_config_file_with_an_integer_past_the_digit_limit_exits_2(tmp_path, capsys):
-    config_file = tmp_path / "cfg.json"
-    config_file.write_text('{"k": 1' + "0" * 5000 + "}")
-    assert run_cli("bench", "--config", str(config_file)) == 2
-    assert "cannot read config file" in capsys.readouterr().err
+def test_a_missing_input_or_a_value_of_the_wrong_type_exits_2(tmp_path, capsys, argv, flag):
+    log_dir = tmp_path / "logs"
+    with pytest.raises(SystemExit) as exc:
+        run_cli(*argv, "--log-dir", str(log_dir))
+    assert exc.value.code == 2
+    # The usage text lists every flag; the error line names the one at fault.
+    assert flag in capsys.readouterr().err.splitlines()[-1]
+    assert not log_dir.exists()
 
 
 def test_script_file_must_hold_a_list_of_strings(tmp_path, capsys):
@@ -941,7 +932,6 @@ def _unreadable_input(tmp_path, case):
     else:
         target.write_text(
             {
-                "config-deep": _DEEP,
                 "dataset-long-int": f'{{"id": "a", "instruction": "x", "n": {_LONG_INT}}}',
                 "dataset-deep": _DEEP,
                 "script-long-int": f"[{_LONG_INT}]",
@@ -949,8 +939,6 @@ def _unreadable_input(tmp_path, case):
             }[case],
             encoding="utf-8",
         )
-    if case == "config-deep":
-        return ["bench", "--config", str(target)]
     if case.startswith("dataset"):
         return ["bench", "--doc", doc, "--dataset", str(target), "--log-dir", log_dir]
     if case.startswith("script"):
@@ -962,7 +950,7 @@ def _unreadable_input(tmp_path, case):
 @pytest.mark.parametrize(
     "case",
     [
-        "config-deep", "dataset-long-int", "dataset-deep", "script-long-int",
+        "dataset-long-int", "dataset-deep", "script-long-int",
         "doc-long-int", "doc-directory", "doc-not-utf8", "report-long-int",
         "report-not-utf8", "report-not-utf8-event", "report-directory", "report-summary",
     ],
@@ -987,18 +975,16 @@ _NO_SCRIPT = {"id": "a", "instruction": INSTRUCTION, "ground_truth": TRUTH}
 @pytest.mark.parametrize(
     "files, argv, message",
     [
-        ({"cfg.json": "[1]"}, ["run", "x", "--config", "{tmp}/cfg.json", "--script", "x"],
-         "config file {tmp}/cfg.json must hold one JSON object"),
         ({}, ["run", "x", "--doc", str(FIXTURE_DOC), "--script", "x", "--threshold", "1.5"],
+         "invalid pipeline settings: threshold must be in (0, 1)"),
+        ({}, ["run", "x", "--doc", str(FIXTURE_DOC), "--script", "x", "--threshold", "1e400"],
          "invalid pipeline settings: threshold must be in (0, 1)"),
         ({}, ["run", "x", "--doc", str(FIXTURE_DOC), "--script", "x", "--k", "0"],
          "invalid pipeline settings: k must be >= 1"),
         ({}, ["run", "x", "--doc", str(FIXTURE_DOC), "--script", "x", "--max-static", "-1"],
          "invalid pipeline settings: budgets must be >= 0"),
-        ({}, ["run", "x", "--script", "x"], "--doc is required"),
         ({}, ["run", "x", "--doc", str(FIXTURE_DOC)],
          "scripted LLM needs --script or --script-file"),
-        ({}, ["bench", "--doc", str(FIXTURE_DOC)], "--dataset is required"),
         ({"d.jsonl": json.dumps({**_NO_SCRIPT, "doc": "missing.json"})},
          ["bench", "--dataset", "{tmp}/d.jsonl"], "dataset line 1: cannot load doc missing.json"),
         ({"d.jsonl": "\n" + json.dumps(_NO_SCRIPT)}, ["bench", "--dataset", "{tmp}/d.jsonl"],
@@ -1007,9 +993,8 @@ _NO_SCRIPT = {"id": "a", "instruction": INSTRUCTION, "ground_truth": TRUTH}
          "dataset {tmp}/d.jsonl holds no tasks"),
     ],
     ids=[
-        "config-list", "threshold-1.5", "k-0", "max-static--1", "run-no-doc",
-        "run-no-script", "bench-no-dataset", "dataset-doc-unloadable", "dataset-no-doc",
-        "dataset-blank",
+        "threshold-1.5", "threshold-1e400", "k-0", "max-static--1", "run-no-script",
+        "dataset-doc-unloadable", "dataset-no-doc", "dataset-blank",
     ],
 )
 def test_an_unusable_setting_or_input_exits_2(tmp_path, capsys, files, argv, message):
@@ -1027,18 +1012,6 @@ def test_classify_sample_without_script_or_llm_exits_2(tmp_path, capsys):
     write_dataset(dataset, [{**_NO_SCRIPT, "doc": str(FIXTURE_DOC)}])
     assert run_cli("classify", "--dataset", str(dataset)) == 2
     assert "dataset sample 'a' has no recorded output (script)" in capsys.readouterr().err
-
-
-def test_a_null_config_value_leaves_the_default(tmp_path):
-    config_file = tmp_path / "cfg.json"
-    config_file.write_text(json.dumps({"max_static": None, "doc": str(FIXTURE_DOC)}))
-    code = run_cli(
-        "run", INSTRUCTION, "--config", str(config_file), "--script", "never a call",
-        "--log-dir", str(tmp_path / "logs"), "--task-id", "t",
-    )
-    assert code == 1
-    summary = json.loads((tmp_path / "logs" / "summary.json").read_text())
-    assert summary["tasks"][0]["llm_calls"] == 4  # the default budget of 3, plus one
 
 
 def test_a_dataset_line_without_doc_uses_the_base_doc(tmp_path):
@@ -1066,45 +1039,20 @@ def test_a_relative_dataset_doc_is_read_from_the_dataset_directory(
     assert json.loads((tmp_path / "logs" / "summary.json").read_text())["tasks"][0]["satisfied"]
 
 
-# -- config file precedence --------------------------------------------------------
+# -- defaults -----------------------------------------------------------------------
 
-def test_flag_beats_config_file_beats_default(tmp_path):
-    config_file = tmp_path / "cfg.json"
-    config_file.write_text(json.dumps({"max_static": 1, "doc": str(FIXTURE_DOC)}))
-    # config file value (1) applies: initial + 1 retry = 2 calls
+@pytest.mark.parametrize("flags, calls", [([], 4), (["--max-static", "1"], 2)],
+                         ids=["default", "flag"])
+def test_max_static_takes_its_flag_or_its_default(tmp_path, flags, calls):
+    # An unparseable reply spends the whole static budget: the first call
+    # plus one per retry.
     code = run_cli(
-        "run", INSTRUCTION,
-        "--config", str(config_file),
-        "--script", "never a call",
-        "--log-dir", str(tmp_path / "l1"),
-        "--task-id", "t",
+        "run", INSTRUCTION, "--doc", str(FIXTURE_DOC), *flags,
+        "--script", "never a call", "--log-dir", str(tmp_path / "logs"), "--task-id", "t",
     )
     assert code == 1
-    summary = json.loads((tmp_path / "l1" / "summary.json").read_text())
-    assert summary["tasks"][0]["llm_calls"] == 2
-    # explicit flag (2) beats the file value (1)
-    code = run_cli(
-        "run", INSTRUCTION,
-        "--config", str(config_file),
-        "--max-static", "2",
-        "--script", "never a call",
-        "--log-dir", str(tmp_path / "l2"),
-        "--task-id", "t",
-    )
-    assert code == 1
-    summary = json.loads((tmp_path / "l2" / "summary.json").read_text())
-    assert summary["tasks"][0]["llm_calls"] == 3
-
-
-def test_unknown_config_key_exits_2(tmp_path, capsys):
-    config_file = tmp_path / "cfg.json"
-    config_file.write_text(json.dumps({"bogus": 1}))
-    code = run_cli(
-        "run", INSTRUCTION, "--config", str(config_file), "--script", "x",
-        "--log-dir", str(tmp_path),
-    )
-    assert code == 2
-    assert "bogus" in capsys.readouterr().err
+    summary = json.loads((tmp_path / "logs" / "summary.json").read_text())
+    assert summary["tasks"][0]["llm_calls"] == calls
 
 
 def test_http_llm_without_key_exits_2(tmp_path, capsys, monkeypatch):

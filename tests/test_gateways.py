@@ -128,6 +128,30 @@ def test_http_llm_recovers_after_transient_failure(stub_server):
     assert client.complete([ChatMessage("user", "hi")]).text == "ok"
 
 
+def test_http_llm_retries_a_rate_limit(stub_server):
+    base_url, handler = stub_server
+    handler.behaviors.extend([(429, '{"error": "slow down"}'), (200, _completion_body("ok"))])
+    client = HttpLlmClient(base_url, "m")
+    assert client.complete([ChatMessage("user", "hi")]).text == "ok"
+    assert len(handler.requests_seen) == 2
+
+
+def test_http_llm_rate_limited_on_every_attempt_is_transport_error(stub_server):
+    base_url, handler = stub_server
+    handler.default_behavior = (429, "{}")
+    with pytest.raises(TransportError, match=f"after {RETRY_ATTEMPTS} attempts"):
+        HttpLlmClient(base_url, "m").complete([ChatMessage("user", "hi")])
+    assert len(handler.requests_seen) == RETRY_ATTEMPTS
+
+
+def test_http_llm_client_error_status_is_protocol_error(stub_server):
+    base_url, handler = stub_server
+    handler.default_behavior = (401, '{"error": "bad key"}')
+    with pytest.raises(ProtocolError, match="status 401 .*bad key"):
+        HttpLlmClient(base_url, "m", "wrong").complete([ChatMessage("user", "hi")])
+    assert len(handler.requests_seen) == 1
+
+
 def test_http_llm_malformed_body_is_protocol_error(stub_server):
     base_url, handler = stub_server
     handler.behaviors.append((200, json.dumps({"unexpected": True})))
@@ -145,8 +169,12 @@ def test_http_llm_malformed_body_is_protocol_error(stub_server):
             {"choices": [{"message": {"content": "hi"}}], "usage": {"prompt_tokens": "abc"}},
             "prompt_tokens is not an int",
         ),
+        (
+            {"choices": [{"message": {"content": "hi"}}], "usage": {"prompt_tokens": -1}},
+            "prompt_tokens is negative",
+        ),
     ],
-    ids=["content-null", "usage-string", "prompt-tokens-string"],
+    ids=["content-null", "usage-string", "prompt-tokens-string", "prompt-tokens-negative"],
 )
 def test_malformed_completion_ends_the_session(stub_server, prepared, body, error):
     base_url, handler = stub_server

@@ -660,6 +660,22 @@ def test_retrieve_matches_bruteforce_argmax(doc, model, chunk_index):
         assert got is not None and got.text == best.text
 
 
+def test_remote_embedder_retries_a_rate_limit(stub_server):
+    base_url, handler = stub_server
+    handler.behaviors.extend([(429, "{}"), (200, _embedding_body([0.0, 2.0]))])
+    model = RemoteEmbeddingSimilarity(base_url, "m")
+    assert model.embed("a") == pytest.approx([0.0, 1.0])
+    assert len(handler.requests_seen) == 2
+
+
+def test_remote_embedder_client_error_status_is_protocol_error(stub_server):
+    base_url, handler = stub_server
+    handler.default_behavior = (401, '{"error": "bad key"}')
+    with pytest.raises(ProtocolError, match="status 401"):
+        RemoteEmbeddingSimilarity(base_url, "m").embed("a")
+    assert len(handler.requests_seen) == 1
+
+
 def test_remote_embedder_recovers_after_one_server_error(stub_server):
     base_url, handler = stub_server
     handler.behaviors.extend([(500, "{}"), (200, _embedding_body([0.0, 2.0]))])
